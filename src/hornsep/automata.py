@@ -26,12 +26,8 @@ from dataclasses import dataclass, field
 
 from . import models, mosaics, reasoner
 from .reasoner import BOT, index_for
-from .syntax import HornsepError, NormalTBox, Role, Signature
+from .syntax import HornsepError, NormalTBox, ResourceLimitError, Signature
 from .syntax import ConjSub, SubAll, SubBot, SubEx, TopSub
-
-
-class ResourceLimitError(HornsepError):
-    """An emptiness or construction step exceeded its configured caps."""
 
 
 class UnsupportedAutomatonError(HornsepError):
@@ -193,30 +189,24 @@ def formula_to_text(f) -> str:
 # ---------------------------------------------------------------------------
 # labels
 
-def _fmt(x) -> str:
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(_fmt(y) for y in x)) + "}"
-    if isinstance(x, models.TGNode):
-        return f"<{_fmt(x.type)}:{_fmt(x.rin) if x.rin else '.'}>"
-    return str(x)
-
-
 def state_name(q) -> str:
     if isinstance(q, tuple):
-        return ".".join(_fmt(p) for p in q)
-    return _fmt(q)
+        return ".".join(_guard_text(p) for p in q)
+    return _guard_text(q)
 
 
 def _guard_text(key) -> str:
-    """Hash-order-independent rendering of a projection key, so dumps
-    are byte-identical across interpreter runs."""
+    """Hash-order-independent rendering of a state, projection key or
+    label, so dumps and search orders are byte-identical across
+    interpreter runs."""
     if isinstance(key, tuple):
         return "(" + ",".join(_guard_text(p) for p in key) + ")"
     if isinstance(key, (frozenset, set)):
         return "{" + ",".join(sorted(_guard_text(p) for p in key)) + "}"
-    if isinstance(key, Label):
-        return str(key)
-    return _fmt(key)
+    if isinstance(key, models.TGNode):
+        rin = _guard_text(key.rin) if key.rin else "."
+        return f"<{_guard_text(key.type)}:{rin}>"
+    return str(key)
 
 
 @dataclass(frozen=True)
@@ -246,8 +236,9 @@ class Label:
 
     def __str__(self):
         return (
-            f"(L0={_fmt(self.c0 | self.r0)} "
-            f"L1={_fmt(self.c1 | self.r1)} L2={_fmt(self.c2 | self.r2)})"
+            f"(L0={_guard_text(self.c0 | self.r0)} "
+            f"L1={_guard_text(self.c1 | self.r1)} "
+            f"L2={_guard_text(self.c2 | self.r2)})"
         )
 
 
@@ -397,6 +388,14 @@ class StateRule:
 
     project: object
     build: object
+
+
+def _test(project, holds, yes=TRUE, no=FALSE) -> StateRule:
+    """Rule of a state that tests the label and spawns nothing else:
+    ``yes`` on labels whose guard key satisfies ``holds``, ``no`` on the
+    rest.  ``project`` is used as is, since the search calls it on every
+    lookup."""
+    return StateRule(project, lambda l: yes if holds(project(l)) else no)
 
 
 class TwoWayAutomaton:
@@ -648,48 +647,27 @@ def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     }
     priorities = {("2", "q0"): 0}
 
-    def add_test(state, proj, build):
-        rules[state] = StateRule(proj, build)
+    def add_test(state, rule):
+        rules[state] = rule
         priorities[state] = 0
 
     for b in sorted(ctx.theta1_concepts):
-        add_test(
-            ("2", "c1", b),
-            (lambda bb: (lambda l: bb in l.c1))(b),
-            (lambda bb: (lambda l: TRUE if bb in l.c1 else FALSE))(b),
-        )
-        add_test(
-            ("2", "nc1", b),
-            (lambda bb: (lambda l: bb in l.c1))(b),
-            (lambda bb: (lambda l: FALSE if bb in l.c1 else TRUE))(b),
-        )
+        has_b = lambda l, b=b: b in l.c1
+        add_test(("2", "c1", b), _test(has_b, bool))
+        add_test(("2", "nc1", b), _test(has_b, bool, FALSE, TRUE))
     for _a, r, b in exs:
-        add_test(
-            ("2", "dn", r, b),
-            (lambda rr, bb: (lambda l: (rr in l.r1, bb in l.c1)))(r, b),
-            (
-                lambda rr, bb: (
-                    lambda l: TRUE if rr in l.r1 and bb in l.c1 else FALSE
-                )
-            )(r, b),
-        )
+        add_test(("2", "dn", r, b), _test(
+            lambda l, r=r, b=b: (r in l.r1, b in l.c1), all
+        ))
     for a, r, _b in alls:
         u = r.inverse()
-        add_test(
-            ("2", "na", u, a),
-            (lambda uu, aa: (lambda l: (uu in l.r1, aa in l.c1)))(u, a),
-            (
-                lambda uu, aa: (
-                    lambda l: FALSE if uu in l.r1 and aa in l.c1 else TRUE
-                )
-            )(u, a),
-        )
+        add_test(("2", "na", u, a), _test(
+            lambda l, u=u, a=a: (u in l.r1, a in l.c1), all, FALSE, TRUE
+        ))
     for fr in funcs:
-        add_test(
-            ("2", "nr1", fr),
-            (lambda rr: (lambda l: rr in l.r1))(fr),
-            (lambda rr: (lambda l: FALSE if rr in l.r1 else TRUE))(fr),
-        )
+        add_test(("2", "nr1", fr), _test(
+            lambda l, fr=fr: fr in l.r1, bool, FALSE, TRUE
+        ))
     return TwoWayAutomaton(
         "A2", ("2", "q0"), priorities, rules, ctx.labels, ctx.root_labels
     )
@@ -857,19 +835,10 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         priorities[qna(a)] = 0
 
     for u, b in sorted(edge_states):
-        rules[("3", "e", u, b)] = StateRule(
-            (lambda u: (lambda l: u in l.r0))(u),
-            (lambda u, b: (lambda l: here(qa(b)) if u in l.r0 else FALSE))(
-                u, b
-            ),
-        )
+        has_u = lambda l, u=u: u in l.r0
+        rules[("3", "e", u, b)] = _test(has_u, bool, here(qa(b)))
         priorities[("3", "e", u, b)] = 0
-        rules[("3", "ne", u, b)] = StateRule(
-            (lambda u: (lambda l: u in l.r0))(u),
-            (lambda u, b: (lambda l: here(qna(b)) if u in l.r0 else TRUE))(
-                u, b
-            ),
-        )
+        rules[("3", "ne", u, b)] = _test(has_u, bool, here(qna(b)), TRUE)
         priorities[("3", "ne", u, b)] = 0
 
     return TwoWayAutomaton(
@@ -904,7 +873,8 @@ class _T2Space:
                     if not any(r.name in self.qroles for r in rho):
                         rq_nodes.add(child)
                 self.edges.setdefault(node, sorted(
-                    outs, key=lambda e: (sorted(map(str, e[0])), repr(e[1]))
+                    outs,
+                    key=lambda e: (sorted(map(str, e[0])), _guard_text(e[1])),
                 ))
             self.rq[lab.c2] = sorted(rq_nodes, key=_guard_text)
 
@@ -932,8 +902,14 @@ def build_A4(
     tbox1: NormalTBox,
     tbox2: NormalTBox,
     ctx: LabelContext,
+    sim: bool = False,
 ) -> TwoWayAutomaton:
+    """With ``sim``, the single-role variant for rooted tree queries: the
+    derived structure is not Q-simulated by the L1 model.  It drops the
+    bounded-homomorphism states and splits the edge obligations role by
+    role."""
     space = _T2Space(tbox2, ctx)
+    tag = "s4" if sim else "4"
     qconcepts = ctx.sigQ.concepts
     rules = {}
     priorities = {}
@@ -951,31 +927,40 @@ def build_A4(
         return finhom_memo[key]
 
     def n2(node):
-        return ("4", "n2", node)
+        return (tag, "n2", node)
+
+    def obligations(rho):
+        """(state key part, query roles) of each obligation an edge with
+        superroles rho opens: one per query role under ``sim``, one for
+        all of them otherwise."""
+        if sim:
+            return [(r, frozenset([r])) for r in sorted(space.rho_q(rho))]
+        rq = space.rho_q(rho)
+        return [(rho, rq)] if rq else []
 
     def q0_build(l):
         if l.l0_empty():
             return FALSE
         parts = [
-            down_ex(("4", "q0")),
-            here(("4", "q1")),
+            down_ex((tag, "q0")),
+            here((tag, "q1")),
             here(n2(space.roots[l.c2])),
         ]
-        for node in space.rq[l.c2]:
-            parts.append(here(("4", "n3", node)))
+        if not sim:
+            for node in space.rq[l.c2]:
+                parts.append(here(("4", "n3", node)))
         return f_or(*parts)
 
-    rules[("4", "q0")] = StateRule(
+    rules[(tag, "q0")] = StateRule(
         lambda l: (l.l0_empty(), tuple(sorted(l.c2))), q0_build
     )
-    priorities[("4", "q0")] = 1
+    priorities[(tag, "q0")] = 1
 
     proj_q1, build_q1 = _q1_test(ctx)
-    rules[("4", "q1")] = StateRule(proj_q1, build_q1)
-    priorities[("4", "q1")] = 0
+    rules[(tag, "q1")] = StateRule(proj_q1, build_q1)
+    priorities[(tag, "q1")] = 0
 
-    all_nodes = sorted(space.edges, key=_guard_text)
-    for node in all_nodes:
+    for node in sorted(space.edges, key=_guard_text):
         tq = frozenset(a for a in node.type if a in qconcepts)
 
         def n2_build(l, node=node, tq=tq):
@@ -983,54 +968,52 @@ def build_A4(
                 return TRUE
             if not tq <= l.c1:
                 return TRUE
-            parts = []
-            for rho, child in space.edges[node]:
-                if space.rho_q(rho):
-                    parts.append(here(("4", "n2r", rho, child)))
-            return f_or(*parts)
+            return f_or(*(
+                here((tag, "n2r", key, child))
+                for rho, child in space.edges[node]
+                for key, _rq in obligations(rho)
+            ))
 
         rules[n2(node)] = StateRule(
-            (lambda tq: (
-                lambda l: (l.l1_empty(), tq <= l.c1)
-            ))(tq),
-            n2_build,
+            lambda l, tq=tq: (l.l1_empty(), tq <= l.c1), n2_build
         )
         priorities[n2(node)] = 1
 
         for rho, child in space.edges[node]:
-            rq = space.rho_q(rho)
-            if not rq:
-                continue
-            st = ("4", "n2r", rho, child)
-            if st in rules:
-                continue
+            for key, rq in obligations(rho):
+                st = (tag, "n2r", key, child)
+                if st in rules:
+                    continue
 
-            def n2r_build(l, rq=rq, rho=rho, child=child):
-                inv_ok = all(r.inverse() in l.r1 for r in rq)
-                parts = [down_allbut(("4", "n2d", rho, child))]
-                if inv_ok:
-                    parts.append(up_must(n2(child)))
-                return f_and(*parts)
+                def n2r_build(l, key=key, rq=rq, child=child):
+                    parts = [down_allbut((tag, "n2d", key, child))]
+                    if all(r.inverse() in l.r1 for r in rq):
+                        parts.append(up_must(n2(child)))
+                    return f_and(*parts)
 
-            rules[st] = StateRule(
-                (lambda rq: (
-                    lambda l: all(r.inverse() in l.r1 for r in rq)
-                ))(rq),
-                n2r_build,
-            )
-            priorities[st] = 0
-
-            std = ("4", "n2d", rho, child)
-            if std not in rules:
-                rules[std] = StateRule(
-                    (lambda rq: (lambda l: rq <= l.r1))(rq),
-                    (lambda rq, child: (
-                        lambda l: here(n2(child)) if rq <= l.r1 else TRUE
-                    ))(rq, child),
+                rules[st] = StateRule(
+                    lambda l, rq=rq: all(r.inverse() in l.r1 for r in rq),
+                    n2r_build,
                 )
-                priorities[std] = 0
+                priorities[st] = 0
 
-    n3_nodes = sorted({n for nodes in space.rq.values() for n in nodes}, key=_guard_text)
+                std = (tag, "n2d", key, child)
+                if std not in rules:
+                    rules[std] = _test(
+                        lambda l, rq=rq: rq <= l.r1, bool,
+                        here(n2(child)), TRUE,
+                    )
+                    priorities[std] = 0
+
+    if sim:
+        return TwoWayAutomaton(
+            "A4sim", (tag, "q0"), priorities, rules, ctx.labels,
+            ctx.root_labels,
+        )
+
+    n3_nodes = sorted(
+        {n for nodes in space.rq.values() for n in nodes}, key=_guard_text
+    )
     for node in n3_nodes:
         st = ("4", "n3", node)
 
@@ -1049,11 +1032,9 @@ def build_A4(
         if bt not in rules:
             rules[bt] = StateRule(
                 lambda l: (l.l0_empty(), tuple(sorted(l.c1))),
-                (lambda t: (
-                    lambda l: TRUE
-                    if l.l0_empty() or not finhom(l.c1, t)
-                    else FALSE
-                ))(node.type),
+                lambda l, t=node.type: (
+                    TRUE if l.l0_empty() or not finhom(l.c1, t) else FALSE
+                ),
             )
             priorities[bt] = 0
 
@@ -1067,88 +1048,8 @@ def build_A4_sim(
     tbox2: NormalTBox,
     ctx: LabelContext,
 ) -> TwoWayAutomaton:
-    """Single-role variant: the derived structure is not Q-simulated by
-    the L1 model.  Drops the bounded-homomorphism states and splits the
-    edge obligations role by role."""
-    space = _T2Space(tbox2, ctx)
-    qconcepts = ctx.sigQ.concepts
-    qroles = ctx.sigQ.roles
-    rules = {}
-    priorities = {}
-
-    def n2(node):
-        return ("s4", "n2", node)
-
-    def q0_build(l):
-        if l.l0_empty():
-            return FALSE
-        return f_or(
-            down_ex(("s4", "q0")),
-            here(("s4", "q1")),
-            here(n2(space.roots[l.c2])),
-        )
-
-    rules[("s4", "q0")] = StateRule(
-        lambda l: (l.l0_empty(), tuple(sorted(l.c2))), q0_build
-    )
-    priorities[("s4", "q0")] = 1
-
-    proj_q1, build_q1 = _q1_test(ctx)
-    rules[("s4", "q1")] = StateRule(proj_q1, build_q1)
-    priorities[("s4", "q1")] = 0
-
-    for node in sorted(space.edges, key=_guard_text):
-        tq = frozenset(a for a in node.type if a in qconcepts)
-
-        def n2_build(l, node=node, tq=tq):
-            if l.l1_empty():
-                return TRUE
-            if not tq <= l.c1:
-                return TRUE
-            parts = []
-            for rho, child in space.edges[node]:
-                for r in sorted(rho):
-                    if r.name in qroles:
-                        parts.append(here(("s4", "n2r", r, child)))
-            return f_or(*parts)
-
-        rules[n2(node)] = StateRule(
-            (lambda tq: (lambda l: (l.l1_empty(), tq <= l.c1)))(tq),
-            n2_build,
-        )
-        priorities[n2(node)] = 1
-
-        for rho, child in space.edges[node]:
-            for r in sorted(rho):
-                if r.name not in qroles:
-                    continue
-                st = ("s4", "n2r", r, child)
-                if st in rules:
-                    continue
-
-                def n2r_build(l, r=r, child=child):
-                    parts = [down_allbut(("s4", "n2d", r, child))]
-                    if r.inverse() in l.r1:
-                        parts.append(up_must(n2(child)))
-                    return f_and(*parts)
-
-                rules[st] = StateRule(
-                    (lambda r: (lambda l: r.inverse() in l.r1))(r), n2r_build
-                )
-                priorities[st] = 0
-                std = ("s4", "n2d", r, child)
-                if std not in rules:
-                    rules[std] = StateRule(
-                        (lambda r: (lambda l: r in l.r1))(r),
-                        (lambda r, child: (
-                            lambda l: here(n2(child)) if r in l.r1 else TRUE
-                        ))(r, child),
-                    )
-                    priorities[std] = 0
-
-    return TwoWayAutomaton(
-        "A4sim", ("s4", "q0"), priorities, rules, ctx.labels, ctx.root_labels
-    )
+    """``build_A4`` with ``sim``: the A4 variant for rooted tree queries."""
+    return build_A4(tbox1, tbox2, ctx, sim=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1371,6 +1272,8 @@ MAX_CHILD_OPTS = 6
 MAX_COMBOS = 240
 
 _BIG = 1 << 30
+_UP = ("up!", "up?")
+_COUNTED = ("dx", "dab")
 
 
 class _DemandSearch:
@@ -1403,12 +1306,10 @@ class _DemandSearch:
     it.
     """
 
-    def __init__(self, aut: TwoWayAutomaton, budget, depth, work_limit,
-                 relaxed=False):
+    def __init__(self, aut: TwoWayAutomaton, budget, depth, relaxed=False):
         self.aut = aut
         self.budget = budget
         self.depth = depth
-        self.work_limit = work_limit
         self.relaxed = relaxed
         self.work = 0
         self.assign_cache = {}
@@ -1486,9 +1387,9 @@ class _DemandSearch:
 
     def _tick(self):
         self.work += 1
-        if self.work > self.work_limit:
+        if self.work > WORK_LIMIT:
             raise ResourceLimitError(
-                f"emptiness search exceeded {self.work_limit} steps "
+                f"emptiness search exceeded {WORK_LIMIT} steps "
                 f"(states={len(self.aut.rules)}, labels={len(self.aut.labels)}, "
                 f"depth={self.depth})"
             )
@@ -1623,71 +1524,39 @@ class _DemandSearch:
             pe = list(pending)
             ok = True
             for atom in asg:
-                tag = atom[0]
-                if tag == "here":
-                    p = atom[1]
-                    nb = b - prios.get(p, 0)
-                    if nb < 0:
+                tag, p = atom[0], atom[-1]
+                if tag in _UP and is_root:
+                    if tag == "up!":
                         ok = False
                         break
-                    if p not in cons:
-                        nb = 0
+                    continue
+                if tag in _COUNTED:
+                    if atom[1] > 1:
+                        raise UnsupportedAutomatonError(
+                            "the direct search handles child counts up to "
+                            "1; expand counting first"
+                        )
+                    if atom[1] == 0 and tag == "dx":
+                        continue
+                nb = b - prios.get(p, 0)
+                if nb < 0:
+                    ok = False
+                    break
+                if p not in cons:
+                    nb = 0
+                if tag == "here":
                     if proc.get(p, _BIG) > nb:
                         pe.append((p, nb))
-                elif tag in ("up!", "up?"):
-                    p = atom[1]
-                    if is_root:
-                        if tag == "up!":
-                            ok = False
-                            break
-                        continue
-                    nb = b - prios.get(p, 0)
-                    if nb < 0:
-                        ok = False
-                        break
-                    if p not in cons:
-                        nb = 0
-                    nd[p] = min(nd.get(p, _BIG), nb)
+                    continue
+                if tag in _UP:
+                    target, key = nd, p
                 elif tag == "dx":
-                    n, p = atom[1], atom[2]
-                    if n == 0:
-                        continue
-                    if n > 1:
-                        raise UnsupportedAutomatonError(
-                            "the direct search handles existential child "
-                            "counts up to 1; expand counting first"
-                        )
-                    nb = b - prios.get(p, 0)
-                    if nb < 0:
-                        ok = False
-                        break
-                    if p not in cons:
-                        nb = 0
-                    di[p] = min(di.get(p, _BIG), nb)
+                    target, key = di, p
                 elif tag == "dab":
-                    n, p = atom[1], atom[2]
-                    if n > 1:
-                        raise UnsupportedAutomatonError(
-                            "the direct search handles child exclusion "
-                            "counts up to 1; expand counting first"
-                        )
-                    nb = b - prios.get(p, 0)
-                    if nb < 0:
-                        ok = False
-                        break
-                    if p not in cons:
-                        nb = 0
-                    bx[(p, n)] = min(bx.get((p, n), _BIG), nb)
+                    target, key = bx, (p, atom[1])
                 else:  # dir
-                    i, p = atom[1], atom[2]
-                    nb = b - prios.get(p, 0)
-                    if nb < 0:
-                        ok = False
-                        break
-                    if p not in cons:
-                        nb = 0
-                    slot = dr.setdefault(i, {})
-                    slot[p] = min(slot.get(p, _BIG), nb)
+                    target, key = dr.setdefault(atom[1], {}), p
+                target[key] = min(target.get(key, _BIG), nb)
             if ok:
                 self._close(proc, pe, nd, di, bx, dr, label, depth,
                             is_root, out)
@@ -1922,12 +1791,7 @@ def _plan_to_rep(plan, aut) -> RegularTreeRep:
     return RegularTreeRep(labels, children, root)
 
 
-def is_empty(
-    aut: TwoWayAutomaton,
-    schedule=DEFAULT_SCHEDULE,
-    work_limit: int = WORK_LIMIT,
-    validate: bool = True,
-) -> EmptinessResult:
+def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
     """Search for a finite accepted tree.
 
     Two passes.  The budget-free relaxed search over-approximates the
@@ -1952,8 +1816,8 @@ def is_empty(
     stats = {"work": 0, "stages": 0}
     copies = frozenset([(aut.initial, 0)])
     spurious = False
-    for _budget, depth in schedule:
-        search = _DemandSearch(aut, None, depth, work_limit, relaxed=True)
+    for _budget, depth in DEFAULT_SCHEDULE:
+        search = _DemandSearch(aut, None, depth, relaxed=True)
         stats["stages"] += 1
         plan = None
         for label in aut.root_labels:
@@ -1974,8 +1838,8 @@ def is_empty(
     if not spurious:
         return EmptinessResult(True, None, stats)
     stats["spurious_relaxed_plan"] = True
-    for budget, depth in schedule:
-        search = _DemandSearch(aut, budget, depth, work_limit)
+    for budget, depth in DEFAULT_SCHEDULE:
+        search = _DemandSearch(aut, budget, depth)
         b0 = budget - aut.priority(aut.initial)
         if b0 < 0:
             continue

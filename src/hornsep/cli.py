@@ -12,7 +12,7 @@ branch on them:
 * 10 usage, file, or parse error
 * 11 witness self-audit failure
 * 12 internal error
-* 13 resource limit hit
+* 13 resource limit hit (time, memory, or a construction or search cap)
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .syntax import (
     HornsepError,
     ParseError,
     ProfileError,
+    ResourceLimitError,
     parse_abox,
     parse_signature,
     parse_tbox,
@@ -43,14 +44,16 @@ EXIT_AUDIT = 11
 EXIT_INTERNAL = 12
 EXIT_RESOURCE = 13
 
-MODES = (
-    "cq",
-    "1tcq",
-    "cq-incons",
-    "deductive",
-    "conservative",
-    "inseparable",
-)
+#: each ``--mode`` of ``check``, and the decision procedure it runs,
+#: looked up on ``entailment`` at call time
+MODES = {
+    "cq": "decide_cq_entailment",
+    "1tcq": "decide_1tcq_entailment",
+    "cq-incons": "decide_cq_entailment_incons",
+    "deductive": "decide_deductive",
+    "conservative": "conservative_extension",
+    "inseparable": "inseparable",
+}
 
 
 def _emit(obj, as_json: bool):
@@ -145,7 +148,7 @@ def main():
 
 @main.command()
 @_shared_options
-@click.option("--mode", type=click.Choice(MODES), default="cq",
+@click.option("--mode", type=click.Choice(list(MODES)), default="cq",
               show_default=True)
 @click.option("--verify-witness", is_flag=True,
               help="on non-entailment, search a small witness and replay it")
@@ -162,22 +165,16 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
     if mosaic_cap:
         mosaics.LABELING_CAP = mosaic_cap
     p = _problem(t1, t2, sigma_a, sigma_q)
-    decide = {
-        "cq": entailment.decide_cq_entailment,
-        "1tcq": entailment.decide_1tcq_entailment,
-        "cq-incons": entailment.decide_cq_entailment_incons,
-        "deductive": entailment.decide_deductive,
-        "conservative": entailment.conservative_extension,
-        "inseparable": entailment.inseparable,
-    }[mode]
     try:
-        decision = decide(p)
+        decision = getattr(entailment, MODES[mode])(p)
     except (PreconditionError, ProfileError) as exc:
         _fail(str(exc), EXIT_PRECHECK)
     except _TimeoutAlarm:
         _fail("time limit exceeded", EXIT_RESOURCE)
     except MemoryError:
         _fail("memory limit exceeded", EXIT_RESOURCE)
+    except ResourceLimitError as exc:
+        _fail(str(exc), EXIT_RESOURCE)
     except HornsepError as exc:
         _fail(str(exc), EXIT_INTERNAL)
     report = decision.to_json_obj()
@@ -288,6 +285,8 @@ def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
             aut = built[which]()
     except _TimeoutAlarm:
         _fail("time limit exceeded", EXIT_RESOURCE)
+    except ResourceLimitError as exc:
+        _fail(str(exc), EXIT_RESOURCE)
     except HornsepError as exc:
         _fail(str(exc), EXIT_INTERNAL)
     if do_dump:

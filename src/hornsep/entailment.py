@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import automata, models, reasoner
 from .reasoner import certain_answers, index_for
@@ -37,7 +37,6 @@ from .syntax import (
     SubAll,
     SubBot,
     TBox,
-    abox_to_text,
     cq_is_1tcq,
     cq_to_text,
     is_elhifbot,
@@ -175,42 +174,39 @@ def build_pipeline(
     )
 
 
-def _run_pipeline(t1, t2, sigA, sigQ, sim, schedule):
+def _run_pipeline(t1, t2, sigA, sigQ, sim):
     ctx, product = build_pipeline(t1, t2, sigA, sigQ, sim=sim)
-    kwargs = {} if schedule is None else {"schedule": schedule}
-    res = automata.is_empty(product, **kwargs)
+    res = automata.is_empty(product)
     stats = dict(res.stats)
     stats["labels"] = len(ctx.labels)
     stats["states"] = len(product.rules)
     return res.empty, res.certificate, stats
 
 
-def decide_cq_entailment(p: Problem, schedule=None) -> Decision:
-    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
-    if not ri:
-        return Decision("cq", False, {"ri": False})
+def _decide_queries(
+    p: Problem, mode: str, sim: bool, precheck: dict
+) -> Decision:
+    """The decision all query modes share, given their prechecks: CQs,
+    or with ``sim`` rooted tree queries, whose A4 condition is a
+    simulation instead of a homomorphism."""
+    if not precheck["ri"]:
+        return Decision(mode, False, precheck)
     if _raw_subset(p.t2_raw, p.t1_raw):
         # certain answers are monotone in the TBox, so a syntactic
         # superset on the first side settles the question
-        return Decision("cq", True, {"ri": True}, stats={"subset": True})
-    entails, cert, stats = _run_pipeline(
-        p.t1, p.t2, p.sigA, p.sigQ, False, schedule
-    )
-    return Decision("cq", entails, {"ri": True}, certificate=cert, stats=stats)
+        return Decision(mode, True, precheck, stats={"subset": True})
+    entails, cert, stats = _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim)
+    return Decision(mode, entails, precheck, certificate=cert, stats=stats)
 
 
-def decide_1tcq_entailment(p: Problem, schedule=None) -> Decision:
+def decide_cq_entailment(p: Problem) -> Decision:
     ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
-    if not ri:
-        return Decision("1tcq", False, {"ri": False})
-    if _raw_subset(p.t2_raw, p.t1_raw):
-        return Decision("1tcq", True, {"ri": True}, stats={"subset": True})
-    entails, cert, stats = _run_pipeline(
-        p.t1, p.t2, p.sigA, p.sigQ, True, schedule
-    )
-    return Decision(
-        "1tcq", entails, {"ri": True}, certificate=cert, stats=stats
-    )
+    return _decide_queries(p, "cq", False, {"ri": ri})
+
+
+def decide_1tcq_entailment(p: Problem) -> Decision:
+    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
+    return _decide_queries(p, "1tcq", True, {"ri": ri})
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +265,14 @@ def _bot_free(t: NormalTBox, fresh: str) -> NormalTBox:
 
 
 def decide_incons_entailment(
-    t1: NormalTBox, t2: NormalTBox, sigA: Signature, schedule=None
+    t1: NormalTBox, t2: NormalTBox, sigA: Signature
 ) -> bool:
     """Every ABox-signature ABox inconsistent with the second TBox is
     inconsistent with the first."""
     fresh = _fresh_concept(t1, t2)
     sigF = Signature(concepts=frozenset([fresh]))
     entails, _cert, _stats = _run_pipeline(
-        _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False, schedule
+        _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
     )
     if not entails:
         return False
@@ -294,28 +290,29 @@ def decide_incons_entailment(
     return True
 
 
-def decide_cq_entailment_incons(p: Problem, schedule=None) -> Decision:
+def _with_incons(p: Problem, d: Decision) -> Decision:
+    """Strengthen an entailing decision of a mode that also compares
+    inconsistent ABoxes: it holds only if every ABox inconsistent with
+    the second TBox is inconsistent with the first.  A syntactic subset
+    settles that as it settled the query entailment."""
+    if not d.entails:
+        return d
+    incons = d.stats.get("subset", False) or decide_incons_entailment(
+        p.t1, p.t2, p.sigA
+    )
+    return replace(d, entails=incons, stats={**d.stats, "incons": incons})
+
+
+def decide_cq_entailment_incons(p: Problem) -> Decision:
     if decide_universal(p.t1, p.sigA, p.sigQ):
         return Decision("cq-incons", True, {"ri": None}, stats={"universal": True})
-    d = decide_cq_entailment(p, schedule)
-    if not d.entails:
-        return Decision(
-            "cq-incons", False, d.precheck, certificate=d.certificate,
-            stats=d.stats,
-        )
-    if _raw_subset(p.t2_raw, p.t1_raw):
-        incons = True
-    else:
-        incons = decide_incons_entailment(p.t1, p.t2, p.sigA, schedule)
-    stats = dict(d.stats)
-    stats["incons"] = incons
-    return Decision("cq-incons", incons, d.precheck, stats=stats)
+    return _with_incons(p, replace(decide_cq_entailment(p), mode="cq-incons"))
 
 
 # ---------------------------------------------------------------------------
 # deductive entailment, conservative extensions, inseparability
 
-def decide_deductive(p: Problem, schedule=None) -> Decision:
+def decide_deductive(p: Problem) -> Decision:
     """Axiom-level entailment over a single signature: every concept or
     role inclusion and functionality assertion over the signature that
     follows from the second TBox follows from the first."""
@@ -340,19 +337,7 @@ def decide_deductive(p: Problem, schedule=None) -> Decision:
                     "deductive", False, precheck,
                     stats={"functionality": str(r)},
                 )
-    d = decide_1tcq_entailment(p, schedule)
-    if not d.entails:
-        return Decision(
-            "deductive", False, precheck, certificate=d.certificate,
-            stats=d.stats,
-        )
-    if _raw_subset(p.t2_raw, p.t1_raw):
-        incons = True
-    else:
-        incons = decide_incons_entailment(p.t1, p.t2, sig, schedule)
-    stats = dict(d.stats)
-    stats["incons"] = incons
-    return Decision("deductive", incons, precheck, stats=stats)
+    return _with_incons(p, _decide_queries(p, "deductive", True, precheck))
 
 
 def _raw_subset(t1: TBox, t2: TBox) -> bool:
@@ -363,34 +348,24 @@ def _raw_subset(t1: TBox, t2: TBox) -> bool:
     )
 
 
-def conservative_extension(p: Problem, schedule=None) -> Decision:
+def conservative_extension(p: Problem) -> Decision:
     if not _raw_subset(p.t1_raw, p.t2_raw):
         raise PreconditionError(
             "conservative extension mode requires the first TBox to be a "
             "syntactic subset of the second"
         )
-    d = decide_cq_entailment(p, schedule)
-    return Decision(
-        "conservative", d.entails, d.precheck, certificate=d.certificate,
-        stats=d.stats,
-    )
+    return replace(decide_cq_entailment(p), mode="conservative")
 
 
-def inseparable(p: Problem, schedule=None) -> Decision:
-    d1 = decide_cq_entailment(p, schedule)
-    if not d1.entails:
-        stats = dict(d1.stats)
-        stats["direction"] = "forward"
-        return Decision(
-            "inseparable", False, d1.precheck, certificate=d1.certificate,
-            stats=stats,
-        )
-    d2 = decide_cq_entailment(p.swapped(), schedule)
-    stats = dict(d2.stats)
-    stats["direction"] = "backward" if not d2.entails else "both"
-    return Decision(
-        "inseparable", d2.entails, d2.precheck, certificate=d2.certificate,
-        stats=stats,
+def inseparable(p: Problem) -> Decision:
+    d = decide_cq_entailment(p)
+    if not d.entails:
+        direction = "forward"
+    else:
+        d = decide_cq_entailment(p.swapped())
+        direction = "both" if d.entails else "backward"
+    return replace(
+        d, mode="inseparable", stats={**d.stats, "direction": direction}
     )
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from . import models, reasoner
 from .reasoner import index_for
-from .syntax import HornsepError, NormalTBox, Signature
+from .syntax import NormalTBox, ResourceLimitError, Signature
 
 
-class MosaicSpaceError(HornsepError):
+class MosaicSpaceError(ResourceLimitError):
     """The candidate mosaic space exceeded the configured cap."""
 
 

@@ -223,10 +223,6 @@ def types(tbox: NormalTBox, seed) -> frozenset:
     return index_for(tbox).type_of(seed)
 
 
-def type_consistent(tbox: NormalTBox, seed) -> bool:
-    return index_for(tbox).consistent(seed)
-
-
 def _maximal(sets) -> set:
     sets = set(sets)
     return {

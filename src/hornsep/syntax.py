@@ -44,6 +44,10 @@ class ProfileError(HornsepError):
     """Input falls outside the supported (Horn) grammar or requested profile."""
 
 
+class ResourceLimitError(HornsepError):
+    """A construction or search step exceeded one of its configured caps."""
+
+
 # ---------------------------------------------------------------------------
 # roles and concepts
 

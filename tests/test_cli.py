@@ -158,10 +158,32 @@ def test_automaton_summary(runner):
 
 
 def test_automaton_dump_matches_golden(runner):
-    res = invoke(runner, "automaton", "--which", "a1", "--dump", *ADVISOR)
-    assert res.exit_code == 0
-    golden = (DATA / "advisor_a1_dump.txt").read_text()
-    assert res.output == golden
+    for which in ("a1", "a4", "a4sim"):
+        res = invoke(runner, "automaton", "--which", which, "--dump", *ADVISOR)
+        assert res.exit_code == 0
+        golden = (DATA / f"advisor_{which}_dump.txt").read_text()
+        assert res.output == golden, which
+
+
+def test_check_resource_limit_exit_thirteen(runner, tmp_path):
+    """A concept chain too long for the label alphabet hits a cap, which
+    is a resource limit, not an internal error."""
+    chain = "\n".join(f"C{i} sub C{i + 1}" for i in range(14))
+    t1 = tmp_path / "t1.tbox"
+    t1.write_text(chain + "\n")
+    t2 = tmp_path / "t2.tbox"
+    t2.write_text(chain + "\nC0 sub some r C1\n")
+    sa = tmp_path / "a.sig"
+    sa.write_text("concepts: C0\nroles: r\n")
+    sq = tmp_path / "q.sig"
+    sq.write_text("concepts: C14\nroles: r\n")
+    args = ["--t1", str(t1), "--t2", str(t2),
+            "--sigma-a", str(sa), "--sigma-q", str(sq)]
+    res = invoke(runner, "check", *args)
+    assert res.exit_code == 13
+    assert "cap is 12" in res.output
+    res = invoke(runner, "automaton", *args)
+    assert res.exit_code == 13
 
 
 def _run_cli(args, seed):
@@ -183,6 +205,6 @@ def test_json_output_identical_across_hash_seeds():
 
 def test_dump_identical_across_hash_seeds():
     args = ["automaton", "--dump", *ADVISOR]
-    runs = [_run_cli(args, seed) for seed in (7, 31337)]
+    runs = [_run_cli(args, seed) for seed in (0, 1, 7, 31337)]
     assert all(r.returncode == 0 for r in runs)
-    assert runs[0].stdout == runs[1].stdout
+    assert all(r.stdout == runs[0].stdout for r in runs[1:])
