@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from conftest import problem
-from hornsep import entailment
+from hornsep import HornsepError, entailment
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -59,7 +59,7 @@ def _decide(fixture, mode):
         p = problem(*FIXTURES[fixture])
     try:
         return getattr(entailment, MODES[mode])(p).to_json_obj()
-    except entailment.HornsepError as exc:
+    except HornsepError as exc:
         return {"refused": type(exc).__name__}
 
 
