@@ -41,7 +41,7 @@ class UnsupportedAutomatonError(HornsepError):
 TRUE = ("true",)
 FALSE = ("false",)
 
-_ATOM_TAGS = ("here", "up!", "up?", "dx", "dab", "dir")
+_ATOM_TAGS = ("here", "up!", "up?", "dx", "dab")
 
 
 def here(q):
@@ -62,10 +62,6 @@ def down_ex(q, n: int = 1):
 
 def down_allbut(q, n: int = 0):
     return ("dab", n, q)
-
-
-def child_at(i: int, q):
-    return ("dir", i, q)
 
 
 def f_and(*parts):
@@ -139,7 +135,7 @@ def _minimize_sets(sets):
     return out
 
 
-def sat_assignments(f, cap: int = 4000):
+def sat_assignments(f):
     """Inclusion-minimal sets of atoms whose truth makes f true."""
     if f == TRUE:
         return [frozenset()]
@@ -150,16 +146,16 @@ def sat_assignments(f, cap: int = 4000):
     if f[0] == "or":
         acc = []
         for p in f[1]:
-            acc.extend(sat_assignments(p, cap))
+            acc.extend(sat_assignments(p))
         return _minimize_sets(acc)
     acc = [frozenset()]
     for p in f[1]:
-        sub = sat_assignments(p, cap)
+        sub = sat_assignments(p)
         acc = _minimize_sets(a | b for a in acc for b in sub)
-        if len(acc) > cap:
+        if len(acc) > MAX_ASSIGNMENTS:
             raise ResourceLimitError(
-                f"transition formula has more than {cap} minimal satisfying "
-                f"assignments"
+                f"transition formula has more than {MAX_ASSIGNMENTS} minimal "
+                f"satisfying assignments"
             )
     return acc
 
@@ -179,9 +175,7 @@ def formula_to_text(f) -> str:
             return f"(up? {state_name(f[1])})"
         if tag == "dx":
             return f"(some {f[1]} {state_name(f[2])})"
-        if tag == "dab":
-            return f"(allbut {f[1]} {state_name(f[2])})"
-        return f"(child {f[1]} {state_name(f[2])})"
+        return f"(allbut {f[1]} {state_name(f[2])})"
     parts = " ".join(formula_to_text(p) for p in f[1])
     return f"({f[0]} {parts})"
 
@@ -407,9 +401,6 @@ class TwoWayAutomaton:
         rules: dict,
         labels: list,
         root_labels=None,
-        kind: str = "2ata_c",
-        k: int = 0,
-        pad_label=None,
     ):
         self.name = name
         self.initial = initial
@@ -417,9 +408,6 @@ class TwoWayAutomaton:
         self.rules = rules
         self.labels = list(labels)
         self.root_labels = list(root_labels if root_labels is not None else labels)
-        self.kind = kind
-        self.k = k
-        self.pad_label = pad_label
         self._cache = {}
 
     @property
@@ -457,7 +445,7 @@ class TwoWayAutomaton:
 
     def dump(self) -> str:
         lines = [
-            f"automaton {self.name} kind={self.kind} "
+            f"automaton {self.name} kind=2ata_c "
             f"states={len(self.rules)} initial={state_name(self.initial)}"
         ]
         for q in sorted(self.rules, key=state_name):
@@ -488,8 +476,6 @@ def intersect(automata: list) -> TwoWayAutomaton:
     for a in automata[1:]:
         if a.labels is not base.labels and a.labels != base.labels:
             raise HornsepError("intersection requires a shared alphabet")
-        if a.kind != base.kind:
-            raise HornsepError("intersection requires matching automaton kinds")
     rules = {}
     priorities = {}
     for i, a in enumerate(automata):
@@ -523,9 +509,6 @@ def intersect(automata: list) -> TwoWayAutomaton:
         rules,
         base.labels,
         base.root_labels,
-        kind=base.kind,
-        k=base.k,
-        pad_label=base.pad_label,
     )
 
 
@@ -1146,11 +1129,6 @@ def _game_moves(aut, rep, parents, pos):
             ("h", node, combo, q) for combo in _subsets_upto(ch, n)
         ]
         return 0, 0, opts
-    if f[0] == "dir":
-        i, q = f[1], f[2]
-        if i < len(ch):
-            return 0, 0, [("s", ch[i], q)]
-        return 0, 0, []
     raise HornsepError(f"unknown formula node {f!r}")  # pragma: no cover
 
 
@@ -1267,6 +1245,7 @@ class EmptinessResult:
 #: there and leans on the relaxed pass for anything deeper.
 DEFAULT_SCHEDULE = ((4, 6), (8, 12), (10, 16))
 WORK_LIMIT = 4_000_000
+MAX_ASSIGNMENTS = 4000
 MAX_DIA = 6
 MAX_CHILD_OPTS = 6
 MAX_COMBOS = 240
@@ -1278,8 +1257,9 @@ _COUNTED = ("dx", "dab")
 
 class _DemandSearch:
     """Search for a finite tree the automaton accepts, with node depth
-    at most ``depth`` and (unless relaxed) at most ``budget`` priority-1
-    spawns along any justification path.
+    at most ``depth`` and (unless relaxed) a bounded number of priority-1
+    spawns along any justification path; the bound is the budget the
+    caller gives the initial copy.
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1306,9 +1286,8 @@ class _DemandSearch:
     it.
     """
 
-    def __init__(self, aut: TwoWayAutomaton, budget, depth, relaxed=False):
+    def __init__(self, aut: TwoWayAutomaton, depth, relaxed=False):
         self.aut = aut
-        self.budget = budget
         self.depth = depth
         self.relaxed = relaxed
         self.work = 0
@@ -1476,7 +1455,7 @@ class _DemandSearch:
         hit = {}
         try:
             self._close(
-                {}, list(items), {}, {}, {}, {}, label, depth, is_root, hit
+                {}, list(items), {}, {}, {}, label, depth, is_root, hit
             )
         finally:
             self._tok_stack.pop()
@@ -1500,66 +1479,70 @@ class _DemandSearch:
             bucket.append((depth, bvec))
         return hit
 
-    def _close(self, proc, pending, needs, dia, box, dirs, label, depth,
-               is_root, out):
-        self._tick()
+    def _close(self, proc, pending, needs, dia, box, label, depth, is_root,
+               out):
+        # Depth-first over the assignment choices of the pending copies,
+        # on an explicit stack rather than one recursive call per choice.
+        # CPython 3.11 frees and maps an interpreter stack chunk whenever
+        # a hot call crosses a chunk boundary; the recursion took tens of
+        # thousands of page faults per search, as many as its starting
+        # depth happened to put at a boundary.  Choices are pushed in
+        # reverse, so they pop in the recursion's order.
         prios = {} if self.relaxed else self.aut.priorities
         cons = self._consuming_set()
-        while pending:
-            q, b = pending[-1]
-            pending = pending[:-1]
-            if proc.get(q, _BIG) <= b:
+        stack = [(proc, pending, needs, dia, box)]
+        while stack:
+            proc, pending, needs, dia, box = stack.pop()
+            self._tick()
+            while pending:
+                q, b = pending[-1]
+                pending = pending[:-1]
+                if proc.get(q, _BIG) <= b:
+                    continue
+                break
+            else:
+                self._assemble(proc, needs, dia, box, label, depth, is_root,
+                               out)
                 continue
-            break
-        else:
-            self._assemble(proc, needs, dia, box, dirs, label, depth,
-                           is_root, out)
-            return
-        proc = dict(proc)
-        proc[q] = min(proc.get(q, _BIG), b)
-        for asg in self.assignments(q, label):
-            nd, di, bx, dr = dict(needs), dict(dia), dict(box), {
-                k: dict(v) for k, v in dirs.items()
-            }
-            pe = list(pending)
-            ok = True
-            for atom in asg:
-                tag, p = atom[0], atom[-1]
-                if tag in _UP and is_root:
-                    if tag == "up!":
+            proc = dict(proc)
+            proc[q] = min(proc.get(q, _BIG), b)
+            for asg in reversed(self.assignments(q, label)):
+                nd, di, bx = dict(needs), dict(dia), dict(box)
+                pe = list(pending)
+                ok = True
+                for atom in asg:
+                    tag, p = atom[0], atom[-1]
+                    if tag in _UP and is_root:
+                        if tag == "up!":
+                            ok = False
+                            break
+                        continue
+                    if tag in _COUNTED:
+                        if atom[1] > 1:
+                            raise UnsupportedAutomatonError(
+                                "emptiness supports child counts 0 and 1 only"
+                            )
+                        if atom[1] == 0 and tag == "dx":
+                            continue
+                    nb = b - prios.get(p, 0)
+                    if nb < 0:
                         ok = False
                         break
-                    continue
-                if tag in _COUNTED:
-                    if atom[1] > 1:
-                        raise UnsupportedAutomatonError(
-                            "the direct search handles child counts up to "
-                            "1; expand counting first"
-                        )
-                    if atom[1] == 0 and tag == "dx":
+                    if p not in cons:
+                        nb = 0
+                    if tag == "here":
+                        if proc.get(p, _BIG) > nb:
+                            pe.append((p, nb))
                         continue
-                nb = b - prios.get(p, 0)
-                if nb < 0:
-                    ok = False
-                    break
-                if p not in cons:
-                    nb = 0
-                if tag == "here":
-                    if proc.get(p, _BIG) > nb:
-                        pe.append((p, nb))
-                    continue
-                if tag in _UP:
-                    target, key = nd, p
-                elif tag == "dx":
-                    target, key = di, p
-                elif tag == "dab":
-                    target, key = bx, (p, atom[1])
-                else:  # dir
-                    target, key = dr.setdefault(atom[1], {}), p
-                target[key] = min(target.get(key, _BIG), nb)
-            if ok:
-                self._close(proc, pe, nd, di, bx, dr, label, depth,
-                            is_root, out)
+                    if tag in _UP:
+                        target, key = nd, p
+                    elif tag == "dx":
+                        target, key = di, p
+                    else:
+                        target, key = bx, (p, atom[1])
+                    target[key] = min(target.get(key, _BIG), nb)
+                if ok:
+                    stack.append((proc, pe, nd, di, bx))
 
     def _record(self, out, needs, plan):
         n = frozenset(needs.items())
@@ -1585,16 +1568,8 @@ class _DemandSearch:
                 del out[m]
         out[n] = plan
 
-    def _assemble(self, proc, needs, dia, box, dirs, label, depth,
-                  is_root, out):
+    def _assemble(self, proc, needs, dia, box, label, depth, is_root, out):
         self._tick()
-        if self.aut.kind == "2ata_k":
-            self._assemble_k(proc, needs, dirs, label, depth, is_root, out)
-            return
-        if dirs:
-            raise UnsupportedAutomatonError(
-                "direction atoms only occur in k-ary automata"
-            )
         if not dia:
             self._record(out, needs, ("leaf", label))
             return
@@ -1647,53 +1622,12 @@ class _DemandSearch:
                         if proc.get(p, _BIG) > bb
                     ]
                     if newpend:
-                        self._close(proc, newpend, needs, dia, box, {},
-                                    label, depth, is_root, out)
+                        self._close(proc, newpend, needs, dia, box, label,
+                                    depth, is_root, out)
                     else:
                         plan = ("node", label, [pl for _nk, pl in combo],
                                 self._tok_stack[-1])
                         self._record(out, needs, plan)
-
-    def _assemble_k(self, proc, needs, dirs, label, depth, is_root, out):
-        if not dirs:
-            self._record(out, needs, ("knode", label, {},
-                                      self._tok_stack[-1]))
-            return
-        if depth <= 0:
-            return
-        slots = sorted(dirs)
-        solved = [
-            self.solve(frozenset(dirs[i].items()), depth - 1) for i in slots
-        ]
-        if any(not s for s in solved):
-            return
-        options = [
-            sorted(
-                s.items(), key=lambda kv: (len(kv[0]), sorted(map(_guard_text, kv[0])))
-            )[:MAX_CHILD_OPTS]
-            for s in solved
-        ]
-        for combo in itertools.islice(itertools.product(*options), MAX_COMBOS):
-            absorbed = {}
-            for nk, _plan in combo:
-                for p, bb in nk:
-                    absorbed[p] = min(absorbed.get(p, _BIG), bb)
-            newpend = [
-                (p, bb)
-                for p, bb in sorted(absorbed.items(), key=_guard_text)
-                if proc.get(p, _BIG) > bb
-            ]
-            if newpend:
-                self._close(proc, newpend, needs, {}, {}, dirs, label,
-                            depth, is_root, out)
-            else:
-                plan = (
-                    "knode",
-                    label,
-                    {i: pl for i, (_nk, pl) in zip(slots, combo)},
-                    self._tok_stack[-1],
-                )
-                self._record(out, needs, plan)
 
     # -- positions ----------------------------------------------------------
 
@@ -1735,15 +1669,13 @@ def _plan_has_loop(plan) -> bool:
         return True
     if tag == "node":
         return any(_plan_has_loop(sub) for sub in plan[2])
-    if tag == "knode":
-        return any(_plan_has_loop(sub) for sub in plan[2].values())
     return False
 
 
 _NO_TOK = object()
 
 
-def _plan_to_rep(plan, aut) -> RegularTreeRep:
+def _plan_to_rep(plan) -> RegularTreeRep:
     labels = {}
     children = {}
     counter = itertools.count()
@@ -1767,31 +1699,13 @@ def _plan_to_rep(plan, aut) -> RegularTreeRep:
                 del tokmap[p[3]]
             else:
                 tokmap[p[3]] = saved
-        else:  # knode: pad the missing slots so direction moves resolve
-            saved = tokmap.get(p[3], _NO_TOK)
-            tokmap[p[3]] = nid
-            kids = []
-            for i in range(aut.k):
-                sub = p[2].get(i)
-                if sub is not None:
-                    kids.append(rec(sub))
-                elif aut.pad_label is not None:
-                    pid = f"n{next(counter)}"
-                    labels[pid] = aut.pad_label
-                    children[pid] = []
-                    kids.append(pid)
-            children[nid] = kids
-            if saved is _NO_TOK:
-                del tokmap[p[3]]
-            else:
-                tokmap[p[3]] = saved
         return nid
 
     root = rec(plan)
     return RegularTreeRep(labels, children, root)
 
 
-def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
+def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for a finite accepted tree.
 
     Two passes.  The budget-free relaxed search over-approximates the
@@ -1817,7 +1731,7 @@ def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
     copies = frozenset([(aut.initial, 0)])
     spurious = False
     for _budget, depth in DEFAULT_SCHEDULE:
-        search = _DemandSearch(aut, None, depth, relaxed=True)
+        search = _DemandSearch(aut, depth, relaxed=True)
         stats["stages"] += 1
         plan = None
         for label in aut.root_labels:
@@ -1829,8 +1743,8 @@ def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
         stats["work"] += search.work
         if plan is None:
             continue
-        rep = _plan_to_rep(plan, aut)
-        if not validate or run_on_regular_tree(aut, rep):
+        rep = _plan_to_rep(plan)
+        if run_on_regular_tree(aut, rep):
             stats["certificate_nodes"] = rep.node_count()
             return EmptinessResult(False, rep, stats)
         spurious = True
@@ -1839,7 +1753,7 @@ def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
         return EmptinessResult(True, None, stats)
     stats["spurious_relaxed_plan"] = True
     for budget, depth in DEFAULT_SCHEDULE:
-        search = _DemandSearch(aut, budget, depth)
+        search = _DemandSearch(aut, depth)
         b0 = budget - aut.priority(aut.initial)
         if b0 < 0:
             continue
@@ -1849,10 +1763,10 @@ def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
             res = search.eval_label(start, label, depth, True)
             plan = res.get(frozenset())
             if plan is not None:
-                rep = _plan_to_rep(plan, aut)
+                rep = _plan_to_rep(plan)
                 stats["work"] += search.work
                 stats["certificate_nodes"] = rep.node_count()
-                if validate and not run_on_regular_tree(aut, rep):
+                if not run_on_regular_tree(aut, rep):
                     if _plan_has_loop(plan):
                         # a rejected back-edge plan is discarded, not
                         # treated as an internal inconsistency
@@ -1864,142 +1778,3 @@ def is_empty(aut: TwoWayAutomaton, validate: bool = True) -> EmptinessResult:
                 return EmptinessResult(False, rep, stats)
         stats["work"] += search.work
     return EmptinessResult(True, None, stats)
-
-
-# ---------------------------------------------------------------------------
-# reduction to k-ary trees (reference implementation for cross-checks)
-
-PAD = "#pad"
-
-
-def _counting_bound(aut: TwoWayAutomaton) -> int:
-    c = 1
-    for q in aut.rules:
-        for label in itertools.chain(aut.root_labels, aut.labels):
-            for atom in formula_atoms(aut.delta(q, label)):
-                if atom[0] in ("dx", "dab"):
-                    c = max(c, atom[1] + 1)
-    return c
-
-
-def to_2ata_k(aut: TwoWayAutomaton) -> TwoWayAutomaton:
-    """Encode the unranked-tree automaton over full k-ary trees with a
-    padding label; emptiness is preserved.  Kept as a reference for
-    cross-checking the direct search on small automata: the counting
-    atoms are expanded into subset disjunctions, which only scales to
-    toy sizes."""
-    if aut.kind != "2ata_c":
-        raise UnsupportedAutomatonError("input must be an unranked automaton")
-    c = _counting_bound(aut)
-    k = max(1, len(aut.rules) * c)
-
-    def transform(f):
-        if f in (TRUE, FALSE):
-            return f
-        if is_atom(f):
-            tag = f[0]
-            if tag == "here":
-                return here(("w", f[1]))
-            if tag == "up!":
-                return up_must(("w", f[1]))
-            if tag == "up?":
-                return f_or(here(("kr",)), up_must(("w", f[1])))
-            if tag == "dx":
-                n, q = f[1], f[2]
-                if n == 0:
-                    return TRUE
-                return f_or(
-                    *(
-                        f_and(*(child_at(i, ("w", q)) for i in combo))
-                        for combo in itertools.combinations(range(k), n)
-                    )
-                )
-            if tag == "dab":
-                n, q = f[1], f[2]
-                return f_or(
-                    *(
-                        f_and(
-                            *(
-                                f_or(
-                                    child_at(i, ("w", q)),
-                                    child_at(i, ("kpad",)),
-                                )
-                                for i in range(k)
-                                if i not in combo
-                            )
-                        )
-                        for combo in itertools.combinations(
-                            range(k), min(n, k)
-                        )
-                    )
-                )
-            raise UnsupportedAutomatonError("unexpected direction atom")
-        return (f[0], tuple(transform(p) for p in f[1]))
-
-    labels = [(lab, 0) for lab in aut.labels] + [(PAD, 0)]
-    root_labels = [(lab, 1) for lab in aut.root_labels]
-
-    def proj_wrap(inner):
-        def proj(pl):
-            theta, b = pl
-            if theta == PAD:
-                return ("pad", b)
-            return (b, inner(theta))
-
-        return proj
-
-    rules = {}
-    priorities = {}
-
-    def k0_build(pl):
-        theta, b = pl
-        if theta == PAD or b == 0:
-            return FALSE
-        return f_and(
-            here(("w", aut.initial)),
-            *(child_at(i, ("k1",)) for i in range(k)),
-        )
-
-    rules[("k0",)] = StateRule(proj_wrap(lambda t: ()), k0_build)
-    priorities[("k0",)] = 0
-
-    def k1_build(pl):
-        theta, b = pl
-        if theta == PAD:
-            return TRUE
-        if b == 1:
-            return FALSE
-        return f_and(*(child_at(i, ("k1",)) for i in range(k)))
-
-    rules[("k1",)] = StateRule(proj_wrap(lambda t: ()), k1_build)
-    priorities[("k1",)] = 0
-    rules[("kr",)] = StateRule(
-        lambda pl: pl[1], lambda pl: TRUE if pl[1] == 1 else FALSE
-    )
-    priorities[("kr",)] = 0
-    rules[("kpad",)] = StateRule(
-        lambda pl: pl[0] == PAD, lambda pl: TRUE if pl[0] == PAD else FALSE
-    )
-    priorities[("kpad",)] = 0
-
-    for q, rule in aut.rules.items():
-        def w_build(pl, q=q, rule=rule):
-            theta, _b = pl
-            if theta == PAD:
-                return FALSE
-            return transform(aut.delta(q, theta))
-
-        rules[("w", q)] = StateRule(proj_wrap(rule.project), w_build)
-        priorities[("w", q)] = aut.priority(q)
-
-    return TwoWayAutomaton(
-        aut.name + "@k",
-        ("k0",),
-        priorities,
-        rules,
-        labels,
-        root_labels,
-        kind="2ata_k",
-        k=k,
-        pad_label=(PAD, 0),
-    )

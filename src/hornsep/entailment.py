@@ -269,13 +269,16 @@ def decide_incons_entailment(
 ) -> bool:
     """Every ABox-signature ABox inconsistent with the second TBox is
     inconsistent with the first."""
-    fresh = _fresh_concept(t1, t2)
-    sigF = Signature(concepts=frozenset([fresh]))
-    entails, _cert, _stats = _run_pipeline(
-        _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
-    )
-    if not entails:
-        return False
+    # without a bot axiom the bot-free second TBox never derives the
+    # fresh concept, so only the forks below can be inconsistent
+    if any(isinstance(ci, SubBot) for ci in t2.cis):
+        fresh = _fresh_concept(t1, t2)
+        sigF = Signature(concepts=frozenset([fresh]))
+        entails, _cert, _stats = _run_pipeline(
+            _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
+        )
+        if not entails:
+            return False
     # two-successor functionality forks are invisible to the reduction
     for n in sorted(sigA.roles):
         forks = (

@@ -13,11 +13,6 @@ The surface language is deliberately small.  One statement per line,
 Parentheses around concepts are accepted for grouping.  ``some`` and
 ``only`` bind a single following concept, so ``some r A and B`` reads as
 ``(some r A) and B``.
-
-Concept trees may additionally contain ``Or`` and ``Not`` nodes; these
-have no surface syntax but are legal in programmatically built TBoxes as
-long as they respect the Horn grammars (disjunction only on the left of
-an inclusion, negation only in the ``not L or R`` right-hand pattern).
 """
 
 from __future__ import annotations
@@ -98,23 +93,6 @@ class And(Concept):
 
 
 @dataclass(frozen=True)
-class Or(Concept):
-    left: Concept
-    right: Concept
-
-    def __str__(self):
-        return f"({self.left}) or ({self.right})"
-
-
-@dataclass(frozen=True)
-class Not(Concept):
-    arg: Concept
-
-    def __str__(self):
-        return f"not({self.arg})"
-
-
-@dataclass(frozen=True)
 class Exists(Concept):
     role: Role
     arg: Concept
@@ -134,7 +112,7 @@ class Forall(Concept):
 
 def _wrap(c: Concept) -> str:
     # parenthesize 'and' arguments so printing round-trips through the parser
-    if isinstance(c, (And, Or)):
+    if isinstance(c, And):
         return f"({c})"
     return str(c)
 
@@ -170,20 +148,16 @@ class TBox:
 def _concept_names(c: Concept) -> set:
     if isinstance(c, Name):
         return {c.name}
-    if isinstance(c, (And, Or)):
+    if isinstance(c, And):
         return _concept_names(c.left) | _concept_names(c.right)
-    if isinstance(c, Not):
-        return _concept_names(c.arg)
     if isinstance(c, (Exists, Forall)):
         return _concept_names(c.arg)
     return set()
 
 
 def _role_names(c: Concept) -> set:
-    if isinstance(c, (And, Or)):
+    if isinstance(c, And):
         return _role_names(c.left) | _role_names(c.right)
-    if isinstance(c, Not):
-        return _role_names(c.arg)
     if isinstance(c, (Exists, Forall)):
         return {c.role.name} | _role_names(c.arg)
     return set()
@@ -312,23 +286,9 @@ class _Normalizer:
 
     # -- left-hand sides ---------------------------------------------------
 
-    def dnf(self, c: Concept) -> list:
-        """Pull disjunction to the top of a left-side concept."""
-        if isinstance(c, Or):
-            return self.dnf(c.left) + self.dnf(c.right)
-        if isinstance(c, And):
-            return [
-                And(a, b) for a in self.dnf(c.left) for b in self.dnf(c.right)
-            ]
-        if isinstance(c, Exists):
-            return [Exists(c.role, d) for d in self.dnf(c.arg)]
-        if isinstance(c, (Top, Bot, Name)):
-            return [c]
-        raise ProfileError(f"concept not allowed on the left of an inclusion: {c}")
-
     def left_conjuncts(self, c: Concept) -> Optional[list]:
-        """Flatten an or-free left side into concept names, emitting helper
-        axioms.  Returns None when the inclusion is vacuous (left side bot)."""
+        """Flatten a left side into concept names, emitting helper axioms.
+        Returns None when the inclusion is vacuous (left side bot)."""
         if isinstance(c, And):
             l = self.left_conjuncts(c.left)
             r = self.left_conjuncts(c.right)
@@ -398,43 +358,21 @@ class _Normalizer:
         if isinstance(c, Forall):
             self.emit(SubAll(a, c.role, self.right_name(c.arg)))
             return
-        if isinstance(c, Not):
-            if not isinstance(c.arg, Name):
-                raise ProfileError(
-                    f"negation of a complex concept on the right: {c}"
-                )
-            x = self.fresh_name(And(Name(a), c.arg))
-            self.emit(ConjSub(a, c.arg.name, x))
-            self.emit(SubBot(x))
-            return
-        if isinstance(c, Or):
-            # only the Horn pattern  not L or R  is admissible
-            if isinstance(c.left, Not):
-                guard, rest = c.left.arg, c.right
-            elif isinstance(c.right, Not):
-                guard, rest = c.right.arg, c.left
-            else:
-                raise ProfileError(
-                    f"disjunction on the right of an inclusion is not Horn: {c}"
-                )
-            self.process_ci(And(Name(a), guard), rest)
-            return
         raise ProfileError(f"unsupported concept: {c}")
 
     def process_ci(self, left: Concept, right: Concept):
-        for disjunct in self.dnf(left):
-            # keep the printed top sub A shape when it is already there
-            if isinstance(disjunct, Top) and isinstance(right, Name):
-                self.emit(TopSub(right.name))
-                continue
-            names = self.left_conjuncts(disjunct)
-            if names is None:
-                continue
-            if len(names) == 2 and isinstance(right, Name):
-                self.emit(ConjSub(names[0], names[1], right.name))
-                continue
-            a = self.conj_to_name(names, disjunct)
-            self.right_side(a, right)
+        # keep the printed top sub A shape when it is already there
+        if isinstance(left, Top) and isinstance(right, Name):
+            self.emit(TopSub(right.name))
+            return
+        names = self.left_conjuncts(left)
+        if names is None:
+            return
+        if len(names) == 2 and isinstance(right, Name):
+            self.emit(ConjSub(names[0], names[1], right.name))
+            return
+        a = self.conj_to_name(names, left)
+        self.right_side(a, right)
 
 
 def normalize(tbox: TBox) -> NormalTBox:

@@ -1,4 +1,6 @@
+import time
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -13,6 +15,14 @@ def problem(t1_text, t2_text, siga_text, sigq_text):
         parse_signature(siga_text),
         parse_signature(sigq_text),
     )
+
+
+@contextmanager
+def within(seconds):
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
 @pytest.fixture

@@ -240,3 +240,39 @@ def random_regular_tree(rng, labels, max_nodes):
         kids = rng.sample(ids, rng.randint(0, min(2, n)))
         children[nid] = kids
     return RegularTreeRep(lab, children, ids[0])
+
+
+def small_trees(labels, max_nodes):
+    """Every regular tree representation, up to node names and child
+    order, with at most ``max_nodes`` nodes over the given labels and at
+    most 2 distinct children per node.  A child is a fresh node or a back
+    edge to the node itself or one of its ancestors, which unfolds into
+    an infinite branch.  Isomorphic copies are not filtered out."""
+    from hornsep.automata import RegularTreeRep
+
+    for n in range(1, max_nodes + 1):
+        ids = [f"n{i}" for i in range(n)]
+        for parents in itertools.product(*(range(i) for i in range(1, n))):
+            parent = dict(zip(range(1, n), parents))
+            kids = [[j for j in parent if parent[j] == i] for i in range(n)]
+            if any(len(k) > 2 for k in kids):
+                continue
+            back_opts = []
+            for i in range(n):
+                up = [i]
+                while up[-1] in parent:
+                    up.append(parent[up[-1]])
+                room = 2 - len(kids[i])
+                back_opts.append([
+                    combo
+                    for k in range(room + 1)
+                    for combo in itertools.combinations(sorted(up), k)
+                ])
+            for backs in itertools.product(*back_opts):
+                children = {
+                    ids[i]: [ids[c] for c in kids[i] + list(backs[i])]
+                    for i in range(n)
+                }
+                for labs in itertools.product(labels, repeat=n):
+                    yield RegularTreeRep(dict(zip(ids, labs)), children,
+                                         ids[0])

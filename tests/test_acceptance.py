@@ -3,13 +3,11 @@ agreement, one test (and one pass/fail line under pytest -v) per
 criterion.  Time limits are asserted, not just hoped for."""
 
 import random
-import time
 import warnings
-from contextlib import contextmanager
 
 import pytest
 
-from conftest import problem
+from conftest import problem, within
 from helpers import (
     BruteForceReasoner,
     fin_hom_reference,
@@ -29,14 +27,6 @@ from hornsep.entailment import (
     verify_witness,
 )
 from hornsep.reasoner import index_for, subsumes
-
-
-@contextmanager
-def within(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
 def test_criterion_1_advisor_example_witness(advisor_problem):
@@ -162,7 +152,8 @@ def test_criterion_7_certificates_and_intersection_semantics():
             warnings.simplefilter("ignore", UserWarning)
             p = problem(t1x, t2x, sa, sq)
         ctx, prod = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)
-        res = is_empty(prod, validate=False)
+        res = is_empty(prod)
+        assert "spurious_relaxed_plan" not in res.stats
         if not res.empty:
             nonempty_seen += 1
             assert res.certificate is not None

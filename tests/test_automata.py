@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_regular_tree
+from helpers import random_regular_tree, small_trees
 from hornsep import normalize, parse_signature, parse_tbox
 from hornsep.automata import (
     FALSE,
@@ -12,6 +12,7 @@ from hornsep.automata import (
     RegularTreeRep,
     StateRule,
     TwoWayAutomaton,
+    UnsupportedAutomatonError,
     build_A1,
     build_A2,
     build_A3,
@@ -28,7 +29,6 @@ from hornsep.automata import (
     is_empty,
     run_on_regular_tree,
     sat_assignments,
-    to_2ata_k,
     up_may,
     up_must,
 )
@@ -226,9 +226,33 @@ def _toys():
     ]
 
 
-def test_kary_reduction_agrees_on_emptiness():
+def test_emptiness_agrees_with_small_tree_enumeration():
+    # t_pri0 is accepted only by trees with a back edge, t_pri1 by none.
+    # The toys make no up moves, so the game judges back edges exactly.
+    trees = list(small_trees(LABS, 3))
     for a in _toys():
-        assert bool(is_empty(a)) == bool(is_empty(to_2ata_k(a)))
+        accepted = any(run_on_regular_tree(a, rep) for rep in trees)
+        assert is_empty(a).empty == (not accepted), a.name
+
+
+def test_priorities_above_one_are_refused():
+    a = toy("t", {"q0": lambda l: TRUE}, "q0", {"q0": 2}, LABS)
+    with pytest.raises(UnsupportedAutomatonError):
+        is_empty(a)
+    with pytest.raises(UnsupportedAutomatonError):
+        run_on_regular_tree(a, LEAF)
+
+
+def test_child_counts_above_one_are_refused():
+    a = toy(
+        "t",
+        {"q0": lambda l: down_ex("q1", 2), "q1": lambda l: TRUE},
+        "q0",
+        {"q0": 0, "q1": 0},
+        LABS,
+    )
+    with pytest.raises(UnsupportedAutomatonError):
+        is_empty(a)
 
 
 def test_intersection_is_conjunction_on_random_trees():
@@ -270,8 +294,10 @@ def advisor_parts():
 def test_pipeline_certificate_revalidates(advisor_parts):
     ctx, parts = advisor_parts
     prod = intersect(parts)
-    res = is_empty(prod, validate=False)
+    res = is_empty(prod)
     assert not res.empty
+    # the relaxed plan was valid, so no second pass re-checked it
+    assert "spurious_relaxed_plan" not in res.stats
     assert run_on_regular_tree(prod, res.certificate)
     # each component accepts the witness on its own
     for a in parts:

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from conftest import problem
+from conftest import problem, within
 from hornsep import normalize, parse_cq, parse_signature, parse_tbox
 from hornsep.entailment import (
     PreconditionError,
@@ -37,6 +37,17 @@ def test_advisor_oracle_finds_replayable_witness(advisor_problem):
     assert verify_witness(p.t1, p.t2, w)
     # the separating query asks for the professor concept
     assert {c for c, _v in w.query.concept_atoms} == {"Prof"}
+
+
+def test_incons_without_bot_axiom_decides_the_fork_quickly():
+    """Without a bot axiom in the second TBox only functionality forks
+    can be inconsistent; the bot-free pipeline is skipped."""
+    p = problem("", "func(r)", "concepts: A\nroles: r",
+                "concepts: A\nroles: r")
+    with within(10):
+        d = decide_cq_entailment_incons(p)
+    assert not d.entails
+    assert d.stats["incons"] is False
 
 
 def test_disjointness_entailed_but_not_under_incons(disjointness_problem):
