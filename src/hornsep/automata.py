@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import models, mosaics, reasoner
+from .models import stable_key
 from .reasoner import BOT, index_for
 from .syntax import HornsepError, NormalTBox, ResourceLimitError, Signature
 from .syntax import ConjSub, SubAll, SubBot, SubEx, TopSub
@@ -114,22 +115,9 @@ def formula_atoms(f):
         yield from formula_atoms(p)
 
 
-def eval_formula(f, val) -> bool:
-    """Evaluate under a truth assignment ``val: atom -> bool``."""
-    if f == TRUE:
-        return True
-    if f == FALSE:
-        return False
-    if is_atom(f):
-        return bool(val(f))
-    if f[0] == "and":
-        return all(eval_formula(p, val) for p in f[1])
-    return any(eval_formula(p, val) for p in f[1])
-
-
 def _minimize_sets(sets):
     out = []
-    for s in sorted(set(sets), key=lambda x: (len(x), sorted(map(_guard_text, x)))):
+    for s in sorted(set(sets), key=lambda x: (len(x), sorted(map(stable_key, x)))):
         if not any(t <= s for t in out):
             out.append(s)
     return out
@@ -185,22 +173,8 @@ def formula_to_text(f) -> str:
 
 def state_name(q) -> str:
     if isinstance(q, tuple):
-        return ".".join(_guard_text(p) for p in q)
-    return _guard_text(q)
-
-
-def _guard_text(key) -> str:
-    """Hash-order-independent rendering of a state, projection key or
-    label, so dumps and search orders are byte-identical across
-    interpreter runs."""
-    if isinstance(key, tuple):
-        return "(" + ",".join(_guard_text(p) for p in key) + ")"
-    if isinstance(key, (frozenset, set)):
-        return "{" + ",".join(sorted(_guard_text(p) for p in key)) + "}"
-    if isinstance(key, models.TGNode):
-        rin = _guard_text(key.rin) if key.rin else "."
-        return f"<{_guard_text(key.type)}:{rin}>"
-    return str(key)
+        return ".".join(stable_key(p) for p in q)
+    return stable_key(q)
 
 
 @dataclass(frozen=True)
@@ -230,9 +204,9 @@ class Label:
 
     def __str__(self):
         return (
-            f"(L0={_guard_text(self.c0 | self.r0)} "
-            f"L1={_guard_text(self.c1 | self.r1)} "
-            f"L2={_guard_text(self.c2 | self.r2)})"
+            f"(L0={stable_key(self.c0 | self.r0)} "
+            f"L1={stable_key(self.c1 | self.r1)} "
+            f"L2={stable_key(self.c2 | self.r2)})"
         )
 
 
@@ -302,7 +276,6 @@ def build_label_context(
     role-inclusion closure of the asserted edge role, and off-ABox nodes
     have empty L2.
     """
-    idx1 = index_for(tbox1)
     idx2 = index_for(tbox2)
     th0c = frozenset(sigA.concepts)
     th0r = frozenset(sigA.role_objects())
@@ -314,8 +287,6 @@ def build_label_context(
     c1_options = [frozenset()] + [
         s for s in _closed_concept_sets(tbox1, th1c) if s
     ]
-    if frozenset() in (frozenset(x) for x in c1_options[1:]):  # pragma: no cover
-        c1_options = c1_options[1:]
     c2_closed = _closed_concept_sets(tbox2, th2c)
     r1_options = [
         frozenset(s)
@@ -410,10 +381,6 @@ class TwoWayAutomaton:
         self.root_labels = list(root_labels if root_labels is not None else labels)
         self._cache = {}
 
-    @property
-    def states(self):
-        return list(self.rules)
-
     def priority(self, q) -> int:
         return self.priorities.get(q, 0)
 
@@ -440,7 +407,7 @@ class TwoWayAutomaton:
                 seen[key] = (label, self.delta(q, label))
         return sorted(
             ((k, lab, f) for k, (lab, f) in seen.items()),
-            key=lambda t: _guard_text(t[0]),
+            key=lambda t: stable_key(t[0]),
         )
 
     def dump(self) -> str:
@@ -451,7 +418,7 @@ class TwoWayAutomaton:
         for q in sorted(self.rules, key=state_name):
             lines.append(f"state {state_name(q)} priority={self.priority(q)}")
             rows = sorted(
-                (_guard_text(key), formula_to_text(f))
+                (stable_key(key), formula_to_text(f))
                 for key, _lab, f in self.transition_classes(q)
             )
             for guard, body in rows:
@@ -534,9 +501,12 @@ def build_A1(sigA: Signature, ctx: LabelContext) -> TwoWayAutomaton:
     def off_build(l):
         return down_allbut(("1", "off")) if l.l0_empty() else FALSE
 
+    def l0_key(l):
+        return tuple(sorted(l.c0)), tuple(sorted(map(str, l.r0)))
+
     rules = {
-        ("1", "init"): StateRule(lambda l: (tuple(sorted(l.c0)), tuple(sorted(map(str, l.r0)))), init_build),
-        ("1", "nd"): StateRule(lambda l: (tuple(sorted(l.c0)), tuple(sorted(map(str, l.r0)))), nd_build),
+        ("1", "init"): StateRule(l0_key, init_build),
+        ("1", "nd"): StateRule(l0_key, nd_build),
         ("1", "off"): StateRule(lambda l: l.l0_empty(), off_build),
     }
     priorities = {("1", "init"): 0, ("1", "nd"): 1, ("1", "off"): 0}
@@ -754,14 +724,15 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     )
     priorities[("3", "q1")] = 0
 
+    def r0_key(l):
+        return tuple(sorted(map(str, l.r0)))
+
     for fr in funcs:
         def f_build(l, fr=fr):
             par = any(idx2.role_subsumes(s.inverse(), fr) for s in l.r0)
             return down_allbut(("3", "nf", fr), 0 if par else 1)
 
-        rules[("3", "f", fr)] = StateRule(
-            (lambda fr: (lambda l: tuple(sorted(map(str, l.r0)))))(fr), f_build
-        )
+        rules[("3", "f", fr)] = StateRule(r0_key, f_build)
         priorities[("3", "f", fr)] = 0
 
         def nf_build(l, fr=fr):
@@ -771,9 +742,7 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
                 else TRUE
             )
 
-        rules[("3", "nf", fr)] = StateRule(
-            (lambda fr: (lambda l: tuple(sorted(map(str, l.r0)))))(fr), nf_build
-        )
+        rules[("3", "nf", fr)] = StateRule(r0_key, nf_build)
         priorities[("3", "nf", fr)] = 0
 
     edge_states = set()
@@ -857,9 +826,9 @@ class _T2Space:
                         rq_nodes.add(child)
                 self.edges.setdefault(node, sorted(
                     outs,
-                    key=lambda e: (sorted(map(str, e[0])), _guard_text(e[1])),
+                    key=lambda e: (sorted(map(str, e[0])), stable_key(e[1])),
                 ))
-            self.rq[lab.c2] = sorted(rq_nodes, key=_guard_text)
+            self.rq[lab.c2] = sorted(rq_nodes, key=stable_key)
 
     def rho_q(self, rho) -> frozenset:
         return frozenset(r for r in rho if r.name in self.qroles)
@@ -943,7 +912,7 @@ def build_A4(
     rules[(tag, "q1")] = StateRule(proj_q1, build_q1)
     priorities[(tag, "q1")] = 0
 
-    for node in sorted(space.edges, key=_guard_text):
+    for node in sorted(space.edges, key=stable_key):
         tq = frozenset(a for a in node.type if a in qconcepts)
 
         def n2_build(l, node=node, tq=tq):
@@ -995,7 +964,7 @@ def build_A4(
         )
 
     n3_nodes = sorted(
-        {n for nodes in space.rq.values() for n in nodes}, key=_guard_text
+        {n for nodes in space.rq.values() for n in nodes}, key=stable_key
     )
     for node in n3_nodes:
         st = ("4", "n3", node)
@@ -1045,9 +1014,12 @@ class RegularTreeRep:
     Every node other than the root must occur in exactly one child list;
     a child list may additionally reference an ancestor, which unfolds
     into an infinite branch.  Parent moves of two-way runs are resolved
-    against the spanning-tree parent, which is exact whenever the
-    representation is loop-free (the certificates produced here always
-    are)."""
+    against the spanning-tree parent, which is exact only when the
+    representation is loop-free.  ``is_empty`` can return certificates
+    with back edges; from a back-edge copy, whose parent in the
+    unfolding is the node holding the back edge, an up move then reads
+    the wrong node, so the game can accept a tree whose unfolding the
+    automaton rejects."""
 
     labels: dict
     children: dict
@@ -1234,9 +1206,6 @@ class EmptinessResult:
     certificate: object = None
     stats: dict = field(default_factory=dict)
 
-    def __bool__(self):
-        return self.empty
-
 
 #: (priority-1 budget, node depth) caps for the exact search, in order.
 #: The relaxed pre-pass ignores budgets and only uses the depths.  Cost
@@ -1330,7 +1299,7 @@ class _DemandSearch:
                     if p not in seen:
                         seen.add(p)
                         queue.append(p)
-            hit = tuple(sorted(seen, key=_guard_text))
+            hit = tuple(sorted(seen, key=stable_key))
             self._reach_cache[states] = hit
         return hit
 
@@ -1379,10 +1348,10 @@ class _DemandSearch:
         hit = self.assign_cache.get(key)
         if hit is None:
             hit = [
-                tuple(sorted(s, key=_guard_text))
+                tuple(sorted(s, key=stable_key))
                 for s in sorted(
                     sat_assignments(self.aut.delta(q, label)),
-                    key=lambda s: (len(s), sorted(map(_guard_text, s))),
+                    key=lambda s: (len(s), sorted(map(stable_key, s))),
                 )
             ]
             self.assign_cache[key] = hit
@@ -1437,7 +1406,7 @@ class _DemandSearch:
         # Budgets only shrink the search space: if the same state set on
         # the same label class produced nothing at pointwise-larger
         # budgets and depth, it produces nothing here either.
-        items = sorted(copies, key=lambda t: _guard_text(t[0]))
+        items = sorted(copies, key=lambda t: stable_key(t[0]))
         bvec = tuple(b for _q, b in items)
         dk = (tuple(q for q, _b in items), jk, is_root)
         known = self._empty_dom.get(dk)
@@ -1575,13 +1544,13 @@ class _DemandSearch:
             return
         if depth <= 0:
             return
-        items = sorted(dia.items(), key=_guard_text)
+        items = sorted(dia.items(), key=stable_key)
         if len(items) > MAX_DIA:
             raise ResourceLimitError(
                 f"a node accumulated {len(items)} child obligations, "
                 f"cap is {MAX_DIA}"
             )
-        box_items = sorted(box.items(), key=_guard_text)
+        box_items = sorted(box.items(), key=stable_key)
         for blocks in _set_partitions(items):
             excl_opts = []
             for (p, n), _b in box_items:
@@ -1604,7 +1573,7 @@ class _DemandSearch:
                 options = [
                     sorted(
                         s.items(),
-                        key=lambda kv: (len(kv[0]), sorted(map(_guard_text, kv[0]))),
+                        key=lambda kv: (len(kv[0]), sorted(map(stable_key, kv[0]))),
                     )[:MAX_CHILD_OPTS]
                     for s in solved
                 ]
@@ -1618,7 +1587,7 @@ class _DemandSearch:
                             absorbed[p] = min(absorbed.get(p, _BIG), bb)
                     newpend = [
                         (p, bb)
-                        for p, bb in sorted(absorbed.items(), key=_guard_text)
+                        for p, bb in sorted(absorbed.items(), key=stable_key)
                         if proc.get(p, _BIG) > bb
                     ]
                     if newpend:

@@ -472,7 +472,7 @@ def _canonical_cq_key(q: CQ) -> str:
 def _queries_from_sub(sub: models.Interpretation, individuals, sigQ, mode):
     """Candidate queries read off one connected substructure of the
     materialized second-TBox model: each element becomes a variable."""
-    elems = sorted(sub.elements, key=models.element_key)
+    elems = sorted(sub.elements, key=models.stable_key)
     var = {e: f"x{i}" for i, e in enumerate(elems)}
     concept_atoms = {
         (c, var[e]) for e in elems for c in sub.labels.get(e, ())
@@ -517,7 +517,7 @@ def oracle_witness_search(
         )
         tried = set()
         subs = []
-        for top in sorted(window.elements, key=models.element_key):
+        for top in sorted(window.elements, key=models.stable_key):
             subs.extend(
                 models.enumerate_connected_substructures(window, top, max_vars)
             )

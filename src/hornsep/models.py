@@ -4,8 +4,8 @@ The universal model of a TBox and ABox consists of the (completed) ABox
 part plus anonymous trees hanging off individuals.  ``materialize``
 builds a finite prefix of it.  ``TypeGraph`` presents the anonymous tree
 below a single type as a finite graph whose unfolding is the model; all
-homomorphism and simulation questions against universal models are asked
-against such graphs.
+homomorphism questions against universal models are asked against such
+graphs.
 
 Elements of materialized interpretations are either individual names
 (strings) or path tuples (parent, role, type) for anonymous elements.
@@ -13,13 +13,12 @@ Elements of materialized interpretations are either individual names
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 from . import reasoner
 from .reasoner import BOT, index_for
-from .syntax import ABox, NormalTBox, Role, Signature
+from .syntax import ABox, NormalTBox, Role
 
 
 @dataclass
@@ -48,20 +47,8 @@ class Interpretation:
             if b == x:
                 yield Role(r, True), a
 
-    def connecting_roles(self, x, y) -> set:
-        out = set()
-        for a, r, b in self.edges:
-            if a == x and b == y:
-                out.add(Role(r))
-            if a == y and b == x:
-                out.add(Role(r, True))
-        return out
-
-    def undirected_pairs(self) -> set:
-        return {frozenset((a, b)) for a, _r, b in self.edges if a != b}
-
     def to_json(self) -> str:
-        key = element_key
+        key = stable_key
         data = {
             "elements": [
                 {
@@ -78,16 +65,18 @@ class Interpretation:
         return json.dumps(data, indent=2, sort_keys=True)
 
 
-def element_key(e) -> str:
-    """Total order on interpretation elements that does not depend on
-    hash seeds (path tuples contain frozenset types)."""
-    if isinstance(e, str):
-        return e
-    if isinstance(e, frozenset):
-        return "{" + ",".join(sorted(element_key(x) for x in e)) + "}"
-    if isinstance(e, tuple):
-        return "(" + ",".join(element_key(x) for x in e) + ")"
-    return str(e)
+def stable_key(key) -> str:
+    """Hash-seed-independent text of an interpretation element, a state,
+    a guard key or a label: the one sort key and rendering behind every
+    deterministic order, dump and JSON document of the package."""
+    if isinstance(key, tuple):
+        return "(" + ",".join(stable_key(p) for p in key) + ")"
+    if isinstance(key, (frozenset, set)):
+        return "{" + ",".join(sorted(stable_key(p) for p in key)) + "}"
+    if isinstance(key, TGNode):
+        rin = stable_key(key.rin) if key.rin else "."
+        return f"<{stable_key(key.type)}:{rin}>"
+    return str(key)
 
 
 def _anon_children(tbox: NormalTBox, t: frozenset, rin) -> list:
@@ -124,11 +113,7 @@ def materialize(tbox: NormalTBox, abox: ABox, depth: int) -> Interpretation:
     frontier = []
     for a in sorted(abox.individuals()):
         for r in sorted(idx.roles, key=str):
-            try:
-                succs = reasoner.abox_succ(tbox, abox, a, r)
-            except reasoner.InconsistentABoxError:  # pragma: no cover
-                raise
-            for t2 in sorted(succs, key=sorted):
+            for t2 in sorted(reasoner.abox_succ(tbox, abox, a, r), key=sorted):
                 if depth >= 1:
                     frontier.append((a, t2, r, depth - 1))
 
@@ -161,9 +146,6 @@ class TypeGraph:
     nodes: set = field(default_factory=set)
     # node -> list of (generating role, rho = superroles, child node)
     out: dict = field(default_factory=dict)
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def type_graph(tbox: NormalTBox, t0) -> TypeGraph:
@@ -244,73 +226,7 @@ def anonymous_component_match(tbox: NormalTBox, abox: ABox, comp) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# restriction and unraveling
-
-
-def restrict_con(interp: Interpretation, sig: Signature) -> Interpretation:
-    """Elements reachable from an individual along sig-roles; individuals
-    are always kept as anchors."""
-    keep = set(interp.individuals)
-    frontier = list(interp.individuals)
-    while frontier:
-        x = frontier.pop()
-        for role, y in interp.role_neighbors(x):
-            if role.name in sig.roles and y not in keep:
-                keep.add(y)
-                frontier.append(y)
-    out = Interpretation(individuals=set(interp.individuals))
-    for e in keep:
-        out.add_element(e, interp.labels.get(e, ()))
-    out.edges = {(a, r, b) for a, r, b in interp.edges if a in keep and b in keep}
-    return out
-
-
-def unravel(abox: ABox, a, depth: int) -> ABox:
-    """Tree-shaped prefix of the unraveling of the ABox at a.
-
-    Sequences b0 r0 b1 ... with b0 = a follow asserted edges in either
-    direction; an immediate return along the inverse of the previous step
-    to the previous individual is excluded.
-    """
-    if a not in abox.individuals():
-        raise ValueError(f"{a!r} is not an individual of the ABox")
-
-    def steps(b):
-        for r, x, y in abox.role_assertions:
-            if x == b:
-                yield Role(r), y
-            if y == b:
-                yield Role(r, True), x
-
-    out = ABox()
-    counter = itertools.count()
-    root_name = f"u{next(counter)}"
-    # entries: (new name, source individual, previous (source, role) or None)
-    frontier = [(root_name, a, None, depth)]
-    while frontier:
-        name, b, prev, budget = frontier.pop(0)
-        for c, x in abox.concept_assertions:
-            if x == b:
-                out.concept_assertions.add((c, name))
-        if budget == 0:
-            continue
-        for r, c in sorted(steps(b), key=lambda p: (str(p[0]), p[1])):
-            if prev is not None and (c, r) == prev:
-                continue
-            cname = f"u{next(counter)}"
-            if r.inverted:
-                out.role_assertions.add((r.name, cname, name))
-            else:
-                out.role_assertions.add((r.name, name, cname))
-            frontier.append((cname, c, (b, r.inverse()), budget - 1))
-    if not out.concept_assertions and not out.role_assertions:
-        # keep the root visible even when the source individual is bare
-        pass
-    return out
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms
+# connected substructures
 
 
 def _tree_order(interp: Interpretation, root):
@@ -326,74 +242,6 @@ def _tree_order(interp: Interpretation, root):
                 order.append(y)
                 frontier.append(y)
     return parent, order
-
-
-def _hom_search(src: Interpretation, tgt: Interpretation, sig: Signature, pin=None):
-    """Backtracking search for a sig-homomorphism between finite
-    interpretations; pin is an optional (src element, tgt element) pair."""
-    elems = sorted(src.elements, key=element_key)
-    if pin:
-        elems.sort(key=lambda e: e != pin[0])
-
-    conc = sig.concepts
-    roles = sig.roles
-
-    def label_ok(x, d):
-        return {c for c in src.labels.get(x, ()) if c in conc} <= tgt.labels.get(d, set())
-
-    def edges_ok(assign, x, d):
-        for a, r, b in src.edges:
-            if r not in roles:
-                continue
-            if a == x and b in assign and (d, r, assign[b]) not in tgt.edges:
-                return False
-            if b == x and a in assign and (assign[a], r, d) not in tgt.edges:
-                return False
-            if a == x and b == x and (d, r, d) not in tgt.edges:
-                return False
-        return True
-
-    def extend(i, assign):
-        if i == len(elems):
-            return True
-        x = elems[i]
-        if pin and x == pin[0]:
-            candidates = [pin[1]]
-        else:
-            candidates = tgt.elements
-        for d in candidates:
-            if label_ok(x, d) and edges_ok(assign, x, d):
-                assign[x] = d
-                if extend(i + 1, assign):
-                    return True
-                del assign[x]
-        return False
-
-    return extend(0, {})
-
-
-def hom_into_regular(
-    src: Interpretation, tgt: TypeGraph, sig: Signature, anchor=None
-) -> bool:
-    """Does a sig-homomorphism from the finite weakly tree-shaped src into
-    the unfolding of tgt exist?
-
-    With an anchor (src element, tgt node) the src element must map to an
-    instance of that node taken as a subtree root.  Without one, every
-    node is tried as the topmost image; this is exhaustive because the
-    shallowest image element of any homomorphism is unique and everything
-    else lies in its subtree.
-    """
-    n = max(1, len(src.elements))
-    if anchor is not None:
-        x0, node0 = anchor
-        prefix = prefix_interpretation(tgt, node0, n)
-        return _hom_search(src, prefix, sig, pin=(x0, (node0,)))
-    for node in tgt.nodes:
-        prefix = prefix_interpretation(tgt, node, n)
-        if _hom_search(src, prefix, sig):
-            return True
-    return False
 
 
 def enumerate_connected_substructures(
@@ -429,159 +277,3 @@ def enumerate_connected_substructures(
             (a, r, b) for a, r, b in interp.edges if a in subset and b in subset
         }
         yield sub
-
-
-def n_bounded_hom_oracle(
-    src: TypeGraph, tgt: TypeGraph, sig: Signature, n: int
-) -> bool:
-    """Brute-force check of src-unfolding →ⁿ_sig tgt-unfolding.
-
-    Every connected ≤n-element substructure of the unfolding repeats node
-    classes when taken deep, so trying each node as the substructure's
-    shallowest element is exhaustive.
-    """
-    if n <= 0:
-        return True
-    for node in src.nodes:
-        prefix = prefix_interpretation(src, node, n)
-        for sub in enumerate_connected_substructures(prefix, (node,), n):
-            if not hom_into_regular(sub, tgt, sig):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# simulations
-
-
-def sim_check(src, tgt, sig: Signature, anchors=()) -> bool:
-    """Is there a sig-simulation of src in tgt containing all anchor pairs?
-
-    Finite interpretations are decided exactly by greatest-fixpoint
-    refinement (see sim_relation).  TypeGraph operands are decided by a
-    bounded simulation game on unfolding instances; refutations of
-    simulations between finitely branching structures always show up at
-    some finite round, and the budget below is generous for the graph
-    sizes this package produces.
-    """
-    if isinstance(src, Interpretation) and isinstance(tgt, Interpretation):
-        rel = sim_relation(src, tgt, sig)
-        return all(pair in rel for pair in anchors)
-    budget = 2 * (_size_of(src) * _size_of(tgt)) + 4
-    for a, b in anchors or [(None, None)]:
-        sa = _as_instance(src, a)
-        ta = _as_instance(tgt, b)
-        if not _sim_game(src, tgt, sig, sa, ta, budget, {}):
-            return False
-    return True
-
-
-def _size_of(x) -> int:
-    return len(x.nodes) if isinstance(x, TypeGraph) else len(x.elements)
-
-
-def _as_instance(x, pos):
-    if isinstance(x, TypeGraph):
-        node = pos if pos is not None else x.root
-        return ("tg", (node,))
-    return ("fin", pos if pos is not None else next(iter(sorted(x.elements, key=element_key))))
-
-
-def _inst_labels(x, inst):
-    kind, val = inst
-    if kind == "tg":
-        return set(val[-1].type)
-    return x.labels.get(val, set())
-
-
-def _inst_moves(x, inst):
-    """(role, next instance) moves; for tree unfoldings this includes the
-    step back to the parent instance."""
-    kind, val = inst
-    if kind == "fin":
-        for role, y in x.role_neighbors(val):
-            yield role, ("fin", y)
-        return
-    chain = val
-    node = chain[-1]
-    for _r, rho, child in x.out[node]:
-        for s in rho:
-            yield s, ("tg", chain + (child,))
-    if len(chain) >= 2:
-        parentnode = chain[-2]
-        for _r, rho, child in x.out[parentnode]:
-            if child == node:
-                for s in rho:
-                    yield s.inverse(), ("tg", chain[:-1])
-
-
-def _sim_game(src, tgt, sig, si, ti, budget, memo) -> bool:
-    labels = {c for c in _inst_labels(src, si) if c in sig.concepts}
-    if not labels <= _inst_labels(tgt, ti):
-        return False
-    if budget == 0:
-        return True
-    key = (si, ti, budget)
-    if key in memo:
-        return memo[key]
-    memo[key] = True  # coinductive default while exploring
-    ok = True
-    for role, si2 in _inst_moves(src, si):
-        if role.name not in sig.roles:
-            continue
-        if not any(
-            _sim_game(src, tgt, sig, si2, ti2, budget - 1, memo)
-            for r2, ti2 in _inst_moves(tgt, ti)
-            if r2 == role
-        ):
-            ok = False
-            break
-    memo[key] = ok
-    return ok
-
-
-def sim_relation(src: Interpretation, tgt: Interpretation, sig: Signature) -> set:
-    """Greatest sig-simulation between finite interpretations, as a set of
-    pairs, including the individual-anchoring condition."""
-    pairs = set()
-    for d in src.elements:
-        for e in tgt.elements:
-            lab = {c for c in src.labels.get(d, ()) if c in sig.concepts}
-            if lab <= tgt.labels.get(e, set()):
-                pairs.add((d, e))
-    changed = True
-    while changed:
-        changed = False
-        for d, e in list(pairs):
-            for role, d2 in src.role_neighbors(d):
-                if role.name not in sig.roles:
-                    continue
-                if not any(
-                    (d2, e2) in pairs
-                    for r2, e2 in tgt.role_neighbors(e)
-                    if r2 == role
-                ):
-                    pairs.discard((d, e))
-                    changed = True
-                    break
-    # individuals shared by both sides must be related to themselves
-    shared = src.individuals & tgt.individuals
-    for a in shared:
-        if (a, a) not in pairs:
-            return set()
-    return pairs
-
-
-def verify_simulation(src: Interpretation, tgt: Interpretation, sig: Signature, rel) -> bool:
-    for d, e in rel:
-        lab = {c for c in src.labels.get(d, ()) if c in sig.concepts}
-        if not lab <= tgt.labels.get(e, set()):
-            return False
-        for role, d2 in src.role_neighbors(d):
-            if role.name not in sig.roles:
-                continue
-            if not any(
-                (d2, e2) in rel for r2, e2 in tgt.role_neighbors(e) if r2 == role
-            ):
-                return False
-    return True

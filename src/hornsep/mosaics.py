@@ -47,22 +47,6 @@ class Mosaic:
     self_label: frozenset
     s_labels: tuple  # sorted tuple of ((rho', t'), frozenset-of-types)
 
-    def s_label(self, pos):
-        for p, lab in self.s_labels:
-            if p == pos:
-                return lab
-        raise KeyError(pos)
-
-
-def neighborhood_leq(n1: Neighborhood, n2: Neighborhood) -> bool:
-    """The order on 1-neighborhoods: same center type, fewer successors,
-    and an equal predecessor part when n1 has one."""
-    if n1.t != n2.t or not n1.S <= n2.S:
-        return False
-    if n1.rho is not None:
-        return n1.rho == n2.rho and n1.tpre == n2.tpre
-    return True
-
 
 def _successor_pairs(tg: models.TypeGraph, node: models.TGNode) -> frozenset:
     return frozenset((rho, child.type) for _r, rho, child in tg.out[node])
@@ -238,14 +222,3 @@ def decide_fin_hom(
     surviving = eliminate(candidates)
     return any(root2 in m.self_label for m in surviving)
 
-
-def compute_RQ(tbox2: NormalTBox, t, q_sig: Signature) -> set:
-    """Types realized at roots of Q-subtrees of I_{T2,t}: nodes entered by
-    an edge carrying no Q-role."""
-    tg = models.type_graph(tbox2, t)
-    out = set()
-    for node in tg.nodes:
-        for _r, rho, child in tg.out[node]:
-            if not _sigma_roles(rho, q_sig):
-                out.add(child.type)
-    return out

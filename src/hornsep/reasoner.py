@@ -209,20 +209,6 @@ def index_for(tbox: NormalTBox) -> ConsequenceIndex:
     return idx
 
 
-def subsumes(tbox: NormalTBox, t, a: str) -> bool:
-    """T |= (and t) sub a, where a may be BOT."""
-    return a in index_for(tbox).closure(t)
-
-
-def role_subsumes(tbox: NormalTBox, r: Role, s: Role) -> bool:
-    return index_for(tbox).role_subsumes(r, s)
-
-
-def types(tbox: NormalTBox, seed) -> frozenset:
-    """Least consequence-closed superset of seed (BOT filtered out)."""
-    return index_for(tbox).type_of(seed)
-
-
 def _maximal(sets) -> set:
     sets = set(sets)
     return {

@@ -232,9 +232,6 @@ class NormalTBox:
             out.add(r.name)
         return out
 
-    def source_concept_names(self) -> set:
-        return self.concept_names() - set(self.fresh)
-
     def roles(self) -> set:
         """All roles of the TBox together with their inverses."""
         out = set()
@@ -399,34 +396,6 @@ def normalize(tbox: TBox) -> NormalTBox:
     )
 
 
-def normal_ci_to_text(ci: NormalCI) -> str:
-    if isinstance(ci, TopSub):
-        return f"top sub {ci.sup}"
-    if isinstance(ci, SubBot):
-        return f"{ci.sub} sub bot"
-    if isinstance(ci, ConjSub):
-        return f"{ci.sub1} and {ci.sub2} sub {ci.sup}"
-    if isinstance(ci, SubEx):
-        return f"{ci.sub} sub some {ci.role} {ci.sup}"
-    if isinstance(ci, SubAll):
-        return f"{ci.sub} sub only {ci.role} {ci.sup}"
-    raise TypeError(ci)
-
-
-def normal_tbox_to_text(t: NormalTBox) -> str:
-    lines = [normal_ci_to_text(ci) for ci in t.cis]
-    lines += [f"{r} subr {s}" for r, s in t.ris]
-    lines += [f"func({r})" for r in sorted(t.fas)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def tbox_to_text(t: TBox) -> str:
-    lines = [f"{_wrap(l)} sub {_wrap(r)}" for l, r in t.cis]
-    lines += [f"{r} subr {s}" for r, s in t.ris]
-    lines += [f"func({r})" for r in sorted(t.fas)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def is_eli_concept(c: Concept) -> bool:
     if isinstance(c, (Top, Bot, Name)):
         return True
@@ -462,43 +431,6 @@ class ABox:
         return not self.concept_assertions and not self.role_assertions
 
 
-def abox_tree_shaped(a: ABox) -> bool:
-    edges = set()
-    for r, x, y in a.role_assertions:
-        if x == y:
-            return False
-        if (x, y) in edges or (y, x) in edges:
-            return False  # multi-edge
-        edges.add((x, y))
-    und = {frozenset((x, y)) for x, y in edges}
-    inds = a.individuals()
-    if not inds:
-        return True
-    if len(und) != len(inds) - 1:
-        return False
-    # connectivity
-    adj: dict = {i: set() for i in inds}
-    for e in und:
-        x, y = tuple(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = set()
-    stack = [next(iter(inds))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == inds
-
-
-def abox_to_text(a: ABox) -> str:
-    lines = [f"{c}({i})" for c, i in sorted(a.concept_assertions)]
-    lines += [f"{r}({x},{y})" for r, x, y in sorted(a.role_assertions)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # conjunctive queries
 
@@ -516,9 +448,6 @@ class CQ:
             out.add(z)
             out.add(w)
         return out
-
-    def quantified_vars(self) -> set:
-        return self.variables() - set(self.answer_vars)
 
 
 def cq_weakly_tree_shaped(q: CQ) -> bool:
@@ -589,15 +518,6 @@ class Signature:
         if isinstance(item, Role):
             return item.name in self.roles
         return item in self.concepts or item in self.roles
-
-
-def signature_to_text(s: Signature) -> str:
-    lines = []
-    if s.concepts:
-        lines.append("concepts: " + ",".join(sorted(s.concepts)))
-    if s.roles:
-        lines.append("roles: " + ",".join(sorted(s.roles)))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

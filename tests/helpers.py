@@ -1,15 +1,37 @@
-"""Brute-force oracles and random generators shared by the test suite.
+"""Brute-force oracles, random generators and printers shared by the
+test suite.
 
 Everything here is independent of the implementation strategy it
 cross-checks: the model enumerator interprets normal-form axioms
 directly over explicit finite structures, and the homomorphism
-reference works on unfoldings element by element.
+reference works on unfoldings element by element.  The printers turn
+parsed inputs back into the surface syntax for round-trip tests.
 """
 
 import itertools
 
-from hornsep.models import TGNode, TypeGraph, type_graph, n_bounded_hom_oracle
-from hornsep.syntax import ConjSub, Role, SubAll, SubBot, SubEx, TopSub
+from hornsep.automata import FALSE, TRUE, RegularTreeRep, is_atom
+from hornsep.models import (
+    Interpretation,
+    TypeGraph,
+    enumerate_connected_substructures,
+    prefix_interpretation,
+    stable_key,
+    type_graph,
+)
+from hornsep.syntax import (
+    ABox,
+    ConjSub,
+    NormalTBox,
+    Role,
+    Signature,
+    SubAll,
+    SubBot,
+    SubEx,
+    TBox,
+    TopSub,
+    _wrap,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +186,75 @@ class BruteForceReasoner:
 # bounded homomorphism reference
 
 
+def _hom_search(src: Interpretation, tgt: Interpretation, sig: Signature):
+    """Backtracking search for a sig-homomorphism between finite
+    interpretations."""
+    elems = sorted(src.elements, key=stable_key)
+    conc = sig.concepts
+    roles = sig.roles
+
+    def label_ok(x, d):
+        return {c for c in src.labels.get(x, ()) if c in conc} <= tgt.labels.get(d, set())
+
+    def edges_ok(assign, x, d):
+        for a, r, b in src.edges:
+            if r not in roles:
+                continue
+            if a == x and b in assign and (d, r, assign[b]) not in tgt.edges:
+                return False
+            if b == x and a in assign and (assign[a], r, d) not in tgt.edges:
+                return False
+            if a == x and b == x and (d, r, d) not in tgt.edges:
+                return False
+        return True
+
+    def extend(i, assign):
+        if i == len(elems):
+            return True
+        x = elems[i]
+        for d in tgt.elements:
+            if label_ok(x, d) and edges_ok(assign, x, d):
+                assign[x] = d
+                if extend(i + 1, assign):
+                    return True
+                del assign[x]
+        return False
+
+    return extend(0, {})
+
+
+def hom_into_regular(src: Interpretation, tgt: TypeGraph, sig: Signature) -> bool:
+    """Does a sig-homomorphism from the finite weakly tree-shaped src into
+    the unfolding of tgt exist?  Every node is tried as the topmost image;
+    this is exhaustive because the shallowest image element of any
+    homomorphism is unique and everything else lies in its subtree."""
+    n = max(1, len(src.elements))
+    for node in tgt.nodes:
+        prefix = prefix_interpretation(tgt, node, n)
+        if _hom_search(src, prefix, sig):
+            return True
+    return False
+
+
+def n_bounded_hom_oracle(
+    src: TypeGraph, tgt: TypeGraph, sig: Signature, n: int
+) -> bool:
+    """Brute-force check of src-unfolding →ⁿ_sig tgt-unfolding.
+
+    Every connected ≤n-element substructure of the unfolding repeats node
+    classes when taken deep, so trying each node as the substructure's
+    shallowest element is exhaustive.
+    """
+    if n <= 0:
+        return True
+    for node in src.nodes:
+        prefix = prefix_interpretation(src, node, n)
+        for sub in enumerate_connected_substructures(prefix, (node,), n):
+            if not hom_into_regular(sub, tgt, sig):
+                return False
+    return True
+
+
 def con_sigma_view(tg: TypeGraph, sig) -> TypeGraph:
     """The part of a rooted type graph reachable through signature roles,
     with non-signature edges dropped."""
@@ -230,8 +321,6 @@ def random_regular_tree(rng, labels, max_nodes):
     """A random regular tree representation over the given labels: every
     node gets 0-2 children drawn from the node pool, so back edges and
     infinite branches occur naturally."""
-    from hornsep.automata import RegularTreeRep
-
     n = rng.randint(1, max_nodes)
     ids = [f"n{i}" for i in range(n)]
     lab = {nid: rng.choice(labels) for nid in ids}
@@ -248,8 +337,6 @@ def small_trees(labels, max_nodes):
     most 2 distinct children per node.  A child is a fresh node or a back
     edge to the node itself or one of its ancestors, which unfolds into
     an infinite branch.  Isomorphic copies are not filtered out."""
-    from hornsep.automata import RegularTreeRep
-
     for n in range(1, max_nodes + 1):
         ids = [f"n{i}" for i in range(n)]
         for parents in itertools.product(*(range(i) for i in range(1, n))):
@@ -276,3 +363,95 @@ def small_trees(labels, max_nodes):
                 for labs in itertools.product(labels, repeat=n):
                     yield RegularTreeRep(dict(zip(ids, labs)), children,
                                          ids[0])
+
+
+# ---------------------------------------------------------------------------
+# formulas, shapes and printers
+
+
+def eval_formula(f, val) -> bool:
+    """Evaluate a transition formula under a truth assignment
+    ``val: atom -> bool``."""
+    if f == TRUE:
+        return True
+    if f == FALSE:
+        return False
+    if is_atom(f):
+        return bool(val(f))
+    if f[0] == "and":
+        return all(eval_formula(p, val) for p in f[1])
+    return any(eval_formula(p, val) for p in f[1])
+
+
+def abox_tree_shaped(a: ABox) -> bool:
+    edges = set()
+    for r, x, y in a.role_assertions:
+        if x == y:
+            return False
+        if (x, y) in edges or (y, x) in edges:
+            return False  # multi-edge
+        edges.add((x, y))
+    und = {frozenset((x, y)) for x, y in edges}
+    inds = a.individuals()
+    if not inds:
+        return True
+    if len(und) != len(inds) - 1:
+        return False
+    # connectivity
+    adj: dict = {i: set() for i in inds}
+    for e in und:
+        x, y = tuple(e)
+        adj[x].add(y)
+        adj[y].add(x)
+    seen = set()
+    stack = [next(iter(inds))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    return seen == inds
+
+
+def normal_ci_to_text(ci) -> str:
+    if isinstance(ci, TopSub):
+        return f"top sub {ci.sup}"
+    if isinstance(ci, SubBot):
+        return f"{ci.sub} sub bot"
+    if isinstance(ci, ConjSub):
+        return f"{ci.sub1} and {ci.sub2} sub {ci.sup}"
+    if isinstance(ci, SubEx):
+        return f"{ci.sub} sub some {ci.role} {ci.sup}"
+    if isinstance(ci, SubAll):
+        return f"{ci.sub} sub only {ci.role} {ci.sup}"
+    raise TypeError(ci)
+
+
+def normal_tbox_to_text(t: NormalTBox) -> str:
+    lines = [normal_ci_to_text(ci) for ci in t.cis]
+    lines += [f"{r} subr {s}" for r, s in t.ris]
+    lines += [f"func({r})" for r in sorted(t.fas)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def tbox_to_text(t: TBox) -> str:
+    lines = [f"{_wrap(l)} sub {_wrap(r)}" for l, r in t.cis]
+    lines += [f"{r} subr {s}" for r, s in t.ris]
+    lines += [f"func({r})" for r in sorted(t.fas)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def abox_to_text(a: ABox) -> str:
+    lines = [f"{c}({i})" for c, i in sorted(a.concept_assertions)]
+    lines += [f"{r}({x},{y})" for r, x, y in sorted(a.role_assertions)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def signature_to_text(s: Signature) -> str:
+    lines = []
+    if s.concepts:
+        lines.append("concepts: " + ",".join(sorted(s.concepts)))
+    if s.roles:
+        lines.append("roles: " + ",".join(sorted(s.roles)))
+    return "\n".join(lines) + ("\n" if lines else "")

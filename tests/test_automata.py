@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_regular_tree, small_trees
+from helpers import eval_formula, random_regular_tree, small_trees
 from hornsep import normalize, parse_signature, parse_tbox
 from hornsep.automata import (
     FALSE,
@@ -20,7 +20,6 @@ from hornsep.automata import (
     build_label_context,
     down_allbut,
     down_ex,
-    eval_formula,
     f_and,
     f_or,
     formula_atoms,
@@ -118,7 +117,7 @@ def test_priority_one_self_loop_rejects():
     a = toy("t", {"q0": lambda l: down_ex("q0")}, "q0", {"q0": 1}, LABS)
     assert not run_on_regular_tree(a, LEAF)
     assert not run_on_regular_tree(a, LOOP)
-    assert bool(is_empty(a))
+    assert is_empty(a).empty
 
 
 def test_priority_zero_self_loop_accepts_infinite_branch():
@@ -166,6 +165,29 @@ def test_upward_moves_and_root_restriction():
     res = is_empty(a)
     assert not res.empty
     assert sorted(res.certificate.labels.values()) == ["a", "b"]
+
+
+@pytest.mark.xfail(strict=True, reason="an up move from a back-edge copy "
+                   "reads the spanning-tree parent, not the unfolding's")
+def test_game_resolves_up_moves_from_back_edge_copies():
+    # the unfolding of n0(a) -> n1(b) -> n1 is a, b, b, ...: the second
+    # b has a b-labelled parent, so q2's up move cannot reach an a
+    a = toy(
+        "t",
+        {
+            "q0": lambda l: down_ex("q1"),
+            "q1": lambda l: f_and(TRUE if l == "b" else FALSE,
+                                  down_ex("q2")),
+            "q2": lambda l: up_must("q3"),
+            "q3": lambda l: TRUE if l == "a" else FALSE,
+        },
+        "q0",
+        {"q0": 0, "q1": 0, "q2": 0, "q3": 0},
+        LABS,
+    )
+    rep = RegularTreeRep({"n0": "a", "n1": "b"}, {"n0": ["n1"], "n1": ["n1"]},
+                         "n0")
+    assert not run_on_regular_tree(a, rep)
 
 
 def test_box_and_diamond_interaction():

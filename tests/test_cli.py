@@ -201,13 +201,25 @@ def _run_cli(args, seed):
     )
 
 
-def test_json_output_identical_across_hash_seeds():
+def test_json_output_identical_across_hash_seeds(tmp_path):
     """Identical inputs must give byte-identical JSON regardless of the
-    interpreter's hash randomization."""
-    args = ["check", "--json", *ADVISOR]
-    runs = [_run_cli(args, seed) for seed in (0, 4242)]
-    assert all(r.returncode == 1 for r in runs)
-    assert runs[0].stdout == runs[1].stdout
+    interpreter's hash randomization, for every command that prints
+    JSON."""
+    abox = tmp_path / "a.abox"
+    abox.write_text("PhDStud(a0)\nadv(a0,a1)\nPhDStud(a1)\n")
+    # (arguments, expected exit code)
+    commands = [
+        (["check", "--json", *ADVISOR], 1),
+        (["oracle", "--json", "--max-abox", "2", "--max-cq", "1", *ADVISOR],
+         1),
+        (["materialize", "--tbox", str(DATA / "advisor_t2.tbox"),
+          "--abox", str(abox), "--depth", "2"], 0),
+    ]
+    for args, code in commands:
+        runs = [_run_cli(args, seed) for seed in (0, 4242)]
+        assert all(r.returncode == code for r in runs), args[0]
+        json.loads(runs[0].stdout)
+        assert runs[0].stdout == runs[1].stdout, args[0]
 
 
 def test_dump_identical_across_hash_seeds():

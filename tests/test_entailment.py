@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 from conftest import problem, within
+from helpers import abox_tree_shaped
 from hornsep import normalize, parse_cq, parse_signature, parse_tbox
 from hornsep.entailment import (
     PreconditionError,
@@ -19,7 +20,7 @@ from hornsep.entailment import (
     oracle_witness_search,
     verify_witness,
 )
-from hornsep.syntax import ProfileError, abox_tree_shaped
+from hornsep.syntax import ProfileError
 
 
 def test_advisor_cq_not_entailed(advisor_problem):

@@ -4,17 +4,16 @@ import pytest
 
 from helpers import fin_hom_reference, random_tbox_text
 from hornsep import mosaics, normalize, parse_signature, parse_tbox
+from hornsep.automata import _T2Space, build_label_context
 from hornsep.mosaics import (
     Mosaic,
     MosaicSpaceError,
     Neighborhood,
     check_condition_M,
-    compute_RQ,
     decide_fin_hom,
     eliminate,
     enumerate_mosaics,
     enumerate_neighborhoods,
-    neighborhood_leq,
 )
 from hornsep.reasoner import InconsistentABoxError, index_for
 from hornsep.syntax import Role
@@ -35,15 +34,6 @@ def test_enumerate_neighborhoods_of_chain():
     inner = [nb for nb in nbs if nb.tpre is not None]
     assert len(roots) == 1 and roots[0].t == frozenset({"A"})
     assert inner and all("A" in nb.t for nb in inner)
-
-
-def test_neighborhood_order():
-    t = frozenset({"A"})
-    pos = (frozenset(), frozenset({"B"}))
-    small = Neighborhood(None, None, t, frozenset())
-    big = Neighborhood(None, None, t, frozenset({pos}))
-    assert neighborhood_leq(small, big)
-    assert not neighborhood_leq(big, small)
 
 
 def test_condition_m_requires_sigma_concepts_on_center():
@@ -127,11 +117,15 @@ def test_decide_fin_hom_inconsistent_type_raises():
 
 
 def test_compute_rq_roots_of_query_subtrees():
+    """A4 opens a query subtree at every type-graph node entered by an
+    edge without a query role."""
     t2 = nt("A sub some r B\nA sub some s C")
-    rq = compute_RQ(t2, frozenset({"A"}), sig("concepts:\nroles: r"))
+    ctx = build_label_context(nt(""), t2, sig("concepts: A\nroles:"),
+                              sig("concepts:\nroles: r"))
+    rq = _T2Space(t2, ctx).rq[frozenset({"A"})]
     # only the s-successor enters through a non-query edge
-    assert any("C" in t for t in rq)
-    assert not any("B" in t for t in rq)
+    assert any("C" in node.type for node in rq)
+    assert not any("B" in node.type for node in rq)
 
 
 def test_labeling_cap_enforced(monkeypatch):

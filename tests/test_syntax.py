@@ -2,6 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    abox_to_text,
+    abox_tree_shaped,
+    normal_tbox_to_text,
+    signature_to_text,
+    tbox_to_text,
+)
 from hornsep.syntax import (
     ABox,
     CQ,
@@ -13,21 +20,16 @@ from hornsep.syntax import (
     SubBot,
     SubEx,
     TopSub,
-    abox_to_text,
-    abox_tree_shaped,
     cq_is_1tcq,
     cq_to_text,
     cq_tree_shaped,
     cq_weakly_tree_shaped,
     is_elhifbot,
-    normal_tbox_to_text,
     normalize,
     parse_abox,
     parse_cq,
     parse_signature,
     parse_tbox,
-    signature_to_text,
-    tbox_to_text,
 )
 
 NORMAL_SHAPES = (TopSub, SubBot, ConjSub, SubEx, SubAll)
@@ -103,7 +105,7 @@ def test_normalize_produces_only_normal_shapes():
     assert all(isinstance(ci, NORMAL_SHAPES) for ci in t.cis)
     # the source vocabulary survives normalization
     assert {"A", "B", "C", "D"} <= t.concept_names()
-    assert t.source_concept_names() == {"A", "B", "C", "D"}
+    assert t.concept_names() - set(t.fresh) == {"A", "B", "C", "D"}
 
 
 def test_normalize_rejects_value_restriction_on_left():
