@@ -253,7 +253,8 @@ def materialize(tbox, abox, depth, time_limit, memory_mb):
     t = _parse(parse_tbox, tbox)
     a = _parse(parse_abox, abox)
     try:
-        interp = models.materialize(entailment.normalize(t), a, depth)
+        model = models.UniversalModel(entailment.normalize(t), a)
+        interp = models.materialize(model, depth)
     except reasoner.InconsistentABoxError as exc:
         _fail(str(exc), EXIT_PRECHECK)
     except _TimeoutAlarm:

@@ -99,13 +99,16 @@ class Witness:
 
 
 def verify_witness(t1: NormalTBox, t2: NormalTBox, w: Witness) -> bool:
-    if not reasoner.abox_consistent(t1, w.abox):
+    """Replay a witness on universal models of its own, built afresh."""
+    m1 = models.UniversalModel(t1, w.abox)
+    if not m1.consistent:
         return False
-    if not reasoner.abox_consistent(t2, w.abox):
+    m2 = models.UniversalModel(t2, w.abox)
+    if not m2.consistent:
         return False
-    if w.answer not in certain_answers(t2, w.abox, w.query):
+    if w.answer not in certain_answers(m2, w.query):
         return False
-    return w.answer not in certain_answers(t1, w.abox, w.query)
+    return w.answer not in certain_answers(m1, w.query)
 
 
 @dataclass
@@ -503,18 +506,19 @@ def oracle_witness_search(
     """Enumerate small tree-shaped ABoxes and small connected queries
     read off the second TBox's materialized model; return the first
     replayable witness.  Sound, incomplete (bounds and the optional time
-    limit truncate the search)."""
+    limit truncate the search).  Each ABox is chased once per TBox, and
+    every candidate query for it is answered over those two models."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
     for abox in enumerate_tree_aboxes(sigA, max_ind):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        if not reasoner.abox_consistent(t1, abox):
+        m1 = models.UniversalModel(t1, abox)
+        if not m1.consistent:
             continue
-        if not reasoner.abox_consistent(t2, abox):
+        m2 = models.UniversalModel(t2, abox)
+        if not m2.consistent:
             continue
-        window = _sigma_reduct(
-            models.materialize(t2, abox, max_vars), sigQ
-        )
+        window = _sigma_reduct(m2.window(max_vars), sigQ)
         tried = set()
         subs = []
         for top in sorted(window.elements, key=models.stable_key):
@@ -527,9 +531,9 @@ def oracle_witness_search(
                 if key in tried:
                     continue
                 tried.add(key)
-                if ans not in certain_answers(t2, abox, q):
+                if ans not in certain_answers(m2, q):
                     continue  # pragma: no cover - construction gives a match
-                if ans in certain_answers(t1, abox, q):
+                if ans in certain_answers(m1, q):
                     continue
                 w = Witness(abox, q, ans)
                 if verify_witness(t1, t2, w):

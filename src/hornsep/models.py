@@ -1,11 +1,14 @@
 """Finite pieces and regular presentations of universal models.
 
 The universal model of a TBox and ABox consists of the (completed) ABox
-part plus anonymous trees hanging off individuals.  ``materialize``
-builds a finite prefix of it.  ``TypeGraph`` presents the anonymous tree
-below a single type as a finite graph whose unfolding is the model; all
-homomorphism questions against universal models are asked against such
-graphs.
+part plus anonymous trees hanging off individuals.  ``UniversalModel``
+chases one TBox and ABox once and keeps what is derived from the chase:
+the ABox successor types, the finite prefixes (windows) that
+``materialize(model, depth)`` builds, and the reachable anonymous
+classes; certain answers are evaluated against it.  ``TypeGraph``
+presents the anonymous tree below a single type as a finite graph whose
+unfolding is the model; all homomorphism questions against universal
+models are asked against such graphs.
 
 Elements of materialized interpretations are either individual names
 (strings) or path tuples (parent, role, type) for anonymous elements.
@@ -93,13 +96,54 @@ def _anon_children(tbox: NormalTBox, t: frozenset, rin) -> list:
     return out
 
 
-def materialize(tbox: NormalTBox, abox: ABox, depth: int) -> Interpretation:
-    idx = index_for(tbox)
-    state = reasoner.chase(tbox, abox)
-    if not state.consistent:
+class UniversalModel:
+    """The universal model of one TBox and ABox, chased once.
+
+    Holds the chase state (with the asserted edge roles) and, each built
+    on first use, the ABox successor types per (individual, role), the
+    materialized window per depth and the reachable anonymous classes.
+    One object serves every query asked of the same TBox and ABox.  The
+    windows are shared, so a caller that changes one must copy it first.
+    """
+
+    def __init__(self, tbox: NormalTBox, abox: ABox):
+        self.tbox = tbox
+        self.abox = abox
+        self.state = reasoner.chase(tbox, abox)
+        self._succ: dict = {}
+        self._windows: dict = {}
+        self._anon = None
+
+    @property
+    def consistent(self) -> bool:
+        return self.state.consistent
+
+    def succ(self, a, r: Role) -> set:
+        key = (a, r)
+        if key not in self._succ:
+            self._succ[key] = reasoner.abox_succ(self, a, r)
+        return self._succ[key]
+
+    def window(self, depth: int) -> Interpretation:
+        if depth not in self._windows:
+            self._windows[depth] = materialize(self, depth)
+        return self._windows[depth]
+
+    def anon_classes(self) -> TypeGraph:
+        if self._anon is None:
+            self._anon = reachable_anon_classes(self)
+        return self._anon
+
+
+def materialize(model: UniversalModel, depth: int) -> Interpretation:
+    """The ABox part of the universal model plus its anonymous trees cut
+    at the given depth."""
+    if not model.consistent:
         raise reasoner.InconsistentABoxError(
             "cannot materialize an inconsistent ABox"
         )
+    tbox, abox, state = model.tbox, model.abox, model.state
+    idx = index_for(tbox)
     interp = Interpretation()
     for a in abox.individuals():
         interp.add_element(a, set(state.tp[a]) - {BOT})
@@ -113,7 +157,7 @@ def materialize(tbox: NormalTBox, abox: ABox, depth: int) -> Interpretation:
     frontier = []
     for a in sorted(abox.individuals()):
         for r in sorted(idx.roles, key=str):
-            for t2 in sorted(reasoner.abox_succ(tbox, abox, a, r), key=sorted):
+            for t2 in sorted(model.succ(a, r), key=sorted):
                 if depth >= 1:
                     frontier.append((a, t2, r, depth - 1))
 
@@ -189,15 +233,16 @@ def prefix_interpretation(tg: TypeGraph, start: TGNode, depth: int) -> Interpret
     return interp
 
 
-def reachable_anon_classes(tbox: NormalTBox, abox: ABox) -> TypeGraph:
+def reachable_anon_classes(model: UniversalModel) -> TypeGraph:
     """All (incoming role, type) classes of anonymous elements of the
-    universal model of the ABox, presented as a rootless TypeGraph."""
+    universal model, presented as a rootless TypeGraph."""
+    tbox = model.tbox
     idx = index_for(tbox)
     tg = TypeGraph(root=None)
     queue = []
-    for a in sorted(abox.individuals()):
+    for a in sorted(model.abox.individuals()):
         for r in sorted(idx.roles, key=str):
-            for t in reasoner.abox_succ(tbox, abox, a, r):
+            for t in model.succ(a, r):
                 queue.append(TGNode(t, r))
     while queue:
         node = queue.pop()
@@ -213,10 +258,10 @@ def reachable_anon_classes(tbox: NormalTBox, abox: ABox) -> TypeGraph:
     return tg
 
 
-def anonymous_component_match(tbox: NormalTBox, abox: ABox, comp) -> bool:
+def anonymous_component_match(model: UniversalModel, comp) -> bool:
     """Does a Boolean query component match entirely inside some anonymous
-    subtree of the universal model of the ABox?"""
-    tg = reachable_anon_classes(tbox, abox)
+    subtree of the universal model?"""
+    tg = model.anon_classes()
     m = max(1, len(comp.variables()))
     for node in tg.nodes:
         prefix = prefix_interpretation(tg, node, m)

@@ -63,6 +63,7 @@ class ConsequenceIndex:
         self.alls = [ci for ci in tbox.cis if isinstance(ci, SubAll)]
 
         self._role_pairs = self._close_roles(tbox)
+        self._superroles: dict = {}
         self.functional = set(tbox.fas)
 
         # context -> derived names (may include BOT); context -> tuples (R, N)
@@ -91,9 +92,11 @@ class ConsequenceIndex:
         return r == s or (r, s) in self._role_pairs
 
     def superroles(self, r: Role) -> frozenset:
-        return frozenset(
-            {r} | {s for (a, s) in self._role_pairs if a == r}
-        )
+        sup = self._superroles.get(r)
+        if sup is None:
+            sup = frozenset({r} | {s for (a, s) in self._role_pairs if a == r})
+            self._superroles[r] = sup
+        return sup
 
     def functional_superroles(self, r: Role) -> set:
         return {f for f in self.functional if self.role_subsumes(r, f)}
@@ -233,6 +236,7 @@ def succ_rel(tbox: NormalTBox, t, r: Role) -> set:
 @dataclass
 class ChaseState:
     tp: dict = field(default_factory=dict)  # individual -> set of names
+    edges: dict = field(default_factory=dict)  # (a, b) -> roles, see _edge_roles
     consistent: bool = True
     fork: tuple = None  # offending (func role, a, b, c) when a fork is found
 
@@ -254,7 +258,7 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
     inds = sorted(abox.individuals())
     for a in inds:
         state.tp[a] = {c for c, x in abox.concept_assertions if x == a}
-    edges = _edge_roles(idx, abox)
+    edges = state.edges = _edge_roles(idx, abox)
 
     changed = True
     while changed:
@@ -314,23 +318,23 @@ def instance(tbox: NormalTBox, abox: ABox, a, concept: str) -> bool:
     return concept in state.tp.get(a, set())
 
 
-def abox_succ(tbox: NormalTBox, abox: ABox, a, r: Role) -> set:
+def abox_succ(model, a, r: Role) -> set:
     """Maximal successor types of individual a along r in the universal
-    model, honoring the functionality proviso (no anonymous r-successor
-    when func(r) holds and a named r-successor is entailed)."""
-    idx = index_for(tbox)
-    state = chase(tbox, abox)
+    model (a ``models.UniversalModel``), honoring the functionality
+    proviso (no anonymous r-successor when func(r) holds and a named
+    r-successor is entailed)."""
+    idx = index_for(model.tbox)
+    state = model.state
     if not state.consistent:
         raise InconsistentABoxError("ABox is inconsistent with the TBox")
-    edges = _edge_roles(idx, abox)
     named = {
         b
-        for (x, b), roles in edges.items()
+        for (x, b), roles in state.edges.items()
         if x == a and any(idx.role_subsumes(s, r) for s in roles)
     }
     if r in idx.functional and named:
         return set()
-    candidates = set(succ_rel(tbox, frozenset(state.tp[a]) - {BOT}, r))
+    candidates = set(succ_rel(model.tbox, frozenset(state.tp[a]) - {BOT}, r))
     for b in named:
         candidates.add(frozenset(state.tp[b]) - {BOT})
     return _maximal(candidates)
@@ -342,41 +346,43 @@ def abox_succ(tbox: NormalTBox, abox: ABox, a, r: Role) -> set:
 
 def match_cq(q: CQ, interp, answers_only_individuals: bool = True):
     """All matches of q in a finite interpretation (models.Interpretation),
-    returned as a set of answer tuples."""
+    returned as a set of answer tuples.  Variables are bound in sorted
+    order.  A variable's concept atoms filter its domain up front, and
+    each role atom is checked once, when its later variable is bound."""
     variables = sorted(q.variables())
-    # constrain answer variables to named individuals
-    domains = {}
+    pos = {v: i for i, v in enumerate(variables)}
+    concepts = {v: set() for v in variables}
+    for cname, z in q.concept_atoms:
+        concepts[z].add(cname)
+    labels = interp.labels
+    domains = []
     for v in variables:
+        # answer variables range over named individuals only
         if answers_only_individuals and v in q.answer_vars:
-            domains[v] = list(interp.individuals)
+            pool = interp.individuals
         else:
-            domains[v] = list(interp.elements)
-
-    catoms = sorted(q.concept_atoms)
-    ratoms = sorted(q.role_atoms)
+            pool = interp.elements
+        domains.append([d for d in pool if concepts[v] <= labels[d]])
+    ratoms = [[] for _ in variables]
+    for rname, z, w in sorted(q.role_atoms):
+        ratoms[max(pos[z], pos[w])].append((z, rname, w))
+    edges = interp.edges
 
     results = set()
-
-    def ok(assign) -> bool:
-        for cname, z in catoms:
-            if z in assign and cname not in interp.labels[assign[z]]:
-                return False
-        for rname, z, w in ratoms:
-            if z in assign and w in assign:
-                if (assign[z], rname, assign[w]) not in interp.edges:
-                    return False
-        return True
 
     def extend(i, assign):
         if i == len(variables):
             results.add(tuple(assign[v] for v in q.answer_vars))
             return
         v = variables[i]
-        for d in domains[v]:
+        for d in domains[i]:
             assign[v] = d
-            if ok(assign):
+            for z, r, w in ratoms[i]:
+                if (assign[z], r, assign[w]) not in edges:
+                    break
+            else:
                 extend(i + 1, assign)
-        del assign[v]
+        assign.pop(v, None)  # v stays unbound when its domain is empty
 
     extend(0, {})
     return results
@@ -421,8 +427,10 @@ def query_components(q: CQ) -> list:
     return out
 
 
-def certain_answers(tbox: NormalTBox, abox: ABox, q: CQ) -> set:
-    """Evaluate the query over the universal model.
+def certain_answers(model, q: CQ) -> set:
+    """Evaluate the query over the universal model (a
+    ``models.UniversalModel``, whose windows and anonymous classes are
+    built once and shared by every query asked of it).
 
     A match of a connected m-variable component either touches the ABox
     part, in which case it lies within m role steps of an individual, or
@@ -433,11 +441,9 @@ def certain_answers(tbox: NormalTBox, abox: ABox, q: CQ) -> set:
     """
     from . import models  # deferred: models builds on this module
 
-    state = chase(tbox, abox)
-    if not state.consistent:
+    if not model.consistent:
         raise InconsistentABoxError("ABox is inconsistent with the TBox")
-    m = max(1, len(q.variables()))
-    window = models.materialize(tbox, abox, m)
+    window = model.window(max(1, len(q.variables())))
 
     answer_parts = []  # (vars tuple, set of tuples)
     for comp in query_components(q):
@@ -448,7 +454,7 @@ def certain_answers(tbox: NormalTBox, abox: ABox, q: CQ) -> set:
             answer_parts.append((comp.answer_vars, res))
         else:
             held = bool(match_cq(comp, window)) or models.anonymous_component_match(
-                tbox, abox, comp
+                model, comp
             )
             if not held:
                 return set()

@@ -11,6 +11,7 @@ parsed inputs back into the surface syntax for round-trip tests.
 import itertools
 
 from hornsep.automata import FALSE, TRUE, RegularTreeRep, is_atom
+from hornsep.entailment import make_problem
 from hornsep.models import (
     Interpretation,
     TypeGraph,
@@ -31,6 +32,8 @@ from hornsep.syntax import (
     TBox,
     TopSub,
     _wrap,
+    parse_signature,
+    parse_tbox,
 )
 
 
@@ -315,6 +318,20 @@ def random_tbox_text(rng, concepts, roles, max_axioms) -> str:
             else:
                 lines.append(f"some {rr} {c()} sub {c()}")
     return "\n".join(lines)
+
+
+def criterion6_problem(rng):
+    """One random tiny problem of acceptance criterion 6: one or two
+    concepts and roles, up to three axioms per TBox, and one signature
+    for ABoxes and queries.  Returns the two TBox texts and the problem."""
+    concepts = ["A", "B"][: rng.randint(1, 2)]
+    roles = ["r", "s"][: rng.randint(1, 2)]
+    t1 = random_tbox_text(rng, concepts, roles, 3)
+    t2 = random_tbox_text(rng, concepts, roles, 3)
+    sig = parse_signature(
+        "concepts: " + " ".join(concepts) + "\nroles: " + " ".join(roles)
+    )
+    return t1, t2, make_problem(parse_tbox(t1), parse_tbox(t2), sig, sig)
 
 
 def random_regular_tree(rng, labels, max_nodes):

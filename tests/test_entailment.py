@@ -1,10 +1,19 @@
+import random
 import warnings
 
 import pytest
 
 from conftest import problem, within
-from helpers import abox_tree_shaped
-from hornsep import normalize, parse_cq, parse_signature, parse_tbox
+from helpers import abox_tree_shaped, criterion6_problem
+from hornsep import (
+    entailment,
+    models,
+    normalize,
+    parse_cq,
+    parse_signature,
+    parse_tbox,
+    reasoner,
+)
 from hornsep.entailment import (
     PreconditionError,
     Witness,
@@ -20,6 +29,7 @@ from hornsep.entailment import (
     oracle_witness_search,
     verify_witness,
 )
+from hornsep.reasoner import certain_answers
 from hornsep.syntax import ProfileError
 
 
@@ -150,6 +160,62 @@ def test_verify_witness_rejects_fabrications(advisor_problem):
     # same query but pointed at the student, which both TBoxes refute
     fake = Witness(w.abox, parse_cq("q(x0) <- PhDStud(x0)"), w.answer)
     assert not verify_witness(p.t1, p.t2, fake)
+
+
+@pytest.mark.parametrize("fixture", ["advisor_problem", "inverse_chain_problem"])
+def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
+    """The oracle answers every candidate query of an ABox over one
+    chased model per TBox, and verify_witness chases its own two."""
+    counts = {"chase": 0, "abox": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_aboxes(*args):
+        for abox in enumerate_tree_aboxes(*args):
+            counts["abox"] += 1
+            yield abox
+
+    # models and entailment reach the chase as reasoner.chase
+    monkeypatch.setattr(reasoner, "chase", counted("chase", reasoner.chase))
+    monkeypatch.setattr(entailment, "enumerate_tree_aboxes", counted_aboxes)
+    monkeypatch.setattr(
+        entailment, "verify_witness", counted("verify", verify_witness)
+    )
+    p = request.getfixturevalue(fixture)
+    w = entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 2)
+    assert (w is None) == (fixture == "inverse_chain_problem")
+    assert counts["abox"] > 0 and counts["verify"] == (w is not None)
+    assert counts["chase"] <= 2 * counts["abox"] + 2 * counts["verify"]
+
+
+def test_shared_model_answers_like_a_fresh_one(monkeypatch):
+    """Every query the oracle asks of a shared universal model gets the
+    answers a freshly chased model gives, and the oracle's reading of a
+    window leaves the shared window as materialize builds it."""
+    shared = {}
+
+    def checked(model, q):
+        got = certain_answers(model, q)
+        fresh = models.UniversalModel(model.tbox, model.abox)
+        assert got == certain_answers(fresh, q), str(q)
+        shared[id(model)] = model
+        return got
+
+    monkeypatch.setattr(entailment, "certain_answers", checked)
+    rng = random.Random(601)
+    for _ in range(6):
+        _t1, _t2, p = criterion6_problem(rng)
+        entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
+    assert len(shared) > 10
+    for model in shared.values():
+        for depth in (1, 2, 3):
+            fresh = models.UniversalModel(model.tbox, model.abox)
+            want = models.materialize(fresh, depth).to_json()
+            assert model.window(depth).to_json() == want
 
 
 def test_enumerate_tree_aboxes_bounds():

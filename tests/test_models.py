@@ -11,6 +11,7 @@ from helpers import (
 from hornsep import normalize, parse_abox, parse_signature, parse_tbox
 from hornsep.models import (
     Interpretation,
+    UniversalModel,
     enumerate_connected_substructures,
     materialize,
     prefix_interpretation,
@@ -30,14 +31,14 @@ def sig(text):
 
 def test_materialize_depth_zero_keeps_individuals_only():
     t = nt("A sub some r B")
-    interp = materialize(t, parse_abox("A(a)"), 0)
+    interp = materialize(UniversalModel(t, parse_abox("A(a)")), 0)
     assert interp.elements == {"a"}
     assert "A" in interp.labels["a"]
 
 
 def test_materialize_adds_anonymous_successors():
     t = nt("A sub some r B\nB sub some r B")
-    interp = materialize(t, parse_abox("A(a)"), 2)
+    interp = materialize(UniversalModel(t, parse_abox("A(a)")), 2)
     # a, its B-successor, and that element's own successor
     assert len(interp.elements) == 3
     anon = [e for e in interp.elements if e != "a"]
@@ -47,20 +48,20 @@ def test_materialize_adds_anonymous_successors():
 
 def test_materialize_respects_role_hierarchy():
     t = nt("A sub some r B\nr subr s")
-    interp = materialize(t, parse_abox("A(a)\nr(a,b)"), 1)
+    interp = materialize(UniversalModel(t, parse_abox("A(a)\nr(a,b)")), 1)
     names = {r for _x, r, _y in interp.edges}
     assert names == {"r", "s"}
 
 
 def test_materialize_inconsistent_raises():
     with pytest.raises(InconsistentABoxError):
-        materialize(nt("A sub bot"), parse_abox("A(a)"), 0)
+        materialize(UniversalModel(nt("A sub bot"), parse_abox("A(a)")), 0)
 
 
 def test_materialize_json_stable_within_run():
     t = nt("A sub some r B\nB sub some s A")
-    one = materialize(t, parse_abox("A(a)"), 3).to_json()
-    two = materialize(t, parse_abox("A(a)"), 3).to_json()
+    one = materialize(UniversalModel(t, parse_abox("A(a)")), 3).to_json()
+    two = materialize(UniversalModel(t, parse_abox("A(a)")), 3).to_json()
     assert one == two
     json.loads(one)
 

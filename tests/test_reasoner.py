@@ -4,6 +4,7 @@ import pytest
 
 from helpers import BruteForceReasoner, random_tbox_text
 from hornsep import normalize, parse_abox, parse_cq, parse_tbox
+from hornsep.models import UniversalModel
 from hornsep.reasoner import (
     InconsistentABoxError,
     abox_consistent,
@@ -90,18 +91,17 @@ def test_chase_detects_inconsistency():
 def test_certain_answers_simple():
     t = nt("A sub some r B")
     a = parse_abox("A(x)\nr(x,y)\nB(z)")
-    q = parse_cq("q(v) <- B(v)")
-    assert certain_answers(t, a, q) == {("z",)}
+    m = UniversalModel(t, a)
+    assert certain_answers(m, parse_cq("q(v) <- B(v)")) == {("z",)}
     # the anonymous r-successor answers the boolean query
-    qb = parse_cq("q() <- r(v,w), B(w)")
-    assert certain_answers(t, a, qb) == {()}
+    assert certain_answers(m, parse_cq("q() <- r(v,w), B(w)")) == {()}
 
 
 def test_certain_answers_join():
     t = nt("")
     a = parse_abox("r(x,y)\nr(z,y)\nA(y)")
     q = parse_cq("q(u,v) <- r(u,w), r(v,w), A(w)")
-    assert certain_answers(t, a, q) == {
+    assert certain_answers(UniversalModel(t, a), q) == {
         ("x", "x"), ("x", "z"), ("z", "x"), ("z", "z")
     }
 
@@ -109,9 +109,9 @@ def test_certain_answers_join():
 def test_anonymous_elements_do_not_answer():
     # answer variables range over individuals only
     t = nt("A sub some r B")
-    a = parse_abox("A(x)")
-    assert certain_answers(t, a, parse_cq("q(v) <- B(v)")) == set()
-    assert certain_answers(t, a, parse_cq("q() <- B(v)")) == {()}
+    m = UniversalModel(t, parse_abox("A(x)"))
+    assert certain_answers(m, parse_cq("q(v) <- B(v)")) == set()
+    assert certain_answers(m, parse_cq("q() <- B(v)")) == {()}
 
 
 def test_subsumption_matches_model_enumeration():
