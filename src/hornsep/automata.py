@@ -1216,8 +1216,6 @@ DEFAULT_SCHEDULE = ((4, 6), (8, 12), (10, 16))
 WORK_LIMIT = 4_000_000
 MAX_ASSIGNMENTS = 4000
 MAX_DIA = 6
-MAX_CHILD_OPTS = 6
-MAX_COMBOS = 240
 
 _BIG = 1 << 30
 _UP = ("up!", "up?")
@@ -1574,13 +1572,10 @@ class _DemandSearch:
                     sorted(
                         s.items(),
                         key=lambda kv: (len(kv[0]), sorted(map(stable_key, kv[0]))),
-                    )[:MAX_CHILD_OPTS]
+                    )
                     for s in solved
                 ]
-                combos = itertools.islice(
-                    itertools.product(*options), MAX_COMBOS
-                )
-                for combo in combos:
+                for combo in itertools.product(*options):
                     absorbed = {}
                     for nk, _plan in combo:
                         for p, bb in nk:

@@ -16,9 +16,11 @@ normal-form axioms, merges existentials through functional superroles,
 pushes value restrictions down into successor tuples and back up through
 inverse roles, and propagates inconsistency upward.
 
-The ABox-level operations (instance checking, consistency, certain
-answers) run a chase over the individuals using the same machinery for
-the per-individual types plus the edge-sensitive derivation rules.
+The ABox-level operations run a chase over the individuals using the
+same machinery for the per-individual types plus the edge-sensitive
+derivation rules.  One chase gives every individual's concept names and
+decides consistency; certain answers are evaluated over the universal
+model built from it.
 """
 
 from __future__ import annotations
@@ -307,17 +309,6 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
     return state
 
 
-def abox_consistent(tbox: NormalTBox, abox: ABox) -> bool:
-    return chase(tbox, abox).consistent
-
-
-def instance(tbox: NormalTBox, abox: ABox, a, concept: str) -> bool:
-    state = chase(tbox, abox)
-    if not state.consistent:
-        raise InconsistentABoxError(f"ABox is inconsistent with the TBox")
-    return concept in state.tp.get(a, set())
-
-
 def abox_succ(model, a, r: Role) -> set:
     """Maximal successor types of individual a along r in the universal
     model (a ``models.UniversalModel``), honoring the functionality
@@ -437,7 +428,9 @@ def certain_answers(model, q: CQ) -> set:
     it sits inside a single anonymous subtree, in which case its
     shallowest element determines a reachable (incoming role, type) class
     and the rest lies at most m steps below it.  Both cases are finite
-    and searched exhaustively, so the evaluation is exact.
+    and searched exhaustively, so the evaluation is exact.  Components
+    with answer variables bind those to individuals, so they touch the
+    ABox part and are matched together in the window, as one CQ.
     """
     from . import models  # deferred: models builds on this module
 
@@ -445,30 +438,13 @@ def certain_answers(model, q: CQ) -> set:
         raise InconsistentABoxError("ABox is inconsistent with the TBox")
     window = model.window(max(1, len(q.variables())))
 
-    answer_parts = []  # (vars tuple, set of tuples)
+    answer_part = CQ(q.answer_vars)
     for comp in query_components(q):
         if comp.answer_vars:
-            res = match_cq(comp, window)
-            if not res:
-                return set()
-            answer_parts.append((comp.answer_vars, res))
-        else:
-            held = bool(match_cq(comp, window)) or models.anonymous_component_match(
-                model, comp
-            )
-            if not held:
-                return set()
-
-    # merge per-component answers back into the original variable order
-    answers = {()}
-    for cvars, tuples in answer_parts:
-        answers = {
-            base + t for base in answers for t in tuples
-        }
-        # track the accumulated variable order alongside
-    order = [v for cvars, _ in answer_parts for v in cvars]
-    out = set()
-    for merged in answers:
-        assign = dict(zip(order, merged))
-        out.add(tuple(assign[v] for v in q.answer_vars))
-    return out
+            answer_part.concept_atoms |= comp.concept_atoms
+            answer_part.role_atoms |= comp.role_atoms
+        elif not match_cq(comp, window) and not models.anonymous_component_match(
+            model, comp
+        ):
+            return set()
+    return match_cq(answer_part, window)

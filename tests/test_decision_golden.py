@@ -1,16 +1,20 @@
 """Pinned decisions: the full ``Decision`` JSON of the paper fixtures in
 every mode, recorded in ``data/fixture_decisions.json``, plus the
 functionality and universality short cuts, whose stats no other test
-reads.  A refactor of the decision paths must leave all of them
-byte-identical."""
+reads, and the first witness of the brute-force oracle on the random
+problems of acceptance criterion 6, recorded in
+``data/oracle_witnesses.json``.  A refactor of the decision paths or
+the oracle must leave all of them byte-identical."""
 
 import json
 import pathlib
+import random
 import warnings
 
 import pytest
 
 from conftest import problem
+from helpers import criterion6_problem
 from hornsep import HornsepError, entailment
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -97,3 +101,15 @@ def test_cq_incons_universal_stats():
         "witness": None,
         "stats": {"universal": True},
     }
+
+
+def test_oracle_witnesses_match_golden():
+    # the 200 seed-601 problems of criterion 6, at bounds (2, 3)
+    want = json.loads((DATA / "oracle_witnesses.json").read_text())
+    rng = random.Random(601)
+    got = []
+    for _ in range(200):
+        _t1, _t2, p = criterion6_problem(rng)
+        w = entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
+        got.append(w.to_json_obj() if w else None)
+    assert got == want

@@ -218,6 +218,31 @@ def test_shared_model_answers_like_a_fresh_one(monkeypatch):
             assert model.window(depth).to_json() == want
 
 
+def test_candidate_queries_hold_under_the_second_tbox():
+    """Every candidate the oracle reads off the second TBox's window has
+    its answer in that TBox's model (the identity map is a match), so the
+    oracle asks each candidate of the first TBox's model only."""
+    rng = random.Random(601)
+    asked = 0
+    for _ in range(6):
+        _t1, _t2, p = criterion6_problem(rng)
+        for abox in enumerate_tree_aboxes(p.sigA, 2):
+            m1 = models.UniversalModel(p.t1, abox)
+            m2 = models.UniversalModel(p.t2, abox)
+            if not (m1.consistent and m2.consistent):
+                continue
+            window = entailment._sigma_reduct(m2.window(3), p.sigQ)
+            for top in sorted(window.elements, key=models.stable_key):
+                subs = models.enumerate_connected_substructures(window, top, 3)
+                for sub in subs:
+                    for q, ans in entailment._queries_from_sub(
+                        sub, window.individuals, p.sigQ, "cq"
+                    ):
+                        assert ans in certain_answers(m2, q), (str(q), ans)
+                        asked += 1
+    assert asked > 1000
+
+
 def test_enumerate_tree_aboxes_bounds():
     sig = parse_signature("concepts: A\nroles: r")
     seen = list(enumerate_tree_aboxes(sig, 2))

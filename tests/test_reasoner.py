@@ -7,11 +7,9 @@ from hornsep import normalize, parse_abox, parse_cq, parse_tbox
 from hornsep.models import UniversalModel
 from hornsep.reasoner import (
     InconsistentABoxError,
-    abox_consistent,
     certain_answers,
     chase,
     index_for,
-    instance,
     succ_rel,
 )
 from hornsep.syntax import Role
@@ -60,9 +58,9 @@ def test_functionality_pulls_successor_back():
     # coincide, so the implied type flows onto the assertion
     t = nt("PhDStud sub some advBy Prof\nadv subr inv(advBy)\nfunc(advBy)")
     a = parse_abox("PhDStud(a1)\nadv(a0,a1)")
-    assert instance(t, a, "a0", "Prof")
+    assert "Prof" in chase(t, a).tp["a0"]
     t_nofunc = nt("PhDStud sub some advBy Prof\nadv subr inv(advBy)")
-    assert not instance(t_nofunc, a, "a0", "Prof")
+    assert "Prof" not in chase(t_nofunc, a).tp["a0"]
 
 
 def test_role_hierarchy_closure():
@@ -82,10 +80,10 @@ def test_types_is_a_closure_operator():
 
 def test_chase_detects_inconsistency():
     t = nt("A sub bot")
-    assert not abox_consistent(t, parse_abox("A(a)"))
     assert not chase(t, parse_abox("A(a)")).consistent
+    m = UniversalModel(t, parse_abox("A(a)"))
     with pytest.raises(InconsistentABoxError):
-        instance(t, parse_abox("A(a)"), "a", "A")
+        certain_answers(m, parse_cq("q(x) <- A(x)"))
 
 
 def test_certain_answers_simple():
@@ -104,6 +102,22 @@ def test_certain_answers_join():
     assert certain_answers(UniversalModel(t, a), q) == {
         ("x", "x"), ("x", "z"), ("z", "x"), ("z", "z")
     }
+
+
+def test_certain_answers_merge_components():
+    # the components with answer variables are matched together, in the
+    # order of the answer variables; the Boolean one is checked alone
+    abox = parse_abox("A(a)\nA(b)\nC(c)")
+    m = UniversalModel(nt("C sub some r B"), abox)
+    q = parse_cq("q(u,v) <- A(u), C(v), r(w,w2), B(w2)")
+    assert certain_answers(m, q) == {("a", "c"), ("b", "c")}
+    q_swapped = parse_cq("q(v,u) <- A(u), C(v), r(w,w2), B(w2)")
+    assert certain_answers(m, q_swapped) == {("c", "a"), ("c", "b")}
+    assert certain_answers(m, parse_cq("q(u,u) <- A(u)")) == {
+        ("a", "a"), ("b", "b")
+    }
+    # without the axiom nothing has an r-successor in B
+    assert certain_answers(UniversalModel(nt(""), abox), q) == set()
 
 
 def test_anonymous_elements_do_not_answer():
