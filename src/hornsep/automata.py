@@ -1242,18 +1242,18 @@ class _DemandSearch:
     for it, which is a coinductive argument, sound for priority 0 but
     not for priority 1 (a state may otherwise end up justified through
     its own pending obligations, e.g. by bouncing between a node and its
-    parent).  Hence plans found under a budget always pass the
+    parent).  Hence loop-free plans found under a budget always pass the
     membership game, at the price of missing witnesses that need deeper
     nesting than the budget allows.
 
-    In ``relaxed`` mode budgets are ignored.  The plan set then
-    over-approximates the budgeted one for every budget, so a relaxed
-    search that comes up empty is a sound emptiness proof, while a
-    relaxed plan is only a candidate until the membership game confirms
-    it.
+    In ``relaxed`` mode no spawn costs budget, so every copy keeps the
+    initial one.  The plan set then over-approximates the budgeted one
+    for every budget, so a relaxed search that comes up empty is a sound
+    emptiness proof, while a relaxed plan is only a candidate until the
+    membership game confirms it.
     """
 
-    def __init__(self, aut: TwoWayAutomaton, depth, relaxed=False):
+    def __init__(self, aut: TwoWayAutomaton, depth, relaxed):
         self.aut = aut
         self.depth = depth
         self.relaxed = relaxed
@@ -1265,8 +1265,6 @@ class _DemandSearch:
         self._mentions = {}
         self._reach_cache = {}
         self._proj_cache = {}
-        self._consuming = None
-        self._empty_dom = {}
         # in-progress node evaluations, for tying regular back edges
         self._path = {}
         self._tok_stack = []
@@ -1300,27 +1298,6 @@ class _DemandSearch:
             hit = tuple(sorted(seen, key=stable_key))
             self._reach_cache[states] = hit
         return hit
-
-    def _consuming_set(self):
-        """States from which a priority-1 state is reachable through
-        transition mentions; only their copies can ever spend budget, so
-        everyone else's budget is normalized to 0."""
-        if self._consuming is None:
-            if self.relaxed:
-                self._consuming = frozenset()
-            else:
-                self._consuming = frozenset(
-                    q
-                    for q in self.aut.rules
-                    if any(
-                        self.aut.priority(p) == 1
-                        for p in self._reach(frozenset([q]))
-                    )
-                )
-        return self._consuming
-
-    def _norm_budget(self, q, b):
-        return b if q in self._consuming_set() else 0
 
     def _joint_key(self, states: tuple, label):
         """Label projection joint over the given states; node evaluation
@@ -1401,29 +1378,14 @@ class _DemandSearch:
             # computed with.
             if hit or cd >= depth:
                 return hit
-        # Budgets only shrink the search space: if the same state set on
-        # the same label class produced nothing at pointwise-larger
-        # budgets and depth, it produces nothing here either.
-        items = sorted(copies, key=lambda t: stable_key(t[0]))
-        bvec = tuple(b for _q, b in items)
-        dk = (tuple(q for q, _b in items), jk, is_root)
-        known = self._empty_dom.get(dk)
-        if known:
-            for pd, prev in known:
-                if pd >= depth and all(
-                    pb >= b for pb, b in zip(prev, bvec)
-                ):
-                    self.eval_cache[ck] = (depth, {})
-                    return {}
+        pending = sorted(copies, key=lambda t: stable_key(t[0]))
         tok = next(self._tok_counter)
         prev = self._path.get(pk)
         self._path[pk] = tok
         self._tok_stack.append(tok)
         hit = {}
         try:
-            self._close(
-                {}, list(items), {}, {}, {}, label, depth, is_root, hit
-            )
+            self._close({}, pending, {}, {}, {}, label, depth, is_root, hit)
         finally:
             self._tok_stack.pop()
             if prev is None:
@@ -1436,14 +1398,6 @@ class _DemandSearch:
         # get the whole-node back edge through the path shortcut above.
         clean = {k: v for k, v in hit.items() if not _plan_has_loop(v)}
         self.eval_cache[ck] = (depth, clean)
-        if not hit:
-            bucket = self._empty_dom.setdefault(dk, [])
-            bucket[:] = [
-                (pd, p) for pd, p in bucket
-                if not (depth >= pd
-                        and all(b >= pb for b, pb in zip(bvec, p)))
-            ]
-            bucket.append((depth, bvec))
         return hit
 
     def _close(self, proc, pending, needs, dia, box, label, depth, is_root,
@@ -1456,7 +1410,6 @@ class _DemandSearch:
         # depth happened to put at a boundary.  Choices are pushed in
         # reverse, so they pop in the recursion's order.
         prios = {} if self.relaxed else self.aut.priorities
-        cons = self._consuming_set()
         stack = [(proc, pending, needs, dia, box)]
         while stack:
             proc, pending, needs, dia, box = stack.pop()
@@ -1495,8 +1448,6 @@ class _DemandSearch:
                     if nb < 0:
                         ok = False
                         break
-                    if p not in cons:
-                        nb = 0
                     if tag == "here":
                         if proc.get(p, _BIG) > nb:
                             pe.append((p, nb))
@@ -1672,14 +1623,19 @@ def _plan_to_rep(plan) -> RegularTreeRep:
 def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for a finite accepted tree.
 
-    Two passes.  The budget-free relaxed search over-approximates the
-    plan space: if it finds nothing up to the deepest scheduled depth,
-    the language has no finite tree within that depth; if its plan
-    passes the membership game, that is a genuine witness.  Only when
-    the relaxed pass produces a spurious plan (a priority-1 state
-    justified through its own obligations) does the budgeted exact
-    search run, whose plans are always valid but which has to grind
-    through far more configurations.
+    Two passes over the stages of ``DEFAULT_SCHEDULE``, one search per
+    stage.  The budget-free relaxed search over-approximates the plan
+    space: if it finds nothing up to the deepest scheduled depth, the
+    language has no finite tree within that depth; if its plan passes
+    the membership game, that is a genuine witness.  Only when the
+    relaxed pass produces a spurious plan (a priority-1 state justified
+    through its own obligations) does the budgeted exact search run,
+    whose plans are valid unless they close a back edge, and which has
+    to grind through far more configurations.
+
+    ``stats`` holds the summed ``work`` and the number of ``stages`` of
+    all searches run, ``certificate_nodes`` of the returned certificate,
+    and ``spurious_relaxed_plan`` when the budgeted pass ran.
 
     A nonempty verdict always carries a game-checked certificate.  An
     empty verdict means no finite tree exists within the scheduled caps;
@@ -1692,53 +1648,38 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
             "emptiness supports priorities 0 and 1 only"
         )
     stats = {"work": 0, "stages": 0}
-    copies = frozenset([(aut.initial, 0)])
-    spurious = False
-    for _budget, depth in DEFAULT_SCHEDULE:
-        search = _DemandSearch(aut, depth, relaxed=True)
-        stats["stages"] += 1
-        plan = None
-        for label in aut.root_labels:
-            plan = search.eval_label(copies, label, depth, True).get(
-                frozenset()
+    for relaxed in (True, False):
+        for budget, depth in DEFAULT_SCHEDULE:
+            search = _DemandSearch(aut, depth, relaxed)
+            start = frozenset(
+                [(aut.initial, budget - aut.priority(aut.initial))]
             )
-            if plan is not None:
-                break
-        stats["work"] += search.work
-        if plan is None:
-            continue
-        rep = _plan_to_rep(plan)
-        if run_on_regular_tree(aut, rep):
-            stats["certificate_nodes"] = rep.node_count()
-            return EmptinessResult(False, rep, stats)
-        spurious = True
-        break
-    if not spurious:
-        return EmptinessResult(True, None, stats)
-    stats["spurious_relaxed_plan"] = True
-    for budget, depth in DEFAULT_SCHEDULE:
-        search = _DemandSearch(aut, depth)
-        b0 = budget - aut.priority(aut.initial)
-        if b0 < 0:
-            continue
-        start = frozenset([(aut.initial, search._norm_budget(aut.initial, b0))])
-        stats["stages"] += 1
-        for label in aut.root_labels:
-            res = search.eval_label(start, label, depth, True)
-            plan = res.get(frozenset())
-            if plan is not None:
+            stats["stages"] += 1
+            accepted = None
+            for label in aut.root_labels:
+                plan = search.eval_label(start, label, depth, True).get(
+                    frozenset()
+                )
+                if plan is None:
+                    continue
                 rep = _plan_to_rep(plan)
-                stats["work"] += search.work
-                stats["certificate_nodes"] = rep.node_count()
-                if not run_on_regular_tree(aut, rep):
-                    if _plan_has_loop(plan):
-                        # a rejected back-edge plan is discarded, not
-                        # treated as an internal inconsistency
-                        continue
+                accepted = run_on_regular_tree(aut, rep)
+                if accepted or relaxed:
+                    break
+                if not _plan_has_loop(plan):
                     raise HornsepError(
                         "internal error: emptiness certificate failed "
                         "re-validation"
                     )
+                # a rejected back-edge plan is discarded, not treated as
+                # an internal inconsistency
+            stats["work"] += search.work
+            if accepted:
+                stats["certificate_nodes"] = rep.node_count()
                 return EmptinessResult(False, rep, stats)
-        stats["work"] += search.work
+            if relaxed and accepted is False:
+                stats["spurious_relaxed_plan"] = True
+                break
+        if "spurious_relaxed_plan" not in stats:
+            break
     return EmptinessResult(True, None, stats)

@@ -24,7 +24,7 @@ import sys
 
 import click
 
-from . import automata, entailment, models, mosaics, reasoner
+from . import automata, entailment, models, reasoner
 from .entailment import PreconditionError, make_problem
 from .syntax import (
     HornsepError,
@@ -156,18 +156,11 @@ def main():
               help="witness ABox size bound for --verify-witness")
 @click.option("--oracle-max-vars", type=int, default=2, show_default=True,
               help="witness query size bound for --verify-witness")
-@click.option("--mosaic-cap", type=int, default=None,
-              help="cap on candidate mosaic labelings per neighborhood")
 def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
-          verify_witness, oracle_max_ind, oracle_max_vars, mosaic_cap):
+          verify_witness, oracle_max_ind, oracle_max_vars):
     """Decide the selected entailment mode for two TBox files."""
     _apply_limits(time_limit, memory_mb)
     p = _problem(t1, t2, sigma_a, sigma_q)
-    # the cap is a module global; restore it so later in-process calls
-    # run with their own
-    saved_cap = mosaics.LABELING_CAP
-    if mosaic_cap:
-        mosaics.LABELING_CAP = mosaic_cap
     try:
         decision = getattr(entailment, MODES[mode])(p)
     except (PreconditionError, ProfileError) as exc:
@@ -180,8 +173,6 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
         _fail(str(exc), EXIT_RESOURCE)
     except HornsepError as exc:
         _fail(str(exc), EXIT_INTERNAL)
-    finally:
-        mosaics.LABELING_CAP = saved_cap
     report = decision.to_json_obj()
     code = EXIT_ENTAILS if decision.entails else EXIT_NON_ENTAILS
     if not decision.entails and decision.precheck.get("ri") is False:

@@ -335,7 +335,7 @@ def abox_succ(model, a, r: Role) -> set:
 # certain answers
 
 
-def match_cq(q: CQ, interp, answers_only_individuals: bool = True):
+def match_cq(q: CQ, interp):
     """All matches of q in a finite interpretation (models.Interpretation),
     returned as a set of answer tuples.  Variables are bound in sorted
     order.  A variable's concept atoms filter its domain up front, and
@@ -349,7 +349,7 @@ def match_cq(q: CQ, interp, answers_only_individuals: bool = True):
     domains = []
     for v in variables:
         # answer variables range over named individuals only
-        if answers_only_individuals and v in q.answer_vars:
+        if v in q.answer_vars:
             pool = interp.individuals
         else:
             pool = interp.elements

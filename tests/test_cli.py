@@ -7,7 +7,6 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from hornsep import mosaics
 from hornsep.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -185,12 +184,6 @@ def test_check_resource_limit_exit_thirteen(runner, tmp_path):
     assert "cap is 12" in res.output
     res = invoke(runner, "automaton", *args)
     assert res.exit_code == 13
-
-
-def test_check_mosaic_cap_is_restored(runner):
-    res = invoke(runner, "check", "--mosaic-cap", "5", *ADVISOR)
-    assert res.exit_code == 1
-    assert mosaics.LABELING_CAP == 2_000_000
 
 
 def _run_cli(args, seed):

@@ -17,6 +17,7 @@ from hornsep import (
 from hornsep.entailment import (
     PreconditionError,
     Witness,
+    build_pipeline,
     conservative_extension,
     decide_1tcq_entailment,
     decide_cq_entailment,
@@ -29,6 +30,7 @@ from hornsep.entailment import (
     oracle_witness_search,
     verify_witness,
 )
+from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers
 from hornsep.syntax import ProfileError
 
@@ -241,6 +243,22 @@ def test_candidate_queries_hold_under_the_second_tbox():
                         assert ans in certain_answers(m2, q), (str(q), ans)
                         asked += 1
     assert asked > 1000
+
+
+@pytest.mark.parametrize("draw", [13, 18, 40, 83])
+def test_budgeted_pass_certificate_replays(draw):
+    """Seed-601 criterion-6 draws whose relaxed plan fails the membership
+    game: the budgeted pass finds a 4-node certificate that a freshly
+    built product accepts."""
+    rng = random.Random(601)
+    for _ in range(draw + 1):
+        _t1, _t2, p = criterion6_problem(rng)
+    d = decide_cq_entailment(p)
+    assert not d.entails
+    assert d.stats["spurious_relaxed_plan"]
+    assert d.stats["certificate_nodes"] == 4
+    _ctx, prod = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)
+    assert run_on_regular_tree(prod, d.certificate)
 
 
 def test_enumerate_tree_aboxes_bounds():
