@@ -1222,11 +1222,113 @@ _UP = ("up!", "up?")
 _COUNTED = ("dx", "dab")
 
 
+def _needs_order(nk):
+    """Sort key of a need-set of (state id, budget) pairs: by size, then
+    by the pairs as ``stable_key`` orders them, which compares budgets
+    as text (10 before 4) and state ids as numbers."""
+    return len(nk), sorted((p, str(b)) for p, b in nk)
+
+
+class _StateTable:
+    """The product states of one automaton numbered in ``stable_key``
+    order, with every table and cache of the search that depends on the
+    automaton only.  ``is_empty`` builds one and shares it among the
+    searches of all its stages."""
+
+    def __init__(self, aut: TwoWayAutomaton):
+        self.aut = aut
+        self.states = sorted(aut.rules, key=stable_key)
+        self.ids = {q: i for i, q in enumerate(self.states)}
+        self.rules = [aut.rules[q] for q in self.states]
+        self.priorities = [aut.priority(q) for q in self.states]
+        self.assign_cache = {}
+        self.viable = {}
+        self._mentions = {}
+        self._reach_cache = {}
+        self._proj_cache = {}
+
+    def _mentioned_states(self, q):
+        """States that can appear in any transition of q, over any label."""
+        hit = self._mentions.get(q)
+        if hit is None:
+            hit = set()
+            for _key, _lab, f in self.aut.transition_classes(self.states[q]):
+                for atom in formula_atoms(f):
+                    hit.add(self.ids[atom[-1]])
+            self._mentions[q] = hit
+        return hit
+
+    def reach(self, states: frozenset) -> tuple:
+        """All states that can take part in evaluating a node seeded with
+        the given copies: closure under transition mentions (needs
+        absorbed from children are mentions of mentions)."""
+        hit = self._reach_cache.get(states)
+        if hit is None:
+            seen = set(states)
+            queue = list(states)
+            while queue:
+                q = queue.pop()
+                for p in self._mentioned_states(q):
+                    if p not in seen:
+                        seen.add(p)
+                        queue.append(p)
+            hit = tuple(sorted(seen))
+            self._reach_cache[states] = hit
+        return hit
+
+    def joint_key(self, states: tuple, label):
+        """Label projection joint over the given states; node evaluation
+        results are identical for labels sharing it."""
+        hit = self._proj_cache.get((states, id(label)))
+        if hit is None:
+            hit = tuple(self.rules[q].project(label) for q in states)
+            self._proj_cache[(states, id(label))] = hit
+        return hit
+
+    def assignments(self, q, label):
+        """Minimal satisfying assignments of q's transition on the label,
+        each a tuple of atoms over state ids, in ``stable_key`` order."""
+        key = (q, self.rules[q].project(label))
+        hit = self.assign_cache.get(key)
+        if hit is None:
+            ids = self.ids
+            hit = [
+                tuple(
+                    a[:-1] + (ids[a[-1]],) for a in sorted(s, key=stable_key)
+                )
+                for s in sorted(
+                    sat_assignments(self.aut.delta(self.states[q], label)),
+                    key=lambda s: (len(s), sorted(map(stable_key, s))),
+                )
+            ]
+            self.assign_cache[key] = hit
+        return hit
+
+    def viable_labels(self, q):
+        hit = self.viable.get(q)
+        if hit is None:
+            hit = frozenset(
+                i
+                for i, lab in enumerate(self.aut.labels)
+                if self.assignments(q, lab)
+            )
+            self.viable[q] = hit
+        return hit
+
+
 class _DemandSearch:
     """Search for a finite tree the automaton accepts, with node depth
     at most ``depth`` and (unless relaxed) a bounded number of priority-1
     spawns along any justification path; the bound is the budget the
     caller gives the initial copy.
+
+    States are the ids of a ``_StateTable``, which also holds the caches
+    that depend on the automaton only: the satisfying assignments per
+    guard key, the viable labels, the reach sets and the joint label
+    projections.  Ids follow the ``stable_key`` order of the states, so
+    sorting ids visits states in the same order as sorting the states
+    would.  What a search caches itself (``memo``, ``eval_cache``)
+    depends on its depth and budgets.
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1253,106 +1355,40 @@ class _DemandSearch:
     membership game confirms it.
     """
 
-    def __init__(self, aut: TwoWayAutomaton, depth, relaxed):
-        self.aut = aut
+    def __init__(self, table: _StateTable, depth, relaxed):
+        self.table = table
         self.depth = depth
-        self.relaxed = relaxed
+        self.prios = [0] * len(table.states) if relaxed else table.priorities
         self.work = 0
-        self.assign_cache = {}
         self.memo = {}
-        self.viable = {}
         self.eval_cache = {}
-        self._mentions = {}
-        self._reach_cache = {}
-        self._proj_cache = {}
         # in-progress node evaluations, for tying regular back edges
         self._path = {}
         self._tok_stack = []
         self._tok_counter = itertools.count()
 
-    def _mentioned_states(self, q):
-        """States that can appear in any transition of q, over any label."""
-        hit = self._mentions.get(q)
-        if hit is None:
-            hit = set()
-            for _key, _lab, f in self.aut.transition_classes(q):
-                for atom in formula_atoms(f):
-                    hit.add(atom[-1])
-            self._mentions[q] = hit
-        return hit
-
-    def _reach(self, states: frozenset) -> tuple:
-        """All states that can take part in evaluating a node seeded with
-        the given copies: closure under transition mentions (needs
-        absorbed from children are mentions of mentions)."""
-        hit = self._reach_cache.get(states)
-        if hit is None:
-            seen = set(states)
-            queue = list(states)
-            while queue:
-                q = queue.pop()
-                for p in self._mentioned_states(q):
-                    if p not in seen:
-                        seen.add(p)
-                        queue.append(p)
-            hit = tuple(sorted(seen, key=stable_key))
-            self._reach_cache[states] = hit
-        return hit
-
-    def _joint_key(self, states: tuple, label):
-        """Label projection joint over the given states; node evaluation
-        results are identical for labels sharing it."""
-        hit = self._proj_cache.get((states, id(label)))
-        if hit is None:
-            hit = tuple(self.aut.rules[q].project(label) for q in states)
-            self._proj_cache[(states, id(label))] = hit
-        return hit
-
     def _tick(self):
         self.work += 1
         if self.work > WORK_LIMIT:
+            aut = self.table.aut
             raise ResourceLimitError(
                 f"emptiness search exceeded {WORK_LIMIT} steps "
-                f"(states={len(self.aut.rules)}, labels={len(self.aut.labels)}, "
+                f"(states={len(aut.rules)}, labels={len(aut.labels)}, "
                 f"depth={self.depth})"
             )
-
-    def assignments(self, q, label):
-        rule = self.aut.rules[q]
-        key = (q, rule.project(label))
-        hit = self.assign_cache.get(key)
-        if hit is None:
-            hit = [
-                tuple(sorted(s, key=stable_key))
-                for s in sorted(
-                    sat_assignments(self.aut.delta(q, label)),
-                    key=lambda s: (len(s), sorted(map(stable_key, s))),
-                )
-            ]
-            self.assign_cache[key] = hit
-        return hit
-
-    def viable_labels(self, q):
-        hit = self.viable.get(q)
-        if hit is None:
-            hit = frozenset(
-                i
-                for i, lab in enumerate(self.aut.labels)
-                if self.assignments(q, lab)
-            )
-            self.viable[q] = hit
-        return hit
 
     # -- one node -----------------------------------------------------------
 
     def eval_label(self, copies, label, depth, is_root):
-        states = self._reach(frozenset(q for q, _b in copies))
+        # copies are (state id, budget) pairs; the reach set and the
+        # joint projection come from the table every stage shares
+        states = self.table.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
         # so results are shared across recursion levels.  A reused entry
         # first computed at a shallower remaining depth can only make the
         # search miss trees near the cap, which the staged schedule and the
         # oracle cross-checks already tolerate.
-        jk = self._joint_key(states, label)
+        jk = self.table.joint_key(states, label)
         # An in-progress ancestor evaluation with the same copies and an
         # interchangeable label can absorb this position as a back edge:
         # the resulting regular tree repeats the ancestor's subtree
@@ -1365,9 +1401,8 @@ class _DemandSearch:
         # back edge out.
         pk = (copies, jk)
         anc = self._path.get(pk)
-        if anc is not None and all(
-            self.aut.priority(q) == 0 for q, _b in copies
-        ):
+        prio = self.table.priorities
+        if anc is not None and all(prio[q] == 0 for q, _b in copies):
             return {frozenset(): ("loop", anc)}
         ck = (copies, jk, is_root)
         cached = self.eval_cache.get(ck)
@@ -1378,14 +1413,16 @@ class _DemandSearch:
             # computed with.
             if hit or cd >= depth:
                 return hit
-        pending = sorted(copies, key=lambda t: stable_key(t[0]))
+        # copies hold one budget per state, so this is the states' order
+        pending = sorted(copies)
         tok = next(self._tok_counter)
         prev = self._path.get(pk)
         self._path[pk] = tok
         self._tok_stack.append(tok)
         hit = {}
         try:
-            self._close({}, pending, {}, {}, {}, label, depth, is_root, hit)
+            self._close({}, pending, {}, {}, {}, label, depth, is_root, hit,
+                        {})
         finally:
             self._tok_stack.pop()
             if prev is None:
@@ -1401,7 +1438,7 @@ class _DemandSearch:
         return hit
 
     def _close(self, proc, pending, needs, dia, box, label, depth, is_root,
-               out):
+               out, asg_here):
         # Depth-first over the assignment choices of the pending copies,
         # on an explicit stack rather than one recursive call per choice.
         # CPython 3.11 frees and maps an interpreter stack chunk whenever
@@ -1409,10 +1446,34 @@ class _DemandSearch:
         # thousands of page faults per search, as many as its starting
         # depth happened to put at a boundary.  Choices are pushed in
         # reverse, so they pop in the recursion's order.
-        prios = {} if self.relaxed else self.aut.priorities
+        #
+        # Different choice orders reach the same configuration again and
+        # again: copy a spawning b and then b spawning c closes to the
+        # same copies as the other way round.  So each configuration,
+        # keyed on its processed copies, the set of its pending copies,
+        # its needs and its child obligations, is expanded at its first
+        # pop only.  That pop is the one the search always took first,
+        # so the plans recorded first, and with them the certificates,
+        # stay the same.  Taking the same pending copies in another order
+        # can only add obligations: a copy of a state with a larger
+        # budget is skipped once a smaller one has been processed.  The
+        # keys hold state ids, cheap to hash where the product states
+        # are nested tuples.  ``asg_here`` keeps each state's assignments
+        # on this node's label for the whole node evaluation.
+        prios = self.prios
+        assignments = self.table.assignments
+        seen = set()
         stack = [(proc, pending, needs, dia, box)]
         while stack:
             proc, pending, needs, dia, box = stack.pop()
+            conf = (
+                frozenset(proc.items()), frozenset(pending),
+                frozenset(needs.items()), frozenset(dia.items()),
+                frozenset(box.items()),
+            )
+            if conf in seen:
+                continue
+            seen.add(conf)
             self._tick()
             while pending:
                 q, b = pending[-1]
@@ -1422,11 +1483,14 @@ class _DemandSearch:
                 break
             else:
                 self._assemble(proc, needs, dia, box, label, depth, is_root,
-                               out)
+                               out, asg_here)
                 continue
             proc = dict(proc)
             proc[q] = min(proc.get(q, _BIG), b)
-            for asg in reversed(self.assignments(q, label)):
+            asgs = asg_here.get(q)
+            if asgs is None:
+                asgs = asg_here[q] = assignments(q, label)
+            for asg in reversed(asgs):
                 nd, di, bx = dict(needs), dict(dia), dict(box)
                 pe = list(pending)
                 ok = True
@@ -1444,7 +1508,7 @@ class _DemandSearch:
                             )
                         if atom[1] == 0 and tag == "dx":
                             continue
-                    nb = b - prios.get(p, 0)
+                    nb = b - prios[p]
                     if nb < 0:
                         ok = False
                         break
@@ -1486,20 +1550,22 @@ class _DemandSearch:
                 del out[m]
         out[n] = plan
 
-    def _assemble(self, proc, needs, dia, box, label, depth, is_root, out):
+    def _assemble(self, proc, needs, dia, box, label, depth, is_root, out,
+                  asg_here):
         self._tick()
         if not dia:
             self._record(out, needs, ("leaf", label))
             return
         if depth <= 0:
             return
-        items = sorted(dia.items(), key=stable_key)
+        # state ids are unique among the keys, so these compare ids only
+        items = sorted(dia.items())
         if len(items) > MAX_DIA:
             raise ResourceLimitError(
                 f"a node accumulated {len(items)} child obligations, "
                 f"cap is {MAX_DIA}"
             )
-        box_items = sorted(box.items(), key=stable_key)
+        box_items = sorted(box.items())
         for blocks in _set_partitions(items):
             excl_opts = []
             for (p, n), _b in box_items:
@@ -1520,10 +1586,7 @@ class _DemandSearch:
                 if any(not s for s in solved):
                     continue
                 options = [
-                    sorted(
-                        s.items(),
-                        key=lambda kv: (len(kv[0]), sorted(map(stable_key, kv[0]))),
-                    )
+                    sorted(s.items(), key=lambda kv: _needs_order(kv[0]))
                     for s in solved
                 ]
                 for combo in itertools.product(*options):
@@ -1533,12 +1596,12 @@ class _DemandSearch:
                             absorbed[p] = min(absorbed.get(p, _BIG), bb)
                     newpend = [
                         (p, bb)
-                        for p, bb in sorted(absorbed.items(), key=stable_key)
+                        for p, bb in sorted(absorbed.items())
                         if proc.get(p, _BIG) > bb
                     ]
                     if newpend:
                         self._close(proc, newpend, needs, dia, box, label,
-                                    depth, is_root, out)
+                                    depth, is_root, out, asg_here)
                     else:
                         plan = ("node", label, [pl for _nk, pl in combo],
                                 self._tok_stack[-1])
@@ -1551,19 +1614,20 @@ class _DemandSearch:
         cached = self.memo.get(key)
         if cached is not None and cached[0] >= depth:
             return cached[1]
+        table = self.table
         viable = None
         for q, _b in copies:
-            v = self.viable_labels(q)
+            v = table.viable_labels(q)
             viable = v if viable is None else (viable & v)
             if not viable:
                 break
         res = {}
         if viable:
-            states = self._reach(frozenset(q for q, _b in copies))
+            states = table.reach(frozenset(q for q, _b in copies))
             seen_keys = set()
             for i in sorted(viable):
-                label = self.aut.labels[i]
-                jk = self._joint_key(states, label)
+                label = table.aut.labels[i]
+                jk = table.joint_key(states, label)
                 if jk in seen_keys:
                     continue
                 seen_keys.add(jk)
@@ -1624,14 +1688,14 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for a finite accepted tree.
 
     Two passes over the stages of ``DEFAULT_SCHEDULE``, one search per
-    stage.  The budget-free relaxed search over-approximates the plan
-    space: if it finds nothing up to the deepest scheduled depth, the
-    language has no finite tree within that depth; if its plan passes
-    the membership game, that is a genuine witness.  Only when the
-    relaxed pass produces a spurious plan (a priority-1 state justified
-    through its own obligations) does the budgeted exact search run,
-    whose plans are valid unless they close a back edge, and which has
-    to grind through far more configurations.
+    stage, all on one ``_StateTable`` of the automaton.  The budget-free
+    relaxed search over-approximates the plan space: if it finds nothing
+    up to the deepest scheduled depth, the language has no finite tree
+    within that depth; if its plan passes the membership game, that is a
+    genuine witness.  Only when the relaxed pass produces a spurious plan
+    (a priority-1 state justified through its own obligations) does the
+    budgeted exact search run, whose plans are valid unless they close a
+    back edge, and which has to grind through far more configurations.
 
     ``stats`` holds the summed ``work`` and the number of ``stages`` of
     all searches run, ``certificate_nodes`` of the returned certificate,
@@ -1647,13 +1711,13 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
         raise UnsupportedAutomatonError(
             "emptiness supports priorities 0 and 1 only"
         )
+    table = _StateTable(aut)
+    init = table.ids[aut.initial]
     stats = {"work": 0, "stages": 0}
     for relaxed in (True, False):
         for budget, depth in DEFAULT_SCHEDULE:
-            search = _DemandSearch(aut, depth, relaxed)
-            start = frozenset(
-                [(aut.initial, budget - aut.priority(aut.initial))]
-            )
+            search = _DemandSearch(table, depth, relaxed)
+            start = frozenset([(init, budget - aut.priority(aut.initial))])
             stats["stages"] += 1
             accepted = None
             for label in aut.root_labels:

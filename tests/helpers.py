@@ -334,6 +334,20 @@ def criterion6_problem(rng):
     return t1, t2, make_problem(parse_tbox(t1), parse_tbox(t2), sig, sig)
 
 
+def chain_problem(n):
+    """The concept chain of length n: T1 is ``C0 sub C1 … sub Cn``, T2
+    adds ``C0 sub some r C1``; ABoxes speak of C0 and r, queries of Cn
+    and r.  Under T2 a C0 individual has an anonymous r-successor in
+    C1..Cn, so "r(x, y), Cn(y)" separates the TBoxes for every n."""
+    t1 = "\n".join(f"C{i} sub C{i + 1}" for i in range(n))
+    return make_problem(
+        parse_tbox(t1),
+        parse_tbox(t1 + "\nC0 sub some r C1"),
+        parse_signature("concepts: C0\nroles: r"),
+        parse_signature(f"concepts: C{n}\nroles: r"),
+    )
+
+
 def random_regular_tree(rng, labels, max_nodes):
     """A random regular tree representation over the given labels: every
     node gets 0-2 children drawn from the node pool, so back edges and

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_formula, random_regular_tree, small_trees
+from conftest import within
+from helpers import (
+    chain_problem,
+    eval_formula,
+    random_regular_tree,
+    small_trees,
+)
 from hornsep import normalize, parse_signature, parse_tbox
 from hornsep.automata import (
     FALSE,
@@ -30,7 +36,11 @@ from hornsep.automata import (
     sat_assignments,
     up_may,
     up_must,
+    _needs_order,
+    _StateTable,
 )
+from hornsep.entailment import decide_cq_entailment
+from hornsep.models import stable_key
 
 
 def toy(name, rules, init, pri, labels, root_labels=None):
@@ -343,3 +353,51 @@ def test_dump_is_stable_within_process(advisor_parts):
     prod = intersect(parts)
     assert prod.dump() == prod.dump()
     assert "state" in prod.dump()
+
+
+def test_state_ids_sort_like_stable_key(advisor_parts):
+    """The search sorts state ids where it once sorted states by
+    ``stable_key``; the copies, child obligations and need-sets it
+    sorts must come out in the same order, so that certificates do not
+    move."""
+    _ctx, parts = advisor_parts
+    prod = intersect(parts)
+    table = _StateTable(prod)
+    by_key = sorted(prod.rules, key=stable_key)
+    assert len({stable_key(q) for q in by_key}) == len(by_key)
+    assert table.states == by_key
+    assert [table.ids[q] for q in by_key] == list(range(len(by_key)))
+
+    def old_key(pair):  # how the search rendered a (state, budget) pair
+        return stable_key((table.states[pair[0]], pair[1]))
+
+    rng = random.Random(11)
+    n = len(by_key)
+    for _ in range(200):
+        pairs = [(p, rng.randint(0, 10)) for p in rng.sample(range(n), 4)]
+        assert sorted(pairs) == sorted(pairs, key=old_key)
+    # Budgets of the budgeted pass run from 0 to 10, and rendered as
+    # text 10 sorts before 4; need-sets keep that order.
+    assert _needs_order({(0, 10)}) < _needs_order({(0, 4)})
+    needsets = {
+        frozenset(
+            (p, rng.randint(0, 10))
+            for p in rng.sample(range(n), rng.randint(1, 3))
+        )
+        for _ in range(300)
+    } | {frozenset([(p, b)]) for p in range(3) for b in range(11)}
+    by_old = sorted(
+        needsets, key=lambda nk: (len(nk), sorted(map(old_key, nk)))
+    )
+    assert sorted(needsets, key=_needs_order) == by_old
+
+
+def test_chain_work_grows_at_most_two_and_a_half_times():
+    """The emptiness work of the concept chain grows at most 2.5 times
+    from length 7 to length 8, while the certificate stays at 7 nodes."""
+    with within(30):
+        d7 = decide_cq_entailment(chain_problem(7))
+        d8 = decide_cq_entailment(chain_problem(8))
+    assert not d7.entails and not d8.entails
+    assert d8.stats["certificate_nodes"] == 7
+    assert d8.stats["work"] <= 2.5 * d7.stats["work"]

@@ -14,8 +14,10 @@ import warnings
 import pytest
 
 from conftest import problem
-from helpers import criterion6_problem
+from helpers import chain_problem, criterion6_problem
 from hornsep import HornsepError, entailment
+from hornsep.automata import is_empty
+from hornsep.entailment import build_pipeline
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -113,3 +115,35 @@ def test_oracle_witnesses_match_golden():
         w = entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
         got.append(w.to_json_obj() if w else None)
     assert got == want
+
+
+def _certificates():
+    """``RegularTreeRep.to_json()`` of ``is_empty``'s certificate, or
+    None, on the cq and 1tcq products of the fixtures, the chains of
+    length 1..7 and the seed-601 criterion-6 draws 13, 18, 40 and 83,
+    whose relaxed plans fail the game, so their certificates come from
+    the budgeted pass."""
+    cases = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for fixture, texts in FIXTURES.items():
+            p = problem(*texts)
+            cases[f"{fixture}/cq"] = (p, False)
+            cases[f"{fixture}/1tcq"] = (p, True)
+    for n in range(1, 8):
+        cases[f"chain/{n}"] = (chain_problem(n), False)
+    rng = random.Random(601)
+    draws = [criterion6_problem(rng)[2] for _ in range(84)]
+    for i in (13, 18, 40, 83):
+        cases[f"c6/{i:03d}"] = (draws[i], False)
+    out = {}
+    for case, (p, sim) in cases.items():
+        _ctx, prod = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim=sim)
+        cert = is_empty(prod).certificate
+        out[case] = cert.to_json() if cert else None
+    return out
+
+
+def test_certificates_match_golden():
+    want = json.loads((DATA / "certificates.json").read_text())
+    assert _certificates() == want
