@@ -250,9 +250,6 @@ def _closed_concept_sets(tbox: NormalTBox, universe: frozenset) -> list:
 
 @dataclass
 class LabelContext:
-    tbox1: NormalTBox
-    tbox2: NormalTBox
-    sigA: Signature
     sigQ: Signature
     theta0_concepts: frozenset
     theta0_roles: frozenset
@@ -334,7 +331,7 @@ def build_label_context(
         l for l in labels if l.c0 and not l.r0 and not l.r1
     ]
     return LabelContext(
-        tbox1, tbox2, sigA, sigQ,
+        sigQ,
         th0c, th0r, th1c, th1r, th2c, th2r,
         labels, root_labels,
     )
@@ -468,7 +465,6 @@ def intersect(automata: list) -> TwoWayAutomaton:
         )
 
     rules[init] = StateRule(init_project, init_build)
-    priorities[init] = 0
     return TwoWayAutomaton(
         "(" + "&".join(a.name for a in automata) + ")",
         init,
@@ -482,7 +478,7 @@ def intersect(automata: list) -> TwoWayAutomaton:
 # ---------------------------------------------------------------------------
 # A1: L0 spells out a finite tree-shaped ABox rooted at the tree root
 
-def build_A1(sigA: Signature, ctx: LabelContext) -> TwoWayAutomaton:
+def build_A1(ctx: LabelContext) -> TwoWayAutomaton:
     th0c = ctx.theta0_concepts
     th0r = ctx.theta0_roles
 
@@ -509,9 +505,9 @@ def build_A1(sigA: Signature, ctx: LabelContext) -> TwoWayAutomaton:
         ("1", "nd"): StateRule(l0_key, nd_build),
         ("1", "off"): StateRule(lambda l: l.l0_empty(), off_build),
     }
-    priorities = {("1", "init"): 0, ("1", "nd"): 1, ("1", "off"): 0}
     return TwoWayAutomaton(
-        "A1", ("1", "init"), priorities, rules, ctx.labels, ctx.root_labels
+        "A1", ("1", "init"), {("1", "nd"): 1}, rules, ctx.labels,
+        ctx.root_labels,
     )
 
 
@@ -598,31 +594,25 @@ def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
             q0_build,
         )
     }
-    priorities = {("2", "q0"): 0}
-
-    def add_test(state, rule):
-        rules[state] = rule
-        priorities[state] = 0
-
     for b in sorted(ctx.theta1_concepts):
         has_b = lambda l, b=b: b in l.c1
-        add_test(("2", "c1", b), _test(has_b, bool))
-        add_test(("2", "nc1", b), _test(has_b, bool, FALSE, TRUE))
+        rules[("2", "c1", b)] = _test(has_b, bool)
+        rules[("2", "nc1", b)] = _test(has_b, bool, FALSE, TRUE)
     for _a, r, b in exs:
-        add_test(("2", "dn", r, b), _test(
+        rules[("2", "dn", r, b)] = _test(
             lambda l, r=r, b=b: (r in l.r1, b in l.c1), all
-        ))
+        )
     for a, r, _b in alls:
         u = r.inverse()
-        add_test(("2", "na", u, a), _test(
+        rules[("2", "na", u, a)] = _test(
             lambda l, u=u, a=a: (u in l.r1, a in l.c1), all, FALSE, TRUE
-        ))
+        )
     for fr in funcs:
-        add_test(("2", "nr1", fr), _test(
+        rules[("2", "nr1", fr)] = _test(
             lambda l, fr=fr: fr in l.r1, bool, FALSE, TRUE
-        ))
+        )
     return TwoWayAutomaton(
-        "A2", ("2", "q0"), priorities, rules, ctx.labels, ctx.root_labels
+        "A2", ("2", "q0"), {}, rules, ctx.labels, ctx.root_labels
     )
 
 
@@ -709,11 +699,9 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         return f_and(*[here(("3", "f", fr)) for fr in funcs])
 
     rules[("3", "q0")] = StateRule(lambda l: l.l0_empty(), q0_build)
-    priorities[("3", "q0")] = 0
     rules[("3", "q0p")] = StateRule(
         lambda l: (tuple(sorted(l.c2)),), q0p_build
     )
-    priorities[("3", "q0p")] = 0
     rules[("3", "q1")] = StateRule(
         lambda l: (
             l.l0_empty(),
@@ -722,7 +710,6 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         ),
         q1_build,
     )
-    priorities[("3", "q1")] = 0
 
     def r0_key(l):
         return tuple(sorted(map(str, l.r0)))
@@ -733,7 +720,6 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
             return down_allbut(("3", "nf", fr), 0 if par else 1)
 
         rules[("3", "f", fr)] = StateRule(r0_key, f_build)
-        priorities[("3", "f", fr)] = 0
 
         def nf_build(l, fr=fr):
             return (
@@ -743,7 +729,6 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
             )
 
         rules[("3", "nf", fr)] = StateRule(r0_key, nf_build)
-        priorities[("3", "nf", fr)] = 0
 
     edge_states = set()
     for a in th2c:
@@ -784,14 +769,11 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         rules[qa(a)] = StateRule(proj, qa_build)
         priorities[qa(a)] = 1
         rules[qna(a)] = StateRule(proj, qna_build)
-        priorities[qna(a)] = 0
 
     for u, b in sorted(edge_states):
         has_u = lambda l, u=u: u in l.r0
         rules[("3", "e", u, b)] = _test(has_u, bool, here(qa(b)))
-        priorities[("3", "e", u, b)] = 0
         rules[("3", "ne", u, b)] = _test(has_u, bool, here(qna(b)), TRUE)
-        priorities[("3", "ne", u, b)] = 0
 
     return TwoWayAutomaton(
         "A3", ("3", "q0"), priorities, rules, ctx.labels, ctx.root_labels
@@ -806,8 +788,6 @@ class _T2Space:
     """Type graphs of T2 below every label type, shared across states."""
 
     def __init__(self, tbox2: NormalTBox, ctx: LabelContext):
-        self.tbox2 = tbox2
-        self.idx2 = index_for(tbox2)
         self.qroles = ctx.sigQ.roles
         self.edges = {}  # TGNode -> list[(rho, child TGNode)]
         self.roots = {}  # c2 -> root TGNode
@@ -910,7 +890,6 @@ def build_A4(
 
     proj_q1, build_q1 = _q1_test(ctx)
     rules[(tag, "q1")] = StateRule(proj_q1, build_q1)
-    priorities[(tag, "q1")] = 0
 
     for node in sorted(space.edges, key=stable_key):
         tq = frozenset(a for a in node.type if a in qconcepts)
@@ -947,7 +926,6 @@ def build_A4(
                     lambda l, rq=rq: all(r.inverse() in l.r1 for r in rq),
                     n2r_build,
                 )
-                priorities[st] = 0
 
                 std = (tag, "n2d", key, child)
                 if std not in rules:
@@ -955,7 +933,6 @@ def build_A4(
                         lambda l, rq=rq: rq <= l.r1, bool,
                         here(n2(child)), TRUE,
                     )
-                    priorities[std] = 0
 
     if sim:
         return TwoWayAutomaton(
@@ -978,7 +955,6 @@ def build_A4(
             )
 
         rules[st] = StateRule(lambda l: (), n3_build)
-        priorities[st] = 0
 
         bt = ("4", "n3b", node.type)
         if bt not in rules:
@@ -988,7 +964,6 @@ def build_A4(
                     TRUE if l.l0_empty() or not finhom(l.c1, t) else FALSE
                 ),
             )
-            priorities[bt] = 0
 
     return TwoWayAutomaton(
         "A4", ("4", "q0"), priorities, rules, ctx.labels, ctx.root_labels
@@ -1222,30 +1197,74 @@ _UP = ("up!", "up?")
 _COUNTED = ("dx", "dab")
 
 
-def _needs_order(nk):
-    """Sort key of a need-set of (state id, budget) pairs: by size, then
-    by the pairs as ``stable_key`` orders them, which compares budgets
-    as text (10 before 4) and state ids as numbers."""
-    return len(nk), sorted((p, str(b)) for p, b in nk)
+class _DemandSearch:
+    """Search for a finite tree the automaton accepts, with bounded node
+    depth and (unless relaxed) a bounded number of priority-1 spawns
+    along any justification path; the bound is the budget the caller
+    gives the initial copy.
 
+    ``is_empty`` runs one search per pass and deepens it stage by stage.
+    States are numbered in ``stable_key`` order, so sorting ids visits
+    them in that order.  The search keeps its tables (assignments per
+    guard key, viable labels, reach sets, joint label projections) and
+    the results of positions (``memo``) and node evaluations
+    (``eval_cache``) for all its stages; a stage reuses a result as a
+    deeper recursion level does (see ``eval_label``).
 
-class _StateTable:
-    """The product states of one automaton numbered in ``stable_key``
-    order, with every table and cache of the search that depends on the
-    automaton only.  ``is_empty`` builds one and shares it among the
-    searches of all its stages."""
+    A node is processed as a set of state copies, each carrying its
+    remaining budget.  Minimal satisfying assignments of each copy's
+    transition spawn further copies here, obligations on children, and
+    needs addressed to the parent; children are solved recursively (all
+    ways of grouping the child obligations into shared children), and
+    whatever the chosen children in turn need from this node is absorbed
+    as new copies until the configuration closes.  The value of a child
+    position is the antichain of minimal need-sets it can realize.
 
-    def __init__(self, aut: TwoWayAutomaton):
+    The budget is what keeps justifications of priority-1 states well
+    founded: a copy already processed at a node discharges later demands
+    for it, which is a coinductive argument, sound for priority 0 but
+    not for priority 1 (a state may otherwise end up justified through
+    its own pending obligations, e.g. by bouncing between a node and its
+    parent).  Hence loop-free plans found under a budget always pass the
+    membership game, at the price of missing witnesses that need deeper
+    nesting than the budget allows.
+
+    In ``relaxed`` mode no spawn costs budget, so every copy keeps the
+    initial one.  The plan set then over-approximates the budgeted one
+    for every budget, so a relaxed search that comes up empty is a sound
+    emptiness proof, while a relaxed plan is only a candidate until the
+    membership game confirms it.
+    """
+
+    def __init__(self, aut: TwoWayAutomaton, relaxed):
         self.aut = aut
         self.states = sorted(aut.rules, key=stable_key)
         self.ids = {q: i for i, q in enumerate(self.states)}
         self.rules = [aut.rules[q] for q in self.states]
         self.priorities = [aut.priority(q) for q in self.states]
+        self.prios = [0] * len(self.states) if relaxed else self.priorities
         self.assign_cache = {}
         self.viable = {}
         self._mentions = {}
         self._reach_cache = {}
         self._proj_cache = {}
+        self.memo = {}
+        self.eval_cache = {}
+        self.work = 0
+        self.stage_depth = self.limit = None
+        # in-progress node evaluations, for tying regular back edges
+        self._path = {}
+        self._tok_stack = []
+        self._tok_counter = itertools.count()
+
+    def root_plans(self, start, depth):
+        """One stage of the schedule: the plan of each root label that
+        has one, for trees up to ``depth``, in ``WORK_LIMIT`` more steps."""
+        self.stage_depth, self.limit = depth, self.work + WORK_LIMIT
+        for label in self.aut.root_labels:
+            plan = self.eval_label(start, label, depth, True).get(frozenset())
+            if plan is not None:
+                yield plan
 
     def _mentioned_states(self, q):
         """States that can appear in any transition of q, over any label."""
@@ -1315,80 +1334,26 @@ class _StateTable:
             self.viable[q] = hit
         return hit
 
-
-class _DemandSearch:
-    """Search for a finite tree the automaton accepts, with node depth
-    at most ``depth`` and (unless relaxed) a bounded number of priority-1
-    spawns along any justification path; the bound is the budget the
-    caller gives the initial copy.
-
-    States are the ids of a ``_StateTable``, which also holds the caches
-    that depend on the automaton only: the satisfying assignments per
-    guard key, the viable labels, the reach sets and the joint label
-    projections.  Ids follow the ``stable_key`` order of the states, so
-    sorting ids visits states in the same order as sorting the states
-    would.  What a search caches itself (``memo``, ``eval_cache``)
-    depends on its depth and budgets.
-
-    A node is processed as a set of state copies, each carrying its
-    remaining budget.  Minimal satisfying assignments of each copy's
-    transition spawn further copies here, obligations on children, and
-    needs addressed to the parent; children are solved recursively (all
-    ways of grouping the child obligations into shared children), and
-    whatever the chosen children in turn need from this node is absorbed
-    as new copies until the configuration closes.  The value of a child
-    position is the antichain of minimal need-sets it can realize.
-
-    The budget is what keeps justifications of priority-1 states well
-    founded: a copy already processed at a node discharges later demands
-    for it, which is a coinductive argument, sound for priority 0 but
-    not for priority 1 (a state may otherwise end up justified through
-    its own pending obligations, e.g. by bouncing between a node and its
-    parent).  Hence loop-free plans found under a budget always pass the
-    membership game, at the price of missing witnesses that need deeper
-    nesting than the budget allows.
-
-    In ``relaxed`` mode no spawn costs budget, so every copy keeps the
-    initial one.  The plan set then over-approximates the budgeted one
-    for every budget, so a relaxed search that comes up empty is a sound
-    emptiness proof, while a relaxed plan is only a candidate until the
-    membership game confirms it.
-    """
-
-    def __init__(self, table: _StateTable, depth, relaxed):
-        self.table = table
-        self.depth = depth
-        self.prios = [0] * len(table.states) if relaxed else table.priorities
-        self.work = 0
-        self.memo = {}
-        self.eval_cache = {}
-        # in-progress node evaluations, for tying regular back edges
-        self._path = {}
-        self._tok_stack = []
-        self._tok_counter = itertools.count()
-
     def _tick(self):
         self.work += 1
-        if self.work > WORK_LIMIT:
-            aut = self.table.aut
+        if self.work > self.limit:
             raise ResourceLimitError(
                 f"emptiness search exceeded {WORK_LIMIT} steps "
-                f"(states={len(aut.rules)}, labels={len(aut.labels)}, "
-                f"depth={self.depth})"
+                f"(states={len(self.states)}, labels={len(self.aut.labels)}, "
+                f"depth={self.stage_depth})"
             )
 
     # -- one node -----------------------------------------------------------
 
     def eval_label(self, copies, label, depth, is_root):
-        # copies are (state id, budget) pairs; the reach set and the
-        # joint projection come from the table every stage shares
-        states = self.table.reach(frozenset(q for q, _b in copies))
+        # copies are (state id, budget) pairs
+        states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
-        # so results are shared across recursion levels.  A reused entry
-        # first computed at a shallower remaining depth can only make the
-        # search miss trees near the cap, which the staged schedule and the
-        # oracle cross-checks already tolerate.
-        jk = self.table.joint_key(states, label)
+        # so results are shared across recursion levels and across the
+        # stages of the schedule.  A reused entry first computed at a
+        # shallower remaining depth can only make the search miss trees
+        # near the cap, which the oracle cross-checks already tolerate.
+        jk = self.joint_key(states, label)
         # An in-progress ancestor evaluation with the same copies and an
         # interchangeable label can absorb this position as a back edge:
         # the resulting regular tree repeats the ancestor's subtree
@@ -1401,7 +1366,7 @@ class _DemandSearch:
         # back edge out.
         pk = (copies, jk)
         anc = self._path.get(pk)
-        prio = self.table.priorities
+        prio = self.priorities
         if anc is not None and all(prio[q] == 0 for q, _b in copies):
             return {frozenset(): ("loop", anc)}
         ck = (copies, jk, is_root)
@@ -1461,7 +1426,7 @@ class _DemandSearch:
         # are nested tuples.  ``asg_here`` keeps each state's assignments
         # on this node's label for the whole node evaluation.
         prios = self.prios
-        assignments = self.table.assignments
+        assignments = self.assignments
         seen = set()
         stack = [(proc, pending, needs, dia, box)]
         while stack:
@@ -1586,7 +1551,8 @@ class _DemandSearch:
                 if any(not s for s in solved):
                     continue
                 options = [
-                    sorted(s.items(), key=lambda kv: _needs_order(kv[0]))
+                    sorted(s.items(),
+                           key=lambda kv: (len(kv[0]), sorted(kv[0])))
                     for s in solved
                 ]
                 for combo in itertools.product(*options):
@@ -1614,20 +1580,19 @@ class _DemandSearch:
         cached = self.memo.get(key)
         if cached is not None and cached[0] >= depth:
             return cached[1]
-        table = self.table
         viable = None
         for q, _b in copies:
-            v = table.viable_labels(q)
+            v = self.viable_labels(q)
             viable = v if viable is None else (viable & v)
             if not viable:
                 break
         res = {}
         if viable:
-            states = table.reach(frozenset(q for q, _b in copies))
+            states = self.reach(frozenset(q for q, _b in copies))
             seen_keys = set()
             for i in sorted(viable):
-                label = table.aut.labels[i]
-                jk = table.joint_key(states, label)
+                label = self.aut.labels[i]
+                jk = self.joint_key(states, label)
                 if jk in seen_keys:
                     continue
                 seen_keys.add(jk)
@@ -1687,19 +1652,20 @@ def _plan_to_rep(plan) -> RegularTreeRep:
 def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for a finite accepted tree.
 
-    Two passes over the stages of ``DEFAULT_SCHEDULE``, one search per
-    stage, all on one ``_StateTable`` of the automaton.  The budget-free
-    relaxed search over-approximates the plan space: if it finds nothing
-    up to the deepest scheduled depth, the language has no finite tree
-    within that depth; if its plan passes the membership game, that is a
-    genuine witness.  Only when the relaxed pass produces a spurious plan
-    (a priority-1 state justified through its own obligations) does the
-    budgeted exact search run, whose plans are valid unless they close a
-    back edge, and which has to grind through far more configurations.
+    Two passes, one ``_DemandSearch`` each, deepened stage by stage over
+    ``DEFAULT_SCHEDULE``; a stage keeps what the shallower ones found.
+    The budget-free relaxed search over-approximates the plan space: if
+    it finds nothing up to the deepest scheduled depth, the language has
+    no finite tree within that depth; if its plan passes the membership
+    game, that is a genuine witness.  Only when the relaxed pass
+    produces a spurious plan (a priority-1 state justified through its
+    own obligations) does the budgeted exact search run, whose plans are
+    valid unless they close a back edge, and which has to grind through
+    far more configurations.  Each stage may take ``WORK_LIMIT`` steps.
 
-    ``stats`` holds the summed ``work`` and the number of ``stages`` of
-    all searches run, ``certificate_nodes`` of the returned certificate,
-    and ``spurious_relaxed_plan`` when the budgeted pass ran.
+    ``stats`` holds the ``work`` and the number of ``stages`` summed over
+    both passes, ``certificate_nodes`` of the returned certificate, and
+    ``spurious_relaxed_plan`` when the budgeted pass ran.
 
     A nonempty verdict always carries a game-checked certificate.  An
     empty verdict means no finite tree exists within the scheduled caps;
@@ -1711,21 +1677,18 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
         raise UnsupportedAutomatonError(
             "emptiness supports priorities 0 and 1 only"
         )
-    table = _StateTable(aut)
-    init = table.ids[aut.initial]
     stats = {"work": 0, "stages": 0}
     for relaxed in (True, False):
+        search = _DemandSearch(aut, relaxed)
+        init = search.ids[aut.initial]
         for budget, depth in DEFAULT_SCHEDULE:
-            search = _DemandSearch(table, depth, relaxed)
-            start = frozenset([(init, budget - aut.priority(aut.initial))])
+            # the relaxed pass spends no budget, so its start copy needs
+            # none, and its stages ask for the same positions
+            b = 0 if relaxed else budget - aut.priority(aut.initial)
+            start = frozenset([(init, b)])
             stats["stages"] += 1
             accepted = None
-            for label in aut.root_labels:
-                plan = search.eval_label(start, label, depth, True).get(
-                    frozenset()
-                )
-                if plan is None:
-                    continue
+            for plan in search.root_plans(start, depth):
                 rep = _plan_to_rep(plan)
                 accepted = run_on_regular_tree(aut, rep)
                 if accepted or relaxed:
@@ -1737,13 +1700,14 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
                     )
                 # a rejected back-edge plan is discarded, not treated as
                 # an internal inconsistency
-            stats["work"] += search.work
             if accepted:
+                stats["work"] += search.work
                 stats["certificate_nodes"] = rep.node_count()
                 return EmptinessResult(False, rep, stats)
             if relaxed and accepted is False:
                 stats["spurious_relaxed_plan"] = True
                 break
+        stats["work"] += search.work
         if "spurious_relaxed_plan" not in stats:
             break
     return EmptinessResult(True, None, stats)

@@ -18,6 +18,7 @@ branch on them:
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import sys
@@ -88,13 +89,25 @@ class _TimeoutAlarm(Exception):
     pass
 
 
+def _limit(value, option: str, env: str, kind):
+    """A limit from its option, else from its environment variable, or
+    None; it must be a finite nonnegative ``kind``."""
+    if value is None and os.environ.get(env):
+        option = f"{env}={os.environ[env]!r}"
+        try:
+            value = kind(os.environ[env])
+        except ValueError:
+            value = -1
+    if value is not None and not 0 <= value < math.inf:
+        _fail(f"{option}: not a finite nonnegative {kind.__name__}",
+              EXIT_USAGE)
+    return value
+
+
 def _apply_limits(time_limit: float | None, memory_mb: int | None):
-    if time_limit is None:
-        env = os.environ.get("HORNSEP_TIME_LIMIT")
-        time_limit = float(env) if env else None
-    if memory_mb is None:
-        env = os.environ.get("HORNSEP_MEMORY_MB")
-        memory_mb = int(env) if env else None
+    time_limit = _limit(time_limit, "--time-limit", "HORNSEP_TIME_LIMIT",
+                        float)
+    memory_mb = _limit(memory_mb, "--memory-mb", "HORNSEP_MEMORY_MB", int)
     if memory_mb:
         try:
             import resource
@@ -140,7 +153,28 @@ def _shared_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  A usage error exits ``EXIT_USAGE`` with an
+    ``error:`` line, as other bad input does, not with click's 2, which
+    is the precheck-failure code here."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_checked(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_checked(super().invoke, ctx)
+
+
+def _usage_checked(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        if exc.ctx is not None:
+            click.echo(exc.ctx.get_usage(), err=True)
+        _fail(exc.format_message(), EXIT_USAGE)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Decide entailment, inseparability, and conservative extensions
     between Horn description logic TBoxes."""
@@ -269,7 +303,7 @@ def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
     try:
         ctx = automata.build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
         built = {
-            "a1": lambda: automata.build_A1(p.sigA, ctx),
+            "a1": lambda: automata.build_A1(ctx),
             "a2": lambda: automata.build_A2(p.t1, ctx),
             "a3": lambda: automata.build_A3(p.t2, ctx),
             "a4": lambda: automata.build_A4(p.t1, p.t2, ctx),

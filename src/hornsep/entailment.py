@@ -169,7 +169,7 @@ def build_pipeline(
     )
     return ctx, automata.intersect(
         [
-            automata.build_A1(sigA, ctx),
+            automata.build_A1(ctx),
             automata.build_A2(t1, ctx),
             automata.build_A3(t2, ctx),
             a4,

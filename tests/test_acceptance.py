@@ -150,7 +150,7 @@ def test_criterion_7_certificates_and_intersection_semantics():
         from hornsep.automata import build_A1, build_A2, build_A3, build_A4
 
         parts = [
-            build_A1(p.sigA, ctx),
+            build_A1(ctx),
             build_A2(p.t1, ctx),
             build_A3(p.t2, ctx),
             build_A4(p.t1, p.t2, ctx),

@@ -36,8 +36,7 @@ from hornsep.automata import (
     sat_assignments,
     up_may,
     up_must,
-    _needs_order,
-    _StateTable,
+    _DemandSearch,
 )
 from hornsep.entailment import decide_cq_entailment
 from hornsep.models import stable_key
@@ -267,6 +266,31 @@ def test_emptiness_agrees_with_small_tree_enumeration():
         assert is_empty(a).empty == (not accepted), a.name
 
 
+def _chain_toy(n):
+    """Accepts the trees holding a chain of n nodes whose last node reads
+    a: state c<i> asks some child for c<i+1>, and c<n> asks for a."""
+    rules = {f"c{i}": (lambda l, i=i: down_ex(f"c{i + 1}"))
+             for i in range(1, n)}
+    rules[f"c{n}"] = lambda l: TRUE if l == "a" else FALSE
+    return toy(f"chain{n}", rules, "c1", {q: 0 for q in rules}, LABS)
+
+
+def test_depth_schedule_finds_deeper_chains_in_later_stages():
+    """Each stage of the schedule reaches deeper (depths 6, 12, 16 below
+    the root): results the search keeps from a shallower stage must not
+    hide a deeper tree, and 16 is the cap."""
+    a = _chain_toy(8)
+    res = is_empty(a)
+    assert not res.empty
+    assert res.stats["stages"] == 2
+    assert res.stats["certificate_nodes"] == 8
+    assert run_on_regular_tree(a, res.certificate)
+    res = is_empty(_chain_toy(14))
+    assert not res.empty and res.stats["stages"] == 3
+    res = is_empty(_chain_toy(18))
+    assert res.empty and res.stats["stages"] == 3
+
+
 def test_priorities_above_one_are_refused():
     a = toy("t", {"q0": lambda l: TRUE}, "q0", {"q0": 2}, LABS)
     with pytest.raises(UnsupportedAutomatonError):
@@ -315,7 +339,7 @@ def advisor_parts():
     sq = parse_signature("concepts: Prof\nroles:")
     ctx = build_label_context(t1, t2, sa, sq)
     parts = [
-        build_A1(sa, ctx),
+        build_A1(ctx),
         build_A2(t1, ctx),
         build_A3(t2, ctx),
         build_A4(t1, t2, ctx),
@@ -357,39 +381,24 @@ def test_dump_is_stable_within_process(advisor_parts):
 
 def test_state_ids_sort_like_stable_key(advisor_parts):
     """The search sorts state ids where it once sorted states by
-    ``stable_key``; the copies, child obligations and need-sets it
-    sorts must come out in the same order, so that certificates do not
-    move."""
+    ``stable_key``; the copies and child obligations it sorts must come
+    out in the same order, so that certificates do not move."""
     _ctx, parts = advisor_parts
     prod = intersect(parts)
-    table = _StateTable(prod)
+    search = _DemandSearch(prod, False)
     by_key = sorted(prod.rules, key=stable_key)
     assert len({stable_key(q) for q in by_key}) == len(by_key)
-    assert table.states == by_key
-    assert [table.ids[q] for q in by_key] == list(range(len(by_key)))
+    assert search.states == by_key
+    assert [search.ids[q] for q in by_key] == list(range(len(by_key)))
 
     def old_key(pair):  # how the search rendered a (state, budget) pair
-        return stable_key((table.states[pair[0]], pair[1]))
+        return stable_key((search.states[pair[0]], pair[1]))
 
     rng = random.Random(11)
     n = len(by_key)
     for _ in range(200):
         pairs = [(p, rng.randint(0, 10)) for p in rng.sample(range(n), 4)]
         assert sorted(pairs) == sorted(pairs, key=old_key)
-    # Budgets of the budgeted pass run from 0 to 10, and rendered as
-    # text 10 sorts before 4; need-sets keep that order.
-    assert _needs_order({(0, 10)}) < _needs_order({(0, 4)})
-    needsets = {
-        frozenset(
-            (p, rng.randint(0, 10))
-            for p in rng.sample(range(n), rng.randint(1, 3))
-        )
-        for _ in range(300)
-    } | {frozenset([(p, b)]) for p in range(3) for b in range(11)}
-    by_old = sorted(
-        needsets, key=lambda nk: (len(nk), sorted(map(old_key, nk)))
-    )
-    assert sorted(needsets, key=_needs_order) == by_old
 
 
 def test_chain_work_grows_at_most_two_and_a_half_times():

@@ -102,6 +102,29 @@ def test_parse_error_exit_ten(runner, tmp_path):
     assert res.exit_code == 10
 
 
+def test_usage_error_exit_ten(runner):
+    res = invoke(runner, "check", "--t1", "t1.tbox")
+    assert res.exit_code == 10
+    assert "error: Missing option" in res.output
+    res = invoke(runner, "check", "--mode", "bogus", *ADVISOR)
+    assert res.exit_code == 10
+    assert "error: Invalid value for '--mode'" in res.output
+
+
+def test_malformed_limit_variable_exit_ten(runner):
+    for env in ({"HORNSEP_TIME_LIMIT": "abc"}, {"HORNSEP_MEMORY_MB": "1.5"}):
+        res = runner.invoke(main, ["check", *ADVISOR], env=env,
+                            catch_exceptions=False)
+        assert res.exit_code == 10, env
+        assert "error: HORNSEP_" in res.output
+
+
+def test_negative_time_limit_exit_ten(runner):
+    res = invoke(runner, "check", "--time-limit", "-3", *ADVISOR)
+    assert res.exit_code == 10
+    assert "error: --time-limit" in res.output
+
+
 def test_oracle_finds_witness(runner):
     res = invoke(
         runner, "oracle", "--max-abox", "2", "--max-cq", "1", *ADVISOR
