@@ -440,16 +440,12 @@ def intersect(automata: list) -> TwoWayAutomaton:
     for a in automata[1:]:
         if a.labels is not base.labels and a.labels != base.labels:
             raise HornsepError("intersection requires a shared alphabet")
-    rules = {}
-    priorities = {}
+    rules, priorities = {}, {}
     for i, a in enumerate(automata):
         for q, rule in a.rules.items():
             rules[(i, q)] = StateRule(
                 rule.project,
-                (lambda r, t: (lambda lab: _rename_formula(r.build(lab), t)))(
-                    rule, i
-                ),
-            )
+                lambda lab, r=rule, t=i: _rename_formula(r.build(lab), t))
             priorities[(i, q)] = a.priority(q)
     init = ("x",)
 
@@ -457,22 +453,13 @@ def intersect(automata: list) -> TwoWayAutomaton:
         return tuple(a.rules[a.initial].project(label) for a in _auts)
 
     def init_build(label, _auts=tuple(automata)):
-        return f_and(
-            *(
-                _rename_formula(a.delta(a.initial, label), i)
-                for i, a in enumerate(_auts)
-            )
-        )
+        return f_and(*(_rename_formula(a.delta(a.initial, label), i)
+                       for i, a in enumerate(_auts)))
 
     rules[init] = StateRule(init_project, init_build)
-    return TwoWayAutomaton(
-        "(" + "&".join(a.name for a in automata) + ")",
-        init,
-        priorities,
-        rules,
-        base.labels,
-        base.root_labels,
-    )
+    name = "(" + "&".join(a.name for a in automata) + ")"
+    return TwoWayAutomaton(name, init, priorities, rules, base.labels,
+                           base.root_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,8 +1195,9 @@ class _DemandSearch:
     them in that order.  The search keeps its tables (assignments per
     guard key, viable labels, reach sets, joint label projections) and
     the results of positions (``memo``) and node evaluations
-    (``eval_cache``) for all its stages; a stage reuses a result as a
-    deeper recursion level does (see ``eval_label``).
+    (``eval_cache``) for all its stages.  A later stage reuses a result
+    of a shallower one only where it is complete for the depth now asked
+    for (see ``_reuse``).
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1243,14 +1231,11 @@ class _DemandSearch:
         self.rules = [aut.rules[q] for q in self.states]
         self.priorities = [aut.priority(q) for q in self.states]
         self.prios = [0] * len(self.states) if relaxed else self.priorities
-        self.assign_cache = {}
-        self.viable = {}
-        self._mentions = {}
-        self._reach_cache = {}
-        self._proj_cache = {}
-        self.memo = {}
-        self.eval_cache = {}
-        self.work = 0
+        self.assign_cache, self.viable, self._mentions = {}, {}, {}
+        self._reach_cache, self._proj_cache = {}, {}
+        self.memo, self.eval_cache = {}, {}
+        # steps, and approximate cache answers (see _reuse), so far
+        self.work = self.approx = 0
         self.stage_depth = self.limit = None
         # in-progress node evaluations, for tying regular back edges
         self._path = {}
@@ -1324,15 +1309,12 @@ class _DemandSearch:
         return hit
 
     def viable_labels(self, q):
-        hit = self.viable.get(q)
-        if hit is None:
-            hit = frozenset(
-                i
-                for i, lab in enumerate(self.aut.labels)
+        if q not in self.viable:
+            self.viable[q] = frozenset(
+                i for i, lab in enumerate(self.aut.labels)
                 if self.assignments(q, lab)
             )
-            self.viable[q] = hit
-        return hit
+        return self.viable[q]
 
     def _tick(self):
         self.work += 1
@@ -1349,10 +1331,8 @@ class _DemandSearch:
         # copies are (state id, budget) pairs
         states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
-        # so results are shared across recursion levels and across the
-        # stages of the schedule.  A reused entry first computed at a
-        # shallower remaining depth can only make the search miss trees
-        # near the cap, which the oracle cross-checks already tolerate.
+        # so results are shared across recursion levels and stages; see
+        # _reuse for when a cached one answers.
         jk = self.joint_key(states, label)
         # An in-progress ancestor evaluation with the same copies and an
         # interchangeable label can absorb this position as a back edge:
@@ -1372,11 +1352,8 @@ class _DemandSearch:
         ck = (copies, jk, is_root)
         cached = self.eval_cache.get(ck)
         if cached is not None:
-            cd, hit = cached
-            # A nonempty result stays valid at any remaining depth; an
-            # empty one only rules out trees up to the depth it was
-            # computed with.
-            if hit or cd >= depth:
+            hit = self._reuse(cached, depth, True)
+            if hit is not None:
                 return hit
         # copies hold one budget per state, so this is the states' order
         pending = sorted(copies)
@@ -1385,6 +1362,7 @@ class _DemandSearch:
         self._path[pk] = tok
         self._tok_stack.append(tok)
         hit = {}
+        before = self.approx
         try:
             self._close({}, pending, {}, {}, {}, label, depth, is_root, hit,
                         {})
@@ -1394,13 +1372,40 @@ class _DemandSearch:
                 del self._path[pk]
             else:
                 self._path[pk] = prev
+        self._store(self.eval_cache, ck, depth, before, hit)
+        return hit
+
+    def _reuse(self, cached, depth, deeper):
+        """The result of a cached ``(depth, stage, exact, result)`` entry
+        if it may answer a query at remaining ``depth``, else None.
+
+        An exact entry, one no approximate answer went into, holds every
+        minimal need-set of the trees up to its depth and answers queries
+        no deeper.  With ``deeper`` (node evaluations), one holding the
+        empty need-set, which covers all others, answers at any depth.
+        Other answers are approximate, and only the entry's own stage
+        takes them: an inexact entry, or with ``deeper`` a nonempty one
+        computed shallower, which can miss trees near the cap."""
+        cd, stage, exact, res = cached
+        if cd < depth and not (deeper and res):
+            return None
+        if frozenset() in res or exact and cd >= depth:
+            return res
+        if stage != self.stage_depth:
+            return None
+        self.approx += 1
+        return res
+
+    def _store(self, cache, key, depth, before, res):
         # Plans holding a back-edge reference are only meaningful on the
         # recursion path that produced them, so only the loop-free part
-        # of the result goes into the caches.  Re-entering contexts still
-        # get the whole-node back edge through the path shortcut above.
-        clean = {k: v for k, v in hit.items() if not _plan_has_loop(v)}
-        self.eval_cache[ck] = (depth, clean)
-        return hit
+        # of the result goes into the caches, and an entry that lost a
+        # plan is inexact.  Re-entering contexts still get the whole-node
+        # back edge through the path shortcut in eval_label.
+        clean = {k: v for k, v in res.items() if not _plan_has_loop(v)}
+        if len(clean) < len(res):
+            self.approx += 1
+        cache[key] = (depth, self.stage_depth, self.approx == before, clean)
 
     def _close(self, proc, pending, needs, dia, box, label, depth, is_root,
                out, asg_here):
@@ -1576,16 +1581,14 @@ class _DemandSearch:
     # -- positions ----------------------------------------------------------
 
     def solve(self, copies: frozenset, depth: int):
-        key = copies
-        cached = self.memo.get(key)
-        if cached is not None and cached[0] >= depth:
-            return cached[1]
-        viable = None
-        for q, _b in copies:
-            v = self.viable_labels(q)
-            viable = v if viable is None else (viable & v)
-            if not viable:
-                break
+        cached = self.memo.get(copies)
+        if cached is not None:
+            res = self._reuse(cached, depth, False)
+            if res is not None:
+                return res
+        before = self.approx
+        viable = frozenset.intersection(
+            *(self.viable_labels(q) for q, _b in copies))
         res = {}
         if viable:
             states = self.reach(frozenset(q for q, _b in copies))
@@ -1600,20 +1603,13 @@ class _DemandSearch:
                     copies, label, depth, False
                 ).items():
                     self._record(res, dict(needs), plan)
-        self.memo[key] = (
-            depth,
-            {k: v for k, v in res.items() if not _plan_has_loop(v)},
-        )
+        self._store(self.memo, copies, depth, before, res)
         return res
 
 
 def _plan_has_loop(plan) -> bool:
-    tag = plan[0]
-    if tag == "loop":
-        return True
-    if tag == "node":
-        return any(_plan_has_loop(sub) for sub in plan[2])
-    return False
+    return plan[0] == "loop" or (
+        plan[0] == "node" and any(map(_plan_has_loop, plan[2])))
 
 
 _NO_TOK = object()
@@ -1653,7 +1649,8 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for a finite accepted tree.
 
     Two passes, one ``_DemandSearch`` each, deepened stage by stage over
-    ``DEFAULT_SCHEDULE``; a stage keeps what the shallower ones found.
+    ``DEFAULT_SCHEDULE``; a stage reuses what the shallower ones found
+    only where deeper search cannot add to it.
     The budget-free relaxed search over-approximates the plan space: if
     it finds nothing up to the deepest scheduled depth, the language has
     no finite tree within that depth; if its plan passes the membership

@@ -158,8 +158,12 @@ class _Main(click.Group):
     ``error:`` line, as other bad input does, not with click's 2, which
     is the precheck-failure code here."""
 
-    def make_context(self, *args, **kwargs):
-        return _usage_checked(super().make_context, *args, **kwargs)
+    def make_context(self, info_name, args, *rest, **kwargs):
+        if not args:
+            # a bare ``hornsep`` prints the help, as click does
+            return super().make_context(info_name, args, *rest, **kwargs)
+        return _usage_checked(super().make_context, info_name, args, *rest,
+                              **kwargs)
 
     def invoke(self, ctx):
         return _usage_checked(super().invoke, ctx)
@@ -174,7 +178,7 @@ def _usage_checked(call, *args, **kwargs):
         _fail(exc.format_message(), EXIT_USAGE)
 
 
-@click.group(cls=_Main, no_args_is_help=False)
+@click.group(cls=_Main)
 def main():
     """Decide entailment, inseparability, and conservative extensions
     between Horn description logic TBoxes."""

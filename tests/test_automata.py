@@ -266,13 +266,31 @@ def test_emptiness_agrees_with_small_tree_enumeration():
         assert is_empty(a).empty == (not accepted), a.name
 
 
-def _chain_toy(n):
-    """Accepts the trees holding a chain of n nodes whose last node reads
-    a: state c<i> asks some child for c<i+1>, and c<n> asks for a."""
+def _chain_rules(n):
+    """A chain of n nodes whose last node reads a: state c<i> asks some
+    child for c<i+1>, and c<n> asks for a."""
     rules = {f"c{i}": (lambda l, i=i: down_ex(f"c{i + 1}"))
              for i in range(1, n)}
     rules[f"c{n}"] = lambda l: TRUE if l == "a" else FALSE
+    return rules
+
+
+def _chain_toy(n):
+    rules = _chain_rules(n)
     return toy(f"chain{n}", rules, "c1", {q: 0 for q in rules}, LABS)
+
+
+def _up_or_chain_toy(n):
+    """The root asks a child for q.  q either asks its parent for p,
+    which no node can be in, or starts a chain of n nodes below it: the
+    shallow option leaves a need, only the deep one realizes none."""
+    rules = _chain_rules(n)
+    rules.update(
+        r=lambda l: down_ex("q"),
+        q=lambda l: f_or(up_must("p"), down_ex("c1")),
+        p=lambda l: FALSE,
+    )
+    return toy(f"upchain{n}", rules, "r", {q: 0 for q in rules}, LABS)
 
 
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
@@ -284,6 +302,14 @@ def test_depth_schedule_finds_deeper_chains_in_later_stages():
     assert not res.empty
     assert res.stats["stages"] == 2
     assert res.stats["certificate_nodes"] == 8
+    assert run_on_regular_tree(a, res.certificate)
+    # at stage 1, q realizes only the need for p, which kills the root;
+    # stage 2 must look for q's deeper tree, which needs nothing
+    a = _up_or_chain_toy(8)
+    res = is_empty(a)
+    assert not res.empty
+    assert res.stats["stages"] == 2
+    assert res.stats["certificate_nodes"] == 10
     assert run_on_regular_tree(a, res.certificate)
     res = is_empty(_chain_toy(14))
     assert not res.empty and res.stats["stages"] == 3

@@ -111,6 +111,12 @@ def test_usage_error_exit_ten(runner):
     assert "error: Invalid value for '--mode'" in res.output
 
 
+def test_bare_invocation_prints_help(runner):
+    res = runner.invoke(main, [])
+    assert res.exit_code != 10
+    assert "Commands:" in res.output and "error:" not in res.output
+
+
 def test_malformed_limit_variable_exit_ten(runner):
     for env in ({"HORNSEP_TIME_LIMIT": "abc"}, {"HORNSEP_MEMORY_MB": "1.5"}):
         res = runner.invoke(main, ["check", *ADVISOR], env=env,
