@@ -8,11 +8,17 @@ branch on them:
 
 * 0 entails / true
 * 1 non-entails / false
-* 2 precheck failure (role-inclusion or profile)
-* 10 usage, file, or parse error
+* 2 precheck failure (role-inclusion, profile, or an inconsistent ABox)
+* 10 usage, file, or parse error, in every command
 * 11 witness self-audit failure
 * 12 internal error
 * 13 resource limit hit (time, memory, or a construction or search cap)
+
+Input files are checked where they are read; every other exception a
+command raises reaches one table in ``_Main``, which maps it to its
+code.  ``--time-limit`` (fractional seconds, 0 for none) arms one
+interval timer for the length of the command, whose handler raises
+``ResourceLimitError``, so a limit exits 13 wherever it fires.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ import sys
 
 import click
 
-from . import automata, entailment, models, reasoner
+from . import automata, entailment, models
 from .entailment import PreconditionError, make_problem
+from .reasoner import InconsistentABoxError
 from .syntax import (
     HornsepError,
     ParseError,
     ProfileError,
     ResourceLimitError,
+    normalize,
     parse_abox,
     parse_signature,
     parse_tbox,
@@ -81,12 +89,8 @@ def _read(path: str) -> str:
 def _parse(parser, path: str):
     try:
         return parser(_read(path))
-    except ParseError as exc:
+    except (ParseError, ProfileError) as exc:
         _fail(f"{path}: {exc}", EXIT_USAGE)
-
-
-class _TimeoutAlarm(Exception):
-    pass
 
 
 def _limit(value, option: str, env: str, kind):
@@ -119,10 +123,17 @@ def _apply_limits(time_limit: float | None, memory_mb: int | None):
     if time_limit and hasattr(signal, "SIGALRM"):
 
         def on_alarm(_signum, _frame):
-            raise _TimeoutAlarm()
+            raise ResourceLimitError("time limit exceeded")
 
-        signal.signal(signal.SIGALRM, on_alarm)
-        signal.alarm(max(1, int(time_limit)))
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, time_limit)
+
+        def disarm():
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+        # the limit ends with the command, also when it runs in-process
+        click.get_current_context().call_on_close(disarm)
 
 
 def _problem(t1, t2, sigma_a, sigma_q):
@@ -133,6 +144,8 @@ def _problem(t1, t2, sigma_a, sigma_q):
             _parse(parse_signature, sigma_a),
             _parse(parse_signature, sigma_q),
         )
+    except ResourceLimitError:
+        raise  # the time limit, which covers reading the inputs too
     except HornsepError as exc:
         _fail(str(exc), EXIT_USAGE)
 
@@ -145,7 +158,7 @@ def _shared_options(fn):
         click.option("--sigma-q", required=True, help="query signature file"),
         click.option("--json", "as_json", is_flag=True, help="JSON output"),
         click.option("--time-limit", type=float, default=None,
-                     help="wall-clock limit in seconds"),
+                     help="wall-clock limit in seconds, 0 for none"),
         click.option("--memory-mb", type=int, default=None,
                      help="address-space limit in MiB"),
     ):
@@ -154,28 +167,40 @@ def _shared_options(fn):
 
 
 class _Main(click.Group):
-    """The command group.  A usage error exits ``EXIT_USAGE`` with an
-    ``error:`` line, as other bad input does, not with click's 2, which
-    is the precheck-failure code here."""
+    """The command group, which maps every exception of a command to its
+    exit code.  A usage error exits ``EXIT_USAGE`` with an ``error:``
+    line, as other bad input does, not with click's 2, which is the
+    precheck-failure code here."""
 
     def make_context(self, info_name, args, *rest, **kwargs):
         if not args:
             # a bare ``hornsep`` prints the help, as click does
             return super().make_context(info_name, args, *rest, **kwargs)
-        return _usage_checked(super().make_context, info_name, args, *rest,
-                              **kwargs)
+        return _exit_coded(super().make_context, info_name, args, *rest,
+                           **kwargs)
 
     def invoke(self, ctx):
-        return _usage_checked(super().invoke, ctx)
+        return _exit_coded(super().invoke, ctx)
 
 
-def _usage_checked(call, *args, **kwargs):
+def _exit_coded(call, *args, **kwargs):
+    """Call ``call``; exit with the code of the first row below that an
+    exception it raises matches.  Errors in the input files already
+    exited ``EXIT_USAGE`` where they were read."""
     try:
         return call(*args, **kwargs)
     except click.UsageError as exc:
         if exc.ctx is not None:
             click.echo(exc.ctx.get_usage(), err=True)
         _fail(exc.format_message(), EXIT_USAGE)
+    except (PreconditionError, ProfileError, InconsistentABoxError) as exc:
+        _fail(str(exc), EXIT_PRECHECK)
+    except MemoryError:
+        _fail("memory limit exceeded", EXIT_RESOURCE)
+    except ResourceLimitError as exc:
+        _fail(str(exc), EXIT_RESOURCE)
+    except HornsepError as exc:
+        _fail(str(exc), EXIT_INTERNAL)
 
 
 @click.group(cls=_Main)
@@ -190,39 +215,27 @@ def main():
               show_default=True)
 @click.option("--verify-witness", is_flag=True,
               help="on non-entailment, search a small witness and replay it")
-@click.option("--oracle-max-ind", type=int, default=2, show_default=True,
+@click.option("--oracle-max-ind", type=click.IntRange(min=1), default=2,
+              show_default=True,
               help="witness ABox size bound for --verify-witness")
-@click.option("--oracle-max-vars", type=int, default=2, show_default=True,
+@click.option("--oracle-max-vars", type=click.IntRange(min=1), default=2,
+              show_default=True,
               help="witness query size bound for --verify-witness")
 def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
           verify_witness, oracle_max_ind, oracle_max_vars):
     """Decide the selected entailment mode for two TBox files."""
     _apply_limits(time_limit, memory_mb)
     p = _problem(t1, t2, sigma_a, sigma_q)
-    try:
-        decision = getattr(entailment, MODES[mode])(p)
-    except (PreconditionError, ProfileError) as exc:
-        _fail(str(exc), EXIT_PRECHECK)
-    except _TimeoutAlarm:
-        _fail("time limit exceeded", EXIT_RESOURCE)
-    except MemoryError:
-        _fail("memory limit exceeded", EXIT_RESOURCE)
-    except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
-    except HornsepError as exc:
-        _fail(str(exc), EXIT_INTERNAL)
+    decision = getattr(entailment, MODES[mode])(p)
     report = decision.to_json_obj()
     code = EXIT_ENTAILS if decision.entails else EXIT_NON_ENTAILS
     if not decision.entails and decision.precheck.get("ri") is False:
         code = EXIT_PRECHECK
     if verify_witness and not decision.entails:
-        try:
-            witness = entailment.oracle_witness_search(
-                p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
-                mode="1tcq" if mode in ("1tcq", "deductive") else "cq",
-            )
-        except _TimeoutAlarm:
-            _fail("time limit exceeded", EXIT_RESOURCE)
+        witness = entailment.oracle_witness_search(
+            p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
+            mode="1tcq" if mode in ("1tcq", "deductive") else "cq",
+        )
         if witness is None:
             report["witness"] = None
             report["witness_verified"] = None
@@ -241,23 +254,19 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
 @_shared_options
 @click.option("--mode", type=click.Choice(("cq", "1tcq")), default="cq",
               show_default=True)
-@click.option("--max-abox", type=int, default=2, show_default=True,
-              help="maximum ABox individuals")
-@click.option("--max-cq", type=int, default=2, show_default=True,
-              help="maximum query variables")
+@click.option("--max-abox", type=click.IntRange(min=1), default=2,
+              show_default=True, help="maximum ABox individuals")
+@click.option("--max-cq", type=click.IntRange(min=1), default=2,
+              show_default=True, help="maximum query variables")
 def oracle(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
            max_abox, max_cq):
     """Brute-force search for a small (ABox, query, answer) witness of
     non-entailment; exit 1 when one is found."""
     _apply_limits(time_limit, memory_mb)
     p = _problem(t1, t2, sigma_a, sigma_q)
-    try:
-        witness = entailment.oracle_witness_search(
-            p.t1, p.t2, p.sigA, p.sigQ, max_abox, max_cq, mode=mode,
-            time_limit=time_limit,
-        )
-    except _TimeoutAlarm:
-        _fail("time limit exceeded", EXIT_RESOURCE)
+    witness = entailment.oracle_witness_search(
+        p.t1, p.t2, p.sigA, p.sigQ, max_abox, max_cq, mode=mode
+    )
     if witness is None:
         _emit({"mode": mode, "witness": None}, as_json)
         sys.exit(EXIT_ENTAILS)
@@ -270,24 +279,16 @@ def oracle(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
 @main.command()
 @click.option("--tbox", required=True, help="TBox file")
 @click.option("--abox", required=True, help="ABox file")
-@click.option("--depth", type=int, default=0, show_default=True,
-              help="anonymous-tree depth")
+@click.option("--depth", type=click.IntRange(min=0), default=0,
+              show_default=True, help="anonymous-tree depth")
 @click.option("--time-limit", type=float, default=None)
 @click.option("--memory-mb", type=int, default=None)
 def materialize(tbox, abox, depth, time_limit, memory_mb):
     """Dump a finite prefix of the universal model as JSON."""
     _apply_limits(time_limit, memory_mb)
-    if depth < 0:
-        _fail("depth must be nonnegative", EXIT_USAGE)
-    t = _parse(parse_tbox, tbox)
+    t = _parse(lambda text: normalize(parse_tbox(text)), tbox)
     a = _parse(parse_abox, abox)
-    try:
-        model = models.UniversalModel(entailment.normalize(t), a)
-        interp = models.materialize(model, depth)
-    except reasoner.InconsistentABoxError as exc:
-        _fail(str(exc), EXIT_PRECHECK)
-    except _TimeoutAlarm:
-        _fail("time limit exceeded", EXIT_RESOURCE)
+    interp = models.materialize(models.UniversalModel(t, a), depth)
     click.echo(interp.to_json())
     sys.exit(EXIT_ENTAILS)
 
@@ -304,26 +305,18 @@ def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
     """Build the pipeline automata and print a summary or full dump."""
     _apply_limits(time_limit, memory_mb)
     p = _problem(t1, t2, sigma_a, sigma_q)
-    try:
-        ctx = automata.build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
-        built = {
-            "a1": lambda: automata.build_A1(ctx),
-            "a2": lambda: automata.build_A2(p.t1, ctx),
-            "a3": lambda: automata.build_A3(p.t2, ctx),
-            "a4": lambda: automata.build_A4(p.t1, p.t2, ctx),
-            "a4sim": lambda: automata.build_A4_sim(p.t1, p.t2, ctx),
-        }
-        if which == "product":
-            aut = automata.intersect([built[k]() for k in
-                                      ("a1", "a2", "a3", "a4")])
-        else:
-            aut = built[which]()
-    except _TimeoutAlarm:
-        _fail("time limit exceeded", EXIT_RESOURCE)
-    except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
-    except HornsepError as exc:
-        _fail(str(exc), EXIT_INTERNAL)
+    ctx = automata.build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
+    built = {
+        "a1": lambda: automata.build_A1(ctx),
+        "a2": lambda: automata.build_A2(p.t1, ctx),
+        "a3": lambda: automata.build_A3(p.t2, ctx),
+        "a4": lambda: automata.build_A4(p.t1, p.t2, ctx),
+        "a4sim": lambda: automata.build_A4_sim(p.t1, p.t2, ctx),
+    }
+    if which == "product":
+        aut = automata.intersect([built[k]() for k in ("a1", "a2", "a3", "a4")])
+    else:
+        aut = built[which]()
     if do_dump:
         click.echo(aut.dump(), nl=False)
     else:

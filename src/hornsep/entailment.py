@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass, field, replace
 
 from . import automata, models, reasoner
@@ -268,21 +267,22 @@ def _bot_free(t: NormalTBox, fresh: str) -> NormalTBox:
     return NormalTBox(cis=cis, ris=list(t.ris), fas=set(t.fas), fresh=dict(t.fresh))
 
 
-def decide_incons_entailment(
-    t1: NormalTBox, t2: NormalTBox, sigA: Signature
-) -> bool:
+def decide_incons_entailment(t1: NormalTBox, t2: NormalTBox, sigA: Signature):
     """Every ABox-signature ABox inconsistent with the second TBox is
-    inconsistent with the first."""
+    inconsistent with the first.  Returns (entails, certificate, stats)
+    of the bot-free pipeline, as ``_run_pipeline`` does; with no
+    pipeline run, the certificate is None and the stats are empty."""
+    cert, stats = None, {}
     # without a bot axiom the bot-free second TBox never derives the
     # fresh concept, so only the forks below can be inconsistent
     if any(isinstance(ci, SubBot) for ci in t2.cis):
         fresh = _fresh_concept(t1, t2)
         sigF = Signature(concepts=frozenset([fresh]))
-        entails, _cert, _stats = _run_pipeline(
+        entails, cert, stats = _run_pipeline(
             _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
         )
         if not entails:
-            return False
+            return False, cert, stats
     # two-successor functionality forks are invisible to the reduction
     for n in sorted(sigA.roles):
         forks = (
@@ -294,21 +294,26 @@ def decide_incons_entailment(
                 not reasoner.chase(t2, abox).consistent
                 and reasoner.chase(t1, abox).consistent
             ):
-                return False
-    return True
+                return False, cert, stats
+    return True, cert, stats
 
 
 def _with_incons(p: Problem, d: Decision) -> Decision:
     """Strengthen an entailing decision of a mode that also compares
     inconsistent ABoxes: it holds only if every ABox inconsistent with
     the second TBox is inconsistent with the first.  A syntactic subset
-    settles that as it settled the query entailment."""
+    settles that as it settled the query entailment.  The bot-free
+    pipeline's stats go under ``incons_pipeline``, and its certificate,
+    when it refutes, becomes the decision's."""
     if not d.entails:
         return d
-    incons = d.stats.get("subset", False) or decide_incons_entailment(
-        p.t1, p.t2, p.sigA
-    )
-    return replace(d, entails=incons, stats={**d.stats, "incons": incons})
+    if d.stats.get("subset", False):
+        return replace(d, stats={**d.stats, "incons": True})
+    incons, cert, pipeline = decide_incons_entailment(p.t1, p.t2, p.sigA)
+    stats = {**d.stats, "incons": incons}
+    if pipeline:
+        stats["incons_pipeline"] = pipeline
+    return replace(d, entails=incons, certificate=cert, stats=stats)
 
 
 def decide_cq_entailment_incons(p: Problem) -> Decision:
@@ -488,19 +493,18 @@ def oracle_witness_search(
     max_ind: int,
     max_vars: int,
     mode: str = "cq",
-    time_limit: float | None = None,
 ) -> Witness | None:
     """Enumerate small tree-shaped ABoxes and small connected queries
     read off the second TBox's materialized model; return the first
-    replayable witness.  Sound, incomplete (bounds and the optional time
-    limit truncate the search).  Each ABox is chased once per TBox.  A
-    candidate's answer holds under the second TBox by construction (the
-    identity map is a match), so each candidate is asked once, of the
-    first TBox's model, and ``verify_witness`` replays the one returned."""
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    replayable witness.  Sound, incomplete: ``None`` means no witness
+    within the bounds, after an exhaustive search of them.  A time
+    limit is the caller's, and interrupts the search with an exception
+    (the command line raises ``ResourceLimitError``).  Each ABox is
+    chased once per TBox.  A candidate's answer holds under the second
+    TBox by construction (the identity map is a match), so each
+    candidate is asked once, of the first TBox's model, and
+    ``verify_witness`` replays the one returned."""
     for abox in enumerate_tree_aboxes(sigA, max_ind):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         m1 = models.UniversalModel(t1, abox)
         if not m1.consistent:
             continue
@@ -525,6 +529,4 @@ def oracle_witness_search(
                 w = Witness(abox, q, ans)
                 if verify_witness(t1, t2, w):
                     return w
-            if deadline is not None and time.monotonic() > deadline:
-                return None
     return None

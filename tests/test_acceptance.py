@@ -112,9 +112,7 @@ def test_criterion_6_pipeline_oracle_agreement():
             t1, t2, p = criterion6_problem(rng)
             done += 1
             d = decide_cq_entailment(p)
-            w = oracle_witness_search(
-                p.t1, p.t2, p.sigA, p.sigQ, 3, 3, time_limit=60
-            )
+            w = oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 3, 3)
             if w is not None:
                 assert verify_witness(p.t1, p.t2, w)
                 assert not d.entails, (t1, t2, w.to_json_obj())

@@ -1,12 +1,15 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from hornsep import cli
+from hornsep.syntax import HornsepError, ResourceLimitError
 from hornsep.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -167,6 +170,54 @@ def test_materialize_outputs_model(runner, tmp_path):
     assert ["a", "s", "b"] in obj["edges"]
 
 
+def test_materialize_profile_error_exit_ten(runner, tmp_path):
+    """A TBox the normalizer rejects is bad input in every command."""
+    t = tmp_path / "t.tbox"
+    t.write_text("only r A sub B\n")
+    a = tmp_path / "a.abox"
+    a.write_text("A(x)\n")
+    res = invoke(runner, "materialize", "--tbox", str(t), "--abox", str(a))
+    assert res.exit_code == 10
+    assert "error: " in res.output and "only r A" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--max-cq", "0", *ADVISOR],
+    ["oracle", "--max-abox", "0", *ADVISOR],
+    ["oracle", "--max-abox", "-1", *ADVISOR],
+    ["check", "--verify-witness", "--oracle-max-ind", "0", *ADVISOR],
+    ["check", "--verify-witness", "--oracle-max-vars", "0", *ADVISOR],
+    ["materialize", "--tbox", "t.tbox", "--abox", "a.abox", "--depth", "-1"],
+])
+def test_bounds_out_of_range_exit_ten(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 10
+    assert "is not in the range x>=" in res.output
+
+
+ORACLE = "hornsep.entailment.oracle_witness_search"
+
+
+@pytest.mark.parametrize("target, exc, args, code", [
+    (ORACLE, MemoryError(), ["oracle"], 13),
+    (ORACLE, ResourceLimitError("witness search cap"),
+     ["check", "--verify-witness"], 13),
+    (ORACLE, HornsepError("broken"), ["oracle"], 12),
+    # a time limit that fires while the verdict is printed
+    ("hornsep.cli._emit", ResourceLimitError("time limit exceeded"),
+     ["check"], 13),
+])
+def test_exceptions_map_to_exit_codes_in_every_command(
+        runner, monkeypatch, target, exc, args, code):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, fail)
+    res = invoke(runner, *args, *ADVISOR)
+    assert res.exit_code == code
+    assert "error: " in res.output and "Traceback" not in res.output
+
+
 def test_materialize_inconsistent_exit_two(runner, tmp_path):
     t = tmp_path / "t.tbox"
     t.write_text("A sub bot\n")
@@ -221,6 +272,45 @@ def _run_cli(args, seed):
         [sys.executable, "-m", "hornsep.cli", *args],
         capture_output=True, env=env,
     )
+
+
+def test_time_limit_ends_with_the_command(runner, monkeypatch):
+    """A command run in-process leaves no timer and no alarm handler
+    behind.  The signal calls are recorded instead of made, so no timer
+    is armed in the test process."""
+    timers, handlers = [], []
+    monkeypatch.setattr(cli.signal, "alarm", timers.append)
+    monkeypatch.setattr(cli.signal, "setitimer",
+                        lambda _which, seconds: timers.append(seconds))
+    monkeypatch.setattr(cli.signal, "signal",
+                        lambda _num, handler: handlers.append(handler)
+                        or "previous")
+    res = invoke(runner, "check", "--time-limit", "2.5", *ADVISOR)
+    assert res.exit_code == 1
+    assert timers == [2.5, 0]
+    assert handlers[-1] == "previous"
+
+
+def test_oracle_time_limit_exit_thirteen(tmp_path):
+    """A time limit that cuts the oracle short is a resource limit, not
+    "no witness", and it is not rounded up to whole seconds: the child
+    spends well under a second of CPU.  The search on this problem runs
+    for minutes; a subprocess keeps the timer out of the test process."""
+    t = tmp_path / "t.tbox"
+    t.write_text("PhDStud sub some advBy Prof\nadv subr inv(advBy)\n"
+                 "func(advBy)\nA sub some r B\nB sub some s A\n")
+    sig = tmp_path / "s.sig"
+    sig.write_text("concepts: PhDStud A B Prof\nroles: adv r s\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    r = _run_cli(["oracle", "--json", "--max-abox", "3", "--max-cq", "3",
+                  "--time-limit", "0.3", "--t1", str(t), "--t2", str(t),
+                  "--sigma-a", str(sig), "--sigma-q", str(sig)], 0)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert r.returncode == 13
+    assert r.stdout == b""
+    assert b"error: time limit exceeded" in r.stderr
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 0.9
 
 
 def test_json_output_identical_across_hash_seeds(tmp_path):

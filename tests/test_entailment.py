@@ -32,7 +32,7 @@ from hornsep.entailment import (
 )
 from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers
-from hornsep.syntax import ProfileError
+from hornsep.syntax import ProfileError, Signature
 
 
 def test_advisor_cq_not_entailed(advisor_problem):
@@ -61,11 +61,33 @@ def test_incons_without_bot_axiom_decides_the_fork_quickly():
         d = decide_cq_entailment_incons(p)
     assert not d.entails
     assert d.stats["incons"] is False
+    assert "incons_pipeline" not in d.stats
 
 
 def test_disjointness_entailed_but_not_under_incons(disjointness_problem):
     assert decide_cq_entailment(disjointness_problem).entails
     assert not decide_cq_entailment_incons(disjointness_problem).entails
+
+
+def test_incons_keeps_the_bot_free_pipeline_evidence(disjointness_problem):
+    """The bot-free pipeline that refutes leaves its stats under
+    ``incons_pipeline`` and its certificate, which the bot-free product
+    accepts, on the decision.  A syntactic subset runs no pipeline and
+    adds no key."""
+    p = disjointness_problem
+    d = decide_cq_entailment_incons(p)
+    assert not d.entails
+    assert d.stats["incons_pipeline"]["certificate_nodes"] == 1
+    fresh = entailment._fresh_concept(p.t1, p.t2)
+    _ctx, prod = build_pipeline(
+        entailment._bot_free(p.t1, fresh), entailment._bot_free(p.t2, fresh),
+        p.sigA, Signature(concepts=frozenset([fresh])),
+    )
+    assert run_on_regular_tree(prod, d.certificate)
+    same = problem("A1 and A2 sub bot", "A1 and A2 sub bot",
+                   "concepts: A1 A2\nroles:", "concepts: A1 A2\nroles:")
+    d = decide_cq_entailment_incons(same)
+    assert d.entails and "incons_pipeline" not in d.stats
 
 
 def test_inverse_chain_entailed(inverse_chain_problem):
