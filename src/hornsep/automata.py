@@ -180,8 +180,11 @@ def state_name(q) -> str:
 @dataclass(frozen=True)
 class Label:
     """One tree-node label: concept and role symbol sets of the three
-    layers.  Role symbols are Role objects; a role in r1/r2 asserts an
-    edge from this node to its parent, its inverse one from the parent."""
+    layers.  Role symbols are Role objects; a role R in r0, r1 or r2
+    asserts the edge R(parent, node), from the parent to this node, so
+    inv(R) there asserts R(node, parent).  A2 reads r1 this way (an
+    existential ``some r`` is met by the parent when inv(r) is in r1), A3
+    reads r0 this way, and A4 reads r1 this way."""
 
     c0: frozenset = frozenset()
     r0: frozenset = frozenset()
@@ -1603,6 +1606,14 @@ class _DemandSearch:
                     copies, label, depth, False
                 ).items():
                     self._record(res, dict(needs), plan)
+                # The empty need-set covers every other one, so once it
+                # holds a loop-free plan, _record discards every later
+                # result: the remaining labels cannot change res.  A
+                # back-edge plan for it may still be swapped for a
+                # loop-free one, so the scan goes on in that case.
+                done = res.get(frozenset())
+                if done is not None and not _plan_has_loop(done):
+                    break
         self._store(self.memo, copies, depth, before, res)
         return res
 

@@ -51,7 +51,21 @@ class InconsistentABoxError(HornsepError):
 
 class ConsequenceIndex:
     """Saturated rule set for one NormalTBox; built lazily, then read-only
-    except for registering new contexts on demand."""
+    except for registering new contexts on demand.
+
+    ``register`` applies the rules only to the contexts a new seed can
+    change, and that is exact.  Every rule is monotone, and the rules of
+    a context read only its own sets, the closures of its successor
+    contexts and ``concept_universe``.  An old context is at its
+    fixpoint, and so are its successors, which are old too: applying a
+    context registers its successors, so a new seed is never one of
+    them.  So only the new context and the successors it creates need
+    the rules, and one sweep over them without a change reaches the
+    fixpoint.  The exception is the universe: when a seed brings in a
+    name outside it, every context holding ``BOT`` reads it through
+    ``cl |= concept_universe`` and is applied again.  A context with a
+    ``BOT`` successor holds ``BOT`` itself, so no other old context
+    reads a closure that changes."""
 
     def __init__(self, tbox: NormalTBox):
         self.tbox = tbox
@@ -108,21 +122,27 @@ class ConsequenceIndex:
     def register(self, seed) -> frozenset:
         m = frozenset(seed)
         if m not in self.cl:
+            todo = [m]
+            if not m <= self.concept_universe:
+                self.concept_universe |= m
+                # contexts holding BOT read it: cl |= concept_universe
+                todo += [k for k, cl in self.cl.items() if BOT in cl]
             self.cl[m] = set(m)
             self.ex[m] = set()
-            self.concept_universe |= m
-            self._saturate()
+            self._saturate(todo)
         return m
 
-    def _saturate(self):
+    def _saturate(self, todo):
+        # ``_apply`` appends the successor contexts it creates to todo,
+        # and the loop takes them in the same sweep
         changed = True
         while changed:
             changed = False
-            for m in list(self.cl):
-                if self._apply(m):
+            for m in todo:
+                if self._apply(m, todo):
                     changed = True
 
-    def _apply(self, m: frozenset) -> bool:
+    def _apply(self, m: frozenset, todo) -> bool:
         cl = self.cl[m]
         ex = self.ex[m]
         before = (len(cl), len(ex))
@@ -161,6 +181,7 @@ class ConsequenceIndex:
             if nn not in self.cl:
                 self.cl[nn] = set(nn)
                 self.ex[nn] = set()
+                todo.append(nn)
             cl_n = self.cl[nn]
             # value restrictions seen from the successor side
             for ci in self.alls:

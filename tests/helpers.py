@@ -20,6 +20,7 @@ from hornsep.models import (
     stable_key,
     type_graph,
 )
+from hornsep.reasoner import ConsequenceIndex
 from hornsep.syntax import (
     ABox,
     ConjSub,
@@ -183,6 +184,27 @@ class BruteForceReasoner:
                 if t <= m.labels[x] and a not in m.labels[x]:
                     return False
         return True
+
+
+class FullSweepIndex(ConsequenceIndex):
+    """The saturation without a worklist: every registration re-applies
+    the rules to every registered context until none changes.  Reference
+    for ``ConsequenceIndex.register``, which applies them only to the
+    contexts a registration can change."""
+
+    def register(self, seed) -> frozenset:
+        m = frozenset(seed)
+        if m not in self.cl:
+            self.cl[m] = set(m)
+            self.ex[m] = set()
+            self.concept_universe |= m
+            changed = True
+            while changed:
+                changed = False
+                for k in list(self.cl):
+                    if self._apply(k, []):
+                        changed = True
+        return m
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,33 @@ def test_depth_schedule_finds_deeper_chains_in_later_stages():
     assert res.empty and res.stats["stages"] == 3
 
 
+@pytest.mark.xfail(strict=True, reason="a nonempty result found shallow "
+                   "answers a deeper query within a stage; ROADMAP item 5's "
+                   "fixpoint removes the depth caps")
+def test_shallow_result_does_not_hide_a_tree_within_the_caps():
+    """The root takes either a child a1, which leads four levels down to
+    another q, or q directly.  Only {p}, a need nobody meets, fits q's
+    result five levels down, and the root's own child q reuses it, so the
+    search misses the 14-node tree r, q, c1 ... c12, which fits depth 16."""
+    rules = _chain_rules(12)
+    rules.update(
+        r=lambda l: f_or(down_ex("a1"), down_ex("q")),
+        a1=lambda l: down_ex("a2"),
+        a2=lambda l: down_ex("a3"),
+        a3=lambda l: down_ex("a4"),
+        a4=lambda l: f_and(down_ex("q"), up_must("p")),
+        q=lambda l: f_or(up_must("p"), down_ex("c1")),
+        p=lambda l: FALSE,
+    )
+    a = toy("shallow_hides", rules, "r", {q: 0 for q in rules}, LABS)
+    ids = [f"n{i}" for i in range(14)]
+    chain = RegularTreeRep({n: "a" for n in ids},
+                           {n: ids[i + 1:i + 2] for i, n in enumerate(ids)},
+                           "n0")
+    assert run_on_regular_tree(a, chain)
+    assert not is_empty(a).empty
+
+
 def test_priorities_above_one_are_refused():
     a = toy("t", {"q0": lambda l: TRUE}, "q0", {"q0": 2}, LABS)
     with pytest.raises(UnsupportedAutomatonError):
@@ -436,3 +463,13 @@ def test_chain_work_grows_at_most_two_and_a_half_times():
     assert not d7.entails and not d8.entails
     assert d8.stats["certificate_nodes"] == 7
     assert d8.stats["work"] <= 2.5 * d7.stats["work"]
+
+
+def test_chain_of_ten_decides():
+    """Chain n=10 decides within the budget.  Its label context registers
+    every subset of 11 concept names, so it needs a saturation that
+    leaves the contexts registered before alone."""
+    with within(30):
+        d = decide_cq_entailment(chain_problem(10))
+    assert not d.entails
+    assert d.stats["certificate_nodes"] == 7

@@ -1,11 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import BruteForceReasoner, random_tbox_text
+from conftest import within
+from helpers import (
+    BruteForceReasoner,
+    FullSweepIndex,
+    chain_problem,
+    criterion6_problem,
+    random_tbox_text,
+)
 from hornsep import normalize, parse_abox, parse_cq, parse_tbox
 from hornsep.models import UniversalModel
 from hornsep.reasoner import (
+    ConsequenceIndex,
     InconsistentABoxError,
     certain_answers,
     chase,
@@ -143,3 +152,54 @@ def test_subsumption_matches_model_enumeration():
                 got = goal in index_for(t).closure(seed)
                 want = brute.subsumes(seed, goal)
                 assert got == want, (text, sorted(seed), goal, got, want)
+
+
+def _saturated(index, seeds):
+    for seed in seeds:
+        index.register(seed)
+    return index.cl, index.ex
+
+
+def _assert_order_independent(tbox, names, rng):
+    """Registering every subset of the names, in sorted, reversed and
+    shuffled order, gives the closures and successor tuples of the full
+    sweep, for every context the saturation made."""
+    seeds = [
+        frozenset(c)
+        for k in range(len(names) + 1)
+        for c in itertools.combinations(sorted(names), k)
+    ]
+    want = _saturated(FullSweepIndex(tbox), seeds)
+    shuffled = list(seeds)
+    rng.shuffle(shuffled)
+    for order in (seeds, seeds[::-1], shuffled):
+        assert _saturated(ConsequenceIndex(tbox), order) == want
+
+
+def test_saturation_matches_the_full_sweep_in_any_order():
+    rng = random.Random(11)
+    with within(120):
+        draws = random.Random(601)
+        for _ in range(200):
+            _t1, _t2, p = criterion6_problem(draws)
+            names = p.sigA.concepts | p.sigQ.concepts
+            for t in (p.t1, p.t2):
+                _assert_order_independent(t, names | t.concept_names(), rng)
+        for n in range(1, 10):
+            p = chain_problem(n)
+            for t in (p.t1, p.t2):
+                _assert_order_independent(t, t.concept_names(), rng)
+
+
+def test_new_names_reach_contexts_registered_inconsistent():
+    # {A} and {B} are inconsistent and registered before {Z} brings in a
+    # name the TBox does not mention; their closures must take it too
+    t = nt("A sub bot\nB sub some r A")
+    _assert_order_independent(t, {"A", "B", "Z"}, random.Random(3))
+    idx = ConsequenceIndex(t)
+    idx.register({"A"})
+    idx.register({"B"})
+    idx.register({"Z"})
+    assert "Z" in idx.cl[frozenset({"A"})]
+    assert "Z" in idx.cl[frozenset({"B"})]
+    assert idx.cl[frozenset({"Z"})] == {"Z"}
