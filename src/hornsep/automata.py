@@ -226,28 +226,43 @@ def label_to_json(label) -> object:
     return repr(label)
 
 
-#: caps on the symbolic alphabet enumeration
-MAX_THETA_CONCEPTS = 12
+#: cap on the symbolic alphabet enumeration
 MAX_LABELS = 120_000
 
 
-def _closed_concept_sets(tbox: NormalTBox, universe: frozenset) -> list:
-    """All consistent consequence-closed subsets of the universe, the
-    only concept parts a model-describing label layer can carry."""
-    if len(universe) > MAX_THETA_CONCEPTS:
-        raise ResourceLimitError(
-            f"label concept universe has {len(universe)} names, "
-            f"cap is {MAX_THETA_CONCEPTS}"
-        )
+def _independent_sets(tbox: NormalTBox, universe):
+    """Yield (S, cl(S), the names S's one-smaller subsets derive) for each
+    consistent S in the universe that is independent: no member lies in
+    the closure of the others.  Each consistent closed set is the closure
+    of such an S, and each minimal set deriving a name is one.  Subsets of
+    an independent set are independent, so growing the sets one name at a
+    time, by size and then in name order, reaches all of them."""
     idx = index_for(tbox)
-    out = set()
     names = sorted(universe)
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            cl = idx.closure(combo)
-            if BOT in cl:
+    level, grow = {}, [()]
+    while grow:
+        level, prev = {}, level
+        for t in grow:
+            subs = [prev.get(t[:i] + t[i + 1:]) for i in range(len(t))]
+            if any(c is None or x in c for x, c in zip(t, subs)):
                 continue
-            out.add(frozenset(cl))
+            cl = idx.closure(t)
+            if BOT not in cl:
+                level[t] = cl
+                yield frozenset(t), cl, frozenset().union(*subs)
+        grow = [s + (y,) for s in level for y in names if not s or y > s[-1]]
+
+
+def _closed_sets(tbox: NormalTBox, universe, limit: int) -> list:
+    """The consistent closed subsets of the universe in (size, names)
+    order; more than limit of them push the labels past ``MAX_LABELS``."""
+    out = set()
+    for _s, cl, _below in _independent_sets(tbox, universe):
+        out.add(cl)
+        if len(out) > limit:
+            raise ResourceLimitError(
+                f"label alphabet estimate exceeds cap {MAX_LABELS}"
+            )
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -274,7 +289,8 @@ def build_label_context(
     role symbol), the model layers carry consequence-closed consistent
     concept sets and contain the asserted symbols, L2's role part is the
     role-inclusion closure of the asserted edge role, and off-ABox nodes
-    have empty L2.
+    have empty L2.  Each model layer's closed sets stop as soon as they
+    alone push the estimate past ``MAX_LABELS``, the one alphabet bound.
     """
     idx2 = index_for(tbox2)
     th0c = frozenset(sigA.concepts)
@@ -284,22 +300,23 @@ def build_label_context(
     th2c = frozenset(tbox2.concept_names()) | th0c
     th2r = frozenset(tbox2.roles()) | th0r
 
-    c1_options = [frozenset()] + [
-        s for s in _closed_concept_sets(tbox1, th1c) if s
-    ]
-    c2_closed = _closed_concept_sets(tbox2, th2c)
     r1_options = [
         frozenset(s)
         for k in range(len(th1r) + 1)
         for s in itertools.combinations(sorted(th1r), k)
     ]
-
     l0_options = []
     for k in range(len(th0c) + 1):
         for cc in itertools.combinations(sorted(th0c), k):
             l0_options.append((frozenset(cc), frozenset()))
             for rr in sorted(th0r):
                 l0_options.append((frozenset(cc), frozenset([rr])))
+
+    share = MAX_LABELS // (len(l0_options) * len(r1_options))
+    c1_options = [frozenset()] + [
+        s for s in _closed_sets(tbox1, th1c, share) if s
+    ]
+    c2_closed = _closed_sets(tbox2, th2c, share // len(c1_options))
 
     est = len(l0_options) * len(c1_options) * len(r1_options) * max(
         1, len(c2_closed)
@@ -610,29 +627,21 @@ def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
 # A3: L2 records exactly what T2 derives over the asserted ABox, and the
 # ABox is consistent with T2
 
-def _derivation_sets(tbox2: NormalTBox, universe, a: str) -> list:
-    """Minimal consistent S with a in the T2-closure of S, a not in S."""
-    idx = index_for(tbox2)
-    names = sorted(set(universe) - {a})
-    found = []
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            s = frozenset(combo)
-            if any(t <= s for t in found):
-                continue
-            cl = idx.closure(s)
-            if BOT in cl:
-                continue
-            if a in cl:
-                found.append(s)
-    return found
+def _minimal_derivations(tbox2: NormalTBox, universe) -> dict:
+    """For each name a, the minimal consistent S without a that derive a
+    under T2, in (size, names) order: no one-smaller subset derives a."""
+    dsets = {a: [] for a in universe}
+    for s, cl, below in _independent_sets(tbox2, universe):
+        for a in cl - below - s:
+            dsets[a].append(s)
+    return dsets
 
 
 def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     idx2 = index_for(tbox2)
     th2c = sorted(ctx.theta2_concepts)
     th0r = sorted(ctx.theta0_roles)
-    dsets = {a: _derivation_sets(tbox2, th2c, a) for a in th2c}
+    dsets = _minimal_derivations(tbox2, th2c)
 
     # (premise concept, asserted edge role) pairs that can push a
     # concept onto an edge target: value restrictions, and existentials

@@ -192,26 +192,30 @@ class TypeGraph:
     out: dict = field(default_factory=dict)
 
 
-def type_graph(tbox: NormalTBox, t0) -> TypeGraph:
-    idx = index_for(tbox)
-    if not idx.consistent(t0):
-        raise reasoner.InconsistentABoxError("type graph of an inconsistent type")
-    root = TGNode(idx.type_of(t0), None)
+def _unfold(tbox: NormalTBox, root, starts) -> TypeGraph:
+    """The (incoming role, type) classes reachable from the start nodes,
+    breadth first, with their children per ``_anon_children``."""
     tg = TypeGraph(root=root)
-    queue = [root]
+    queue = list(starts)
     while queue:
         node = queue.pop(0)
         if node in tg.nodes:
             continue
         tg.nodes.add(node)
-        succs = []
-        for r, rho, t2 in _anon_children(tbox, node.type, node.rin):
-            child = TGNode(t2, r)
-            succs.append((r, rho, child))
-            if child not in tg.nodes:
-                queue.append(child)
-        tg.out[node] = succs
+        tg.out[node] = [
+            (r, rho, TGNode(t2, r))
+            for r, rho, t2 in _anon_children(tbox, node.type, node.rin)
+        ]
+        queue += [c for _r, _rho, c in tg.out[node] if c not in tg.nodes]
     return tg
+
+
+def type_graph(tbox: NormalTBox, t0) -> TypeGraph:
+    idx = index_for(tbox)
+    if not idx.consistent(t0):
+        raise reasoner.InconsistentABoxError("type graph of an inconsistent type")
+    root = TGNode(idx.type_of(t0), None)
+    return _unfold(tbox, root, [root])
 
 
 def prefix_interpretation(tg: TypeGraph, start: TGNode, depth: int) -> Interpretation:
@@ -236,26 +240,13 @@ def prefix_interpretation(tg: TypeGraph, start: TGNode, depth: int) -> Interpret
 def reachable_anon_classes(model: UniversalModel) -> TypeGraph:
     """All (incoming role, type) classes of anonymous elements of the
     universal model, presented as a rootless TypeGraph."""
-    tbox = model.tbox
-    idx = index_for(tbox)
-    tg = TypeGraph(root=None)
-    queue = []
-    for a in sorted(model.abox.individuals()):
-        for r in sorted(idx.roles, key=str):
-            for t in model.succ(a, r):
-                queue.append(TGNode(t, r))
-    while queue:
-        node = queue.pop()
-        if node in tg.nodes:
-            continue
-        tg.nodes.add(node)
-        succs = []
-        for r, rho, t2 in _anon_children(tbox, node.type, node.rin):
-            child = TGNode(t2, r)
-            succs.append((r, rho, child))
-            queue.append(child)
-        tg.out[node] = succs
-    return tg
+    starts = [
+        TGNode(t, r)
+        for a in sorted(model.abox.individuals())
+        for r in sorted(index_for(model.tbox).roles, key=str)
+        for t in model.succ(a, r)
+    ]
+    return _unfold(model.tbox, None, starts)
 
 
 def anonymous_component_match(model: UniversalModel, comp) -> bool:

@@ -20,7 +20,7 @@ from hornsep.models import (
     stable_key,
     type_graph,
 )
-from hornsep.reasoner import ConsequenceIndex
+from hornsep.reasoner import BOT, ConsequenceIndex, index_for
 from hornsep.syntax import (
     ABox,
     ConjSub,
@@ -205,6 +205,39 @@ class FullSweepIndex(ConsequenceIndex):
                     if self._apply(k, []):
                         changed = True
         return m
+
+
+def closed_sets_by_subsets(tbox: NormalTBox, universe) -> list:
+    """Every consistent closure of a subset of the universe, found by
+    closing all 2^n subsets, in (size, names) order.  Reference for the
+    closed sets ``automata.build_label_context`` enumerates."""
+    idx = index_for(tbox)
+    out = set()
+    names = sorted(universe)
+    for k in range(len(names) + 1):
+        for combo in itertools.combinations(names, k):
+            cl = idx.closure(combo)
+            if BOT not in cl:
+                out.add(frozenset(cl))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def derivation_sets_by_subsets(tbox: NormalTBox, universe, a: str) -> list:
+    """Minimal consistent S with a in the closure of S and a not in S,
+    found by scanning the subsets of the other names by size and then in
+    name order.  Reference for A3's derivation sets."""
+    idx = index_for(tbox)
+    names = sorted(set(universe) - {a})
+    found = []
+    for k in range(len(names) + 1):
+        for combo in itertools.combinations(names, k):
+            s = frozenset(combo)
+            if any(t <= s for t in found):
+                continue
+            cl = idx.closure(s)
+            if BOT not in cl and a in cl:
+                found.append(s)
+    return found
 
 
 # ---------------------------------------------------------------------------

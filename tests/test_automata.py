@@ -1,12 +1,16 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import within
+from conftest import problem, within
 from helpers import (
     chain_problem,
+    closed_sets_by_subsets,
+    criterion6_problem,
+    derivation_sets_by_subsets,
     eval_formula,
     random_regular_tree,
     small_trees,
@@ -14,6 +18,7 @@ from helpers import (
 from hornsep import normalize, parse_signature, parse_tbox
 from hornsep.automata import (
     FALSE,
+    MAX_LABELS,
     TRUE,
     RegularTreeRep,
     StateRule,
@@ -37,9 +42,14 @@ from hornsep.automata import (
     up_may,
     up_must,
     _DemandSearch,
+    _closed_sets,
+    _independent_sets,
+    _minimal_derivations,
 )
 from hornsep.entailment import decide_cq_entailment
 from hornsep.models import stable_key
+from hornsep.syntax import ResourceLimitError
+from test_decision_golden import FIXTURES
 
 
 def toy(name, rules, init, pri, labels, root_labels=None):
@@ -466,10 +476,89 @@ def test_chain_work_grows_at_most_two_and_a_half_times():
 
 
 def test_chain_of_ten_decides():
-    """Chain n=10 decides within the budget.  Its label context registers
-    every subset of 11 concept names, so it needs a saturation that
-    leaves the contexts registered before alone."""
+    """Chain n=10 decides within the budget.  Its label context closes
+    only the independent sets of its 11 concept names, the empty set and
+    the single names, so the emptiness search does nearly all the work."""
     with within(30):
         d = decide_cq_entailment(chain_problem(10))
     assert not d.entails
     assert d.stats["certificate_nodes"] == 7
+
+
+def _label_universes(p):
+    """Both TBoxes of a problem, each with its label concept universe."""
+    th0c = frozenset(p.sigA.concepts)
+    return [(t, frozenset(t.concept_names()) | th0c) for t in (p.t1, p.t2)]
+
+
+def test_closed_and_derivation_sets_match_the_subset_scans():
+    """The independent-set enumeration gives the closed sets of the label
+    context and A3's derivation sets of every name exactly as scanning
+    all subsets does, in the same order, without visiting the subsets
+    that are not independent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problems = [problem(*texts) for texts in FIXTURES.values()]
+    problems += [chain_problem(n) for n in range(1, 12)]
+    rng = random.Random(601)
+    problems += [criterion6_problem(rng)[2] for _ in range(200)]
+    cases = [case for p in problems for case in _label_universes(p)]
+    reversed_chain = normalize(
+        parse_tbox("\n".join(f"C{i + 1} sub C{i}" for i in range(12)))
+    )
+    cases.append((reversed_chain, frozenset(reversed_chain.concept_names())))
+    for tbox, universe in cases:
+        assert _closed_sets(tbox, universe, MAX_LABELS) == (
+            closed_sets_by_subsets(tbox, universe)
+        )
+        assert _minimal_derivations(tbox, sorted(universe)) == {
+            a: derivation_sets_by_subsets(tbox, universe, a)
+            for a in universe
+        }
+    # against the name order, the chain still grows only the empty set
+    # and the 13 single names: no subset of two names is independent
+    universe = reversed_chain.concept_names()
+    assert len(list(_independent_sets(reversed_chain, universe))) == 14
+
+
+_CHAIN_12 = "\n".join(f"C{i} sub C{i + 1}" for i in range(12))
+
+
+def test_thirteen_name_chain_separates_with_one_node():
+    """13 concept names are no longer refused: the back axiom C12 sub C0
+    is seen on a single C12 individual."""
+    with within(10):
+        d = decide_cq_entailment(problem(
+            _CHAIN_12, _CHAIN_12 + "\nC12 sub C0",
+            "concepts: C12\nroles:", "concepts: C0\nroles:",
+        ))
+    assert not d.entails
+    assert d.stats["certificate_nodes"] == 1
+
+
+def test_thirteen_name_chain_entails_an_implied_axiom():
+    with within(10):
+        d = decide_cq_entailment(problem(
+            _CHAIN_12, _CHAIN_12 + "\nC11 sub C0",
+            "concepts: C0\nroles:", "concepts: C12\nroles:",
+        ))
+    assert d.entails
+
+
+def test_chain_of_twelve_builds_its_label_context_at_once():
+    p = chain_problem(12)
+    with within(1):
+        ctx = build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
+    assert len(ctx.labels) == 848
+
+
+def test_too_many_closed_sets_are_refused_at_once():
+    """Ten unrelated pairs ``Ai sub Bi`` have 3^10 closed sets; the
+    enumeration stops once they pass the label alphabet bound instead of
+    listing them."""
+    t1 = "\n".join(f"A{i} sub B{i}" for i in range(10))
+    p = problem(t1, t1 + "\nA00 sub some r B01",
+                "concepts: A00\nroles: r", "concepts: B01\nroles: r")
+    with within(2):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            decide_cq_entailment(p)

@@ -246,24 +246,24 @@ def test_automaton_dump_matches_golden(runner):
 
 
 def test_check_resource_limit_exit_thirteen(runner, tmp_path):
-    """A concept chain too long for the label alphabet hits a cap, which
-    is a resource limit, not an internal error."""
-    chain = "\n".join(f"C{i} sub C{i + 1}" for i in range(14))
+    """Ten unrelated pairs ``Ai sub Bi`` give more closed concept sets
+    than the label alphabet bound admits, which is a resource limit, not
+    an internal error."""
+    t1_text = "\n".join(f"A{i} sub B{i}" for i in range(10))
     t1 = tmp_path / "t1.tbox"
-    t1.write_text(chain + "\n")
+    t1.write_text(t1_text + "\n")
     t2 = tmp_path / "t2.tbox"
-    t2.write_text(chain + "\nC0 sub some r C1\n")
+    t2.write_text(t1_text + "\nA00 sub some r B01\n")
     sa = tmp_path / "a.sig"
-    sa.write_text("concepts: C0\nroles: r\n")
+    sa.write_text("concepts: A00\nroles: r\n")
     sq = tmp_path / "q.sig"
-    sq.write_text("concepts: C14\nroles: r\n")
+    sq.write_text("concepts: B01\nroles: r\n")
     args = ["--t1", str(t1), "--t2", str(t2),
             "--sigma-a", str(sa), "--sigma-q", str(sq)]
-    res = invoke(runner, "check", *args)
-    assert res.exit_code == 13
-    assert "cap is 12" in res.output
-    res = invoke(runner, "automaton", *args)
-    assert res.exit_code == 13
+    for command in ("check", "automaton"):
+        res = invoke(runner, command, *args)
+        assert res.exit_code == 13, command
+        assert "label alphabet estimate exceeds cap 120000" in res.output
 
 
 def _run_cli(args, seed):
