@@ -23,12 +23,17 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import automata, models, reasoner
-from .reasoner import certain_answers, index_for
+from .reasoner import BOT, certain_answers, index_for
 from .syntax import (
     ABox,
+    And,
+    Bot,
     CQ,
     ConjSub,
+    Exists,
+    Forall,
     HornsepError,
+    Name,
     NormalTBox,
     ProfileError,
     Role,
@@ -36,6 +41,7 @@ from .syntax import (
     SubAll,
     SubBot,
     TBox,
+    Top,
     cq_is_1tcq,
     cq_to_text,
     is_elhifbot,
@@ -150,6 +156,109 @@ def check_ri(
     return True
 
 
+def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
+    """A sound, incomplete test of T1 ⊨ T2: True only when the first
+    TBox entails every axiom of the second as written (``t2.source``).
+
+    An axiom the first TBox holds verbatim is entailed.  Otherwise the
+    left side becomes a tree ABox, chased under T1, and the right side
+    is read off that universal model (``_holds``).  Role inclusions go
+    through ``role_subsumes``, and ``func(R)`` holds when R has a
+    functional superrole.  Any other shape answers False, which means
+    "unknown".  The chases run on a private copy of T1, so that the
+    names they bring in do not reach the index the pipeline reads."""
+    raw = t2.source
+    if raw is None or raw.concept_names() & set(t1.fresh):
+        return False
+    t1 = replace(t1)
+    idx = index_for(t1)
+    if not all(idx.role_subsumes(r, s) for r, s in raw.ris):
+        return False
+    if not all(idx.functional_superroles(f) for f in raw.fas):
+        return False
+    held = set(t1.source.cis) if t1.source is not None else set()
+    fresh = _fresh_concept(t1, raw)
+    for left, right in raw.cis:
+        if (left, right) in held:
+            continue
+        abox = ABox()
+        if not _assert_tree(left, "a0", abox):
+            continue  # a left side holding bot is empty in every model
+        if abox.is_empty():
+            # top: one individual, in a name no TBox uses
+            abox.concept_assertions.add((fresh, "a0"))
+        if not _holds(t1, abox, "a0", right):
+            return False
+    return True
+
+
+def _new_successor(abox: ABox, a: str, role: Role) -> str:
+    """Assert a role edge from a to a new individual, and return it."""
+    b = f"a{len(abox.role_assertions) + 1}"
+    abox.role_assertions.add(
+        (role.name, b, a) if role.inverted else (role.name, a, b)
+    )
+    return b
+
+
+def _assert_tree(c, a: str, abox: ABox) -> bool:
+    """Add the tree ABox of a left side at individual a: names are
+    concept assertions, ``and`` asserts both sides at a, ``some R D``
+    asserts D at a new R-successor, and top asserts nothing.  False
+    when c holds bot, which makes it empty."""
+    if isinstance(c, Bot):
+        return False
+    if isinstance(c, Name):
+        abox.concept_assertions.add((c.name, a))
+    elif isinstance(c, And):
+        return _assert_tree(c.left, a, abox) and _assert_tree(c.right, a, abox)
+    elif isinstance(c, Exists):
+        return _assert_tree(c.arg, _new_successor(abox, a, c.role), abox)
+    return True
+
+
+def _holds(t1: NormalTBox, abox: ABox, a: str, c) -> bool:
+    """T1 and the tree ABox entail c at individual a, as far as the
+    check can tell.  A fork of a functional role is not an
+    inconsistency here: an interpretation may identify the two
+    individuals, so the answer is "unknown"."""
+    m = models.UniversalModel(t1, abox)
+    if not m.consistent:
+        return any(BOT in tp for tp in m.state.tp.values())
+    return _holds_in(m, a, c)
+
+
+def _holds_in(m: models.UniversalModel, a: str, c) -> bool:
+    if isinstance(c, Top):
+        return True
+    if isinstance(c, And):
+        return _holds_in(m, a, c.left) and _holds_in(m, a, c.right)
+    if isinstance(c, Forall):
+        abox = ABox(set(m.abox.concept_assertions), set(m.abox.role_assertions))
+        b = _new_successor(abox, a, c.role)
+        return _holds(m.tbox, abox, b, c.arg)
+    q = CQ(("x0",))
+    return _tree_query(c, "x0", q) and (a,) in certain_answers(m, q)
+
+
+def _tree_query(c, z: str, q: CQ) -> bool:
+    """Add the atoms of c at variable z of the tree CQ q: False for bot
+    (the model is consistent) and for ``only`` below ``some``."""
+    if isinstance(c, Top):
+        return True
+    if isinstance(c, Name):
+        q.concept_atoms.add((c.name, z))
+        return True
+    if isinstance(c, And):
+        return _tree_query(c.left, z, q) and _tree_query(c.right, z, q)
+    if isinstance(c, Exists):
+        w = f"x{len(q.role_atoms) + 1}"
+        r = c.role
+        q.role_atoms.add((r.name, w, z) if r.inverted else (r.name, z, w))
+        return _tree_query(c.arg, w, q)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # automata pipeline
 
@@ -193,9 +302,9 @@ def _decide_queries(
     simulation instead of a homomorphism."""
     if not precheck["ri"]:
         return Decision(mode, False, precheck)
-    if _raw_subset(p.t2_raw, p.t1_raw):
-        # certain answers are monotone in the TBox, so a syntactic
-        # superset on the first side settles the question
+    if tbox_entails(p.t1, p.t2):
+        # certain answers are monotone in the TBox, so T1 ⊨ T2 settles
+        # the question
         return Decision(mode, True, precheck, stats={"subset": True})
     entails, cert, stats = _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim)
     return Decision(mode, entails, precheck, certificate=cert, stats=stats)
@@ -301,10 +410,10 @@ def decide_incons_entailment(t1: NormalTBox, t2: NormalTBox, sigA: Signature):
 def _with_incons(p: Problem, d: Decision) -> Decision:
     """Strengthen an entailing decision of a mode that also compares
     inconsistent ABoxes: it holds only if every ABox inconsistent with
-    the second TBox is inconsistent with the first.  A syntactic subset
-    settles that as it settled the query entailment.  The bot-free
-    pipeline's stats go under ``incons_pipeline``, and its certificate,
-    when it refutes, becomes the decision's."""
+    the second TBox is inconsistent with the first.  T1 ⊨ T2 settles
+    that as it settled the query entailment.  The bot-free pipeline's
+    stats go under ``incons_pipeline``, and its certificate, when it
+    refutes, becomes the decision's."""
     if not d.entails:
         return d
     if d.stats.get("subset", False):
@@ -497,13 +606,16 @@ def oracle_witness_search(
     """Enumerate small tree-shaped ABoxes and small connected queries
     read off the second TBox's materialized model; return the first
     replayable witness.  Sound, incomplete: ``None`` means no witness
-    within the bounds, after an exhaustive search of them.  A time
-    limit is the caller's, and interrupts the search with an exception
-    (the command line raises ``ResourceLimitError``).  Each ABox is
-    chased once per TBox.  A candidate's answer holds under the second
-    TBox by construction (the identity map is a match), so each
+    within the bounds, after an exhaustive search of them, or that
+    ``tbox_entails`` proved T1 ⊨ T2, so no witness exists at any bound.
+    A time limit is the caller's, and interrupts the search with an
+    exception (the command line raises ``ResourceLimitError``).  Each
+    ABox is chased once per TBox.  A candidate's answer holds under the
+    second TBox by construction (the identity map is a match), so each
     candidate is asked once, of the first TBox's model, and
     ``verify_witness`` replays the one returned."""
+    if tbox_entails(t1, t2):
+        return None
     for abox in enumerate_tree_aboxes(sigA, max_ind):
         m1 = models.UniversalModel(t1, abox)
         if not m1.consistent:

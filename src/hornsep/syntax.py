@@ -206,6 +206,7 @@ class NormalTBox:
     ris: list = field(default_factory=list)
     fas: set = field(default_factory=set)
     fresh: dict = field(default_factory=dict)  # fresh name -> printed source concept
+    source: Optional[TBox] = field(default=None, compare=False)  # normalize's input
 
     def concept_names(self) -> set:
         out = set()
@@ -393,6 +394,7 @@ def normalize(tbox: TBox) -> NormalTBox:
         ris=list(tbox.ris),
         fas=set(tbox.fas),
         fresh=dict(n.fresh),
+        source=tbox,
     )
 
 

@@ -294,16 +294,21 @@ def test_time_limit_ends_with_the_command(runner, monkeypatch):
 def test_oracle_time_limit_exit_thirteen(tmp_path):
     """A time limit that cuts the oracle short is a resource limit, not
     "no witness", and it is not rounded up to whole seconds: the child
-    spends well under a second of CPU.  The search on this problem runs
-    for minutes; a subprocess keeps the timer out of the test process."""
+    spends well under a second of CPU.  T2 adds ``Zq sub Wq``, whose
+    names lie outside both signatures, so no witness exists although
+    T1 does not entail T2, and the search on this problem runs for
+    minutes; a subprocess keeps the timer out of the test process."""
+    axioms = ("PhDStud sub some advBy Prof\nadv subr inv(advBy)\n"
+              "func(advBy)\nA sub some r B\nB sub some s A\n")
     t = tmp_path / "t.tbox"
-    t.write_text("PhDStud sub some advBy Prof\nadv subr inv(advBy)\n"
-                 "func(advBy)\nA sub some r B\nB sub some s A\n")
+    t.write_text(axioms)
+    t2 = tmp_path / "t2.tbox"
+    t2.write_text(axioms + "Zq sub Wq\n")
     sig = tmp_path / "s.sig"
     sig.write_text("concepts: PhDStud A B Prof\nroles: adv r s\n")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     r = _run_cli(["oracle", "--json", "--max-abox", "3", "--max-cq", "3",
-                  "--time-limit", "0.3", "--t1", str(t), "--t2", str(t),
+                  "--time-limit", "0.3", "--t1", str(t), "--t2", str(t2),
                   "--sigma-a", str(sig), "--sigma-q", str(sig)], 0)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert r.returncode == 13

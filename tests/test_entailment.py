@@ -4,7 +4,12 @@ import warnings
 import pytest
 
 from conftest import problem, within
-from helpers import abox_tree_shaped, criterion6_problem
+from helpers import (
+    abox_tree_shaped,
+    criterion6_problem,
+    finite_models,
+    model_satisfies_raw,
+)
 from hornsep import (
     entailment,
     models,
@@ -72,8 +77,8 @@ def test_disjointness_entailed_but_not_under_incons(disjointness_problem):
 def test_incons_keeps_the_bot_free_pipeline_evidence(disjointness_problem):
     """The bot-free pipeline that refutes leaves its stats under
     ``incons_pipeline`` and its certificate, which the bot-free product
-    accepts, on the decision.  A syntactic subset runs no pipeline and
-    adds no key."""
+    accepts, on the decision.  T1 ⊨ T2 runs no pipeline and adds no
+    key."""
     p = disjointness_problem
     d = decide_cq_entailment_incons(p)
     assert not d.entails
@@ -101,6 +106,117 @@ def test_identical_tboxes_shortcut():
     d = decide_cq_entailment(p)
     assert d.entails
     assert d.stats.get("subset") is True
+
+
+# (T1, T2, what tbox_entails answers); False on an entailed T2 is
+# "unknown", for a shape the check does not read
+TBOX_ENTAILS_CASES = [
+    ("some inv(r) A sub B", "A sub only r B", True),
+    ("A sub only r B", "some inv(r) A sub B", True),
+    ("s subr r", "inv(s) subr inv(r)", True),
+    ("func(r)\ns subr r", "func(s)", True),
+    ("A sub bot", "A sub some r B", True),
+    ("top sub B", "A sub B", True),
+    ("", "bot sub A", True),
+    ("", "A sub top", True),
+    ("some r top sub bot", "A sub only r bot", True),
+    ("A sub some r B\nfunc(r)\nA sub some r C", "A sub some r (B and C)", True),
+    ("func(r)", "func(inv(r))", False),
+    ("top sub B", "top sub some r top", False),
+    ("A sub B", "A sub B and some r top", False),
+    ("A sub some r C\nC sub only s B", "A sub some r (only s B)", False),
+]
+
+
+@pytest.mark.filterwarnings("ignore:functional role:UserWarning")
+@pytest.mark.parametrize("t1, t2, want", TBOX_ENTAILS_CASES)
+def test_tbox_entails_shapes(t1, t2, want):
+    got = entailment.tbox_entails(
+        normalize(parse_tbox(t1)), normalize(parse_tbox(t2))
+    )
+    assert got is want
+
+
+def test_tbox_entails_reads_a_fork_as_unknown():
+    """Two r-successors under func(r) make the tree ABox of the left
+    side inconsistent, yet an interpretation may identify them: a model
+    of T1 violates T2, so the check must not say yes."""
+    t1, t2 = parse_tbox("func(r)"), parse_tbox("some r A and some r B sub C")
+    assert not entailment.tbox_entails(normalize(t1), normalize(t2))
+    assert any(
+        model_satisfies_raw(m, t1) and not model_satisfies_raw(m, t2)
+        for m in finite_models({"A", "B", "C"}, {"r"}, 2)
+    )
+
+
+def test_tbox_entails_refuses_the_internal_names_of_the_first_tbox():
+    """A name that normalization made up for T1 means something else in
+    T2: asserting it would fire T1's helper axioms about it."""
+    t1 = normalize(parse_tbox("some r A sub B"))
+    (x,) = t1.fresh
+    assert not entailment.tbox_entails(t1, normalize(parse_tbox(f"{x} sub B")))
+
+
+def test_tbox_entails_unknown_shape_goes_through_the_pipeline():
+    """``some r (only s B)`` on the right is a shape the check does not
+    read; the pipeline still decides the entailment."""
+    t1, t2 = "A sub some r C\nC sub only s B", "A sub some r (only s B)"
+    p = problem(t1, t2, "concepts: A B C\nroles:",
+                "concepts: A B C\nroles: r s")
+    d = decide_cq_entailment(p)
+    assert d.entails and "subset" not in d.stats
+
+
+def test_tbox_entails_keeps_the_pipeline_index_unchanged():
+    """The check chases T2's names under a copy of T1, so the index
+    that the pipeline reads never sees them."""
+    t1, t2 = normalize(parse_tbox("A sub bot")), normalize(parse_tbox("Z sub A"))
+    idx = reasoner.index_for(t1)
+    universe = set(idx.concept_universe)
+    assert not entailment.tbox_entails(t1, t2)
+    assert reasoner.index_for(t1) is idx and idx.concept_universe == universe
+
+
+def _criterion6_draws():
+    rng = random.Random(601)
+    return [criterion6_problem(rng)[2] for _ in range(200)]
+
+
+def test_tbox_entails_holds_in_small_finite_models():
+    """On the seed-601 criterion-6 draws, every interpretation of the
+    names of both TBoxes with at most two elements that satisfies the
+    first TBox as written also satisfies the second wherever the check
+    says T1 ⊨ T2."""
+    yes = models_checked = 0
+    for p in _criterion6_draws():
+        if not entailment.tbox_entails(p.t1, p.t2):
+            continue
+        yes += 1
+        concepts = p.t1_raw.concept_names() | p.t2_raw.concept_names()
+        roles = p.t1_raw.role_names() | p.t2_raw.role_names()
+        for m in finite_models(concepts, roles, 2):
+            if model_satisfies_raw(m, p.t1_raw):
+                models_checked += 1
+                assert model_satisfies_raw(m, p.t2_raw), (p.t1_raw, p.t2_raw)
+    assert (yes, models_checked) == (86, 9802)
+
+
+def test_semantic_subsets_still_entail_through_the_pipeline():
+    """The 21 seed-601 criterion-6 draws where T1 ⊨ T2 but T2 is no
+    verbatim subset of T1 never reach the pipeline through the deciders;
+    run it on them directly so that its entailing path stays covered."""
+    draws = [
+        p for p in _criterion6_draws()
+        if entailment.tbox_entails(p.t1, p.t2)
+        and not entailment._raw_subset(p.t2_raw, p.t1_raw)
+    ]
+    assert len(draws) == 21
+    with within(240):
+        for p in draws:
+            entails, _cert, _stats = entailment._run_pipeline(
+                p.t1, p.t2, p.sigA, p.sigQ, False
+            )
+            assert entails, (p.t1_raw, p.t2_raw)
 
 
 def test_role_inclusion_precheck_fails():
@@ -189,8 +305,11 @@ def test_verify_witness_rejects_fabrications(advisor_problem):
 @pytest.mark.parametrize("fixture", ["advisor_problem", "inverse_chain_problem"])
 def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
     """The oracle answers every candidate query of an ABox over one
-    chased model per TBox, and verify_witness chases its own two."""
+    chased model per TBox, and verify_witness chases its own two.  Only
+    the chases of enumerated ABoxes count: ``tbox_entails`` chases
+    ABoxes of its own first."""
     counts = {"chase": 0, "abox": 0, "verify": 0}
+    enumerated = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -198,13 +317,20 @@ def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_chase(tbox, abox):
+        if any(abox is a for a in enumerated):
+            counts["chase"] += 1
+        return chase(tbox, abox)
+
     def counted_aboxes(*args):
         for abox in enumerate_tree_aboxes(*args):
             counts["abox"] += 1
+            enumerated.append(abox)
             yield abox
 
     # models and entailment reach the chase as reasoner.chase
-    monkeypatch.setattr(reasoner, "chase", counted("chase", reasoner.chase))
+    chase = reasoner.chase
+    monkeypatch.setattr(reasoner, "chase", counted_chase)
     monkeypatch.setattr(entailment, "enumerate_tree_aboxes", counted_aboxes)
     monkeypatch.setattr(
         entailment, "verify_witness", counted("verify", verify_witness)
@@ -229,11 +355,16 @@ def test_shared_model_answers_like_a_fresh_one(monkeypatch):
         shared[id(model)] = model
         return got
 
-    monkeypatch.setattr(entailment, "certain_answers", checked)
     rng = random.Random(601)
-    for _ in range(6):
+    searched = 0
+    while searched < 6:
         _t1, _t2, p = criterion6_problem(rng)
-        entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
+        if entailment.tbox_entails(p.t1, p.t2):
+            continue  # the oracle returns at once
+        searched += 1
+        with monkeypatch.context() as mp:
+            mp.setattr(entailment, "certain_answers", checked)
+            entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
     assert len(shared) > 10
     for model in shared.values():
         for depth in (1, 2, 3):
