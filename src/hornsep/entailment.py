@@ -56,17 +56,16 @@ class PreconditionError(HornsepError):
 
 @dataclass
 class Problem:
-    t1_raw: TBox
-    t2_raw: TBox
+    """Two normalized TBoxes and the two signatures; each TBox keeps the
+    axioms as written in ``source``."""
+
     t1: NormalTBox
     t2: NormalTBox
     sigA: Signature
     sigQ: Signature
 
     def swapped(self) -> "Problem":
-        return Problem(
-            self.t2_raw, self.t1_raw, self.t2, self.t1, self.sigA, self.sigQ
-        )
+        return Problem(self.t2, self.t1, self.sigA, self.sigQ)
 
 
 def make_problem(
@@ -80,7 +79,7 @@ def make_problem(
         raise HornsepError(
             f"signature mentions internal normalization names: {sorted(bad)}"
         )
-    return Problem(t1_raw, t2_raw, t1, t2, sigA, sigQ)
+    return Problem(t1, t2, sigA, sigQ)
 
 
 @dataclass
@@ -440,7 +439,7 @@ def decide_deductive(p: Problem) -> Decision:
     follows from the second TBox follows from the first."""
     if p.sigA != p.sigQ:
         raise PreconditionError("deductive mode uses one shared signature")
-    if not is_elhifbot(p.t1_raw) or not is_elhifbot(p.t2_raw):
+    if not is_elhifbot(p.t1.source) or not is_elhifbot(p.t2.source):
         raise ProfileError(
             "deductive entailment is only supported for TBoxes whose "
             "printed axioms avoid value restrictions and conjunctions on "
@@ -471,7 +470,7 @@ def _raw_subset(t1: TBox, t2: TBox) -> bool:
 
 
 def conservative_extension(p: Problem) -> Decision:
-    if not _raw_subset(p.t1_raw, p.t2_raw):
+    if not _raw_subset(p.t1.source, p.t2.source):
         raise PreconditionError(
             "conservative extension mode requires the first TBox to be a "
             "syntactic subset of the second"

@@ -192,12 +192,13 @@ def test_tbox_entails_holds_in_small_finite_models():
         if not entailment.tbox_entails(p.t1, p.t2):
             continue
         yes += 1
-        concepts = p.t1_raw.concept_names() | p.t2_raw.concept_names()
-        roles = p.t1_raw.role_names() | p.t2_raw.role_names()
+        t1, t2 = p.t1.source, p.t2.source
+        concepts = t1.concept_names() | t2.concept_names()
+        roles = t1.role_names() | t2.role_names()
         for m in finite_models(concepts, roles, 2):
-            if model_satisfies_raw(m, p.t1_raw):
+            if model_satisfies_raw(m, t1):
                 models_checked += 1
-                assert model_satisfies_raw(m, p.t2_raw), (p.t1_raw, p.t2_raw)
+                assert model_satisfies_raw(m, t2), (t1, t2)
     assert (yes, models_checked) == (86, 9802)
 
 
@@ -208,7 +209,7 @@ def test_semantic_subsets_still_entail_through_the_pipeline():
     draws = [
         p for p in _criterion6_draws()
         if entailment.tbox_entails(p.t1, p.t2)
-        and not entailment._raw_subset(p.t2_raw, p.t1_raw)
+        and not entailment._raw_subset(p.t2.source, p.t1.source)
     ]
     assert len(draws) == 21
     with within(240):
@@ -216,7 +217,7 @@ def test_semantic_subsets_still_entail_through_the_pipeline():
             entails, _cert, _stats = entailment._run_pipeline(
                 p.t1, p.t2, p.sigA, p.sigQ, False
             )
-            assert entails, (p.t1_raw, p.t2_raw)
+            assert entails, (p.t1.source, p.t2.source)
 
 
 def test_role_inclusion_precheck_fails():
@@ -305,11 +306,10 @@ def test_verify_witness_rejects_fabrications(advisor_problem):
 @pytest.mark.parametrize("fixture", ["advisor_problem", "inverse_chain_problem"])
 def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
     """The oracle answers every candidate query of an ABox over one
-    chased model per TBox, and verify_witness chases its own two.  Only
-    the chases of enumerated ABoxes count: ``tbox_entails`` chases
-    ABoxes of its own first."""
+    chased model per TBox, and verify_witness chases its own two.  No
+    fixture has T1 ⊨ T2, so ``tbox_entails`` is stubbed to its answer,
+    False, and every chase left is one of the search."""
     counts = {"chase": 0, "abox": 0, "verify": 0}
-    enumerated = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -317,25 +317,20 @@ def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_chase(tbox, abox):
-        if any(abox is a for a in enumerated):
-            counts["chase"] += 1
-        return chase(tbox, abox)
-
     def counted_aboxes(*args):
         for abox in enumerate_tree_aboxes(*args):
             counts["abox"] += 1
-            enumerated.append(abox)
             yield abox
 
+    p = request.getfixturevalue(fixture)
+    assert not entailment.tbox_entails(p.t1, p.t2)
+    monkeypatch.setattr(entailment, "tbox_entails", lambda t1, t2: False)
     # models and entailment reach the chase as reasoner.chase
-    chase = reasoner.chase
-    monkeypatch.setattr(reasoner, "chase", counted_chase)
+    monkeypatch.setattr(reasoner, "chase", counted("chase", reasoner.chase))
     monkeypatch.setattr(entailment, "enumerate_tree_aboxes", counted_aboxes)
     monkeypatch.setattr(
         entailment, "verify_witness", counted("verify", verify_witness)
     )
-    p = request.getfixturevalue(fixture)
     w = entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 2)
     assert (w is None) == (fixture == "inverse_chain_problem")
     assert counts["abox"] > 0 and counts["verify"] == (w is not None)
