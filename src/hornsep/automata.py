@@ -20,6 +20,7 @@ accepting when every path settles into priority-0 states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -365,8 +366,9 @@ class StateRule:
     """Transition rule of one state: ``project`` maps a label to the
     finite guard key the transition depends on; ``build`` produces the
     formula for a concrete label.  Labels with equal keys must get equal
-    formulas; the guard classes partition the alphabet by construction
-    and a property test samples the exactness."""
+    formulas: ``TwoWayAutomaton.classes`` builds one formula per key, and
+    the test suite checks it against ``build`` on every label of the
+    fixture and chain products."""
 
     project: object
     build: object
@@ -375,8 +377,7 @@ class StateRule:
 def _test(project, holds, yes=TRUE, no=FALSE) -> StateRule:
     """Rule of a state that tests the label and spawns nothing else:
     ``yes`` on labels whose guard key satisfies ``holds``, ``no`` on the
-    rest.  ``project`` is used as is, since the search calls it on every
-    lookup."""
+    rest."""
     return StateRule(project, lambda l: yes if holds(project(l)) else no)
 
 
@@ -396,7 +397,14 @@ class TwoWayAutomaton:
         self.rules = rules
         self.labels = list(labels)
         self.root_labels = list(root_labels if root_labels is not None else labels)
-        self._cache = {}
+        self._classes = {}
+
+    @functools.cached_property
+    def position(self) -> dict:
+        """Each label's place in the alphabet: the labels, then the root
+        labels that are not among them."""
+        alphabet = dict.fromkeys(itertools.chain(self.labels, self.root_labels))
+        return {label: i for i, label in enumerate(alphabet)}
 
     def priority(self, q) -> int:
         return self.priorities.get(q, 0)
@@ -404,28 +412,26 @@ class TwoWayAutomaton:
     def max_priority(self) -> int:
         return max(self.priorities.values(), default=0)
 
-    def delta(self, q, label):
-        rule = self.rules[q]
-        key = (q, rule.project(label))
-        hit = self._cache.get(key)
+    def classes(self, q):
+        """q's guard classes, each label projected once: the rows (guard
+        key, formula) in the order the labels first reach them, and the
+        row of each label, listed by its ``position``."""
+        hit = self._classes.get(q)
         if hit is None:
-            hit = rule.build(label)
-            self._cache[key] = hit
+            rule, rows, row_of, of = self.rules[q], [], {}, []
+            for label in self.position:
+                key = rule.project(label)
+                row = row_of.get(key)
+                if row is None:
+                    row = row_of[key] = len(rows)
+                    rows.append((key, rule.build(label)))
+                of.append(row)
+            hit = self._classes[q] = (rows, of)
         return hit
 
-    def transition_classes(self, q) -> list:
-        """(guard key, representative label, formula) per guard class,
-        over the automaton's whole alphabet."""
-        rule = self.rules[q]
-        seen = {}
-        for label in itertools.chain(self.root_labels, self.labels):
-            key = rule.project(label)
-            if key not in seen:
-                seen[key] = (label, self.delta(q, label))
-        return sorted(
-            ((k, lab, f) for k, (lab, f) in seen.items()),
-            key=lambda t: stable_key(t[0]),
-        )
+    def delta(self, q, label):
+        rows, of = self.classes(q)
+        return rows[of[self.position[label]]][1]
 
     def dump(self) -> str:
         lines = [
@@ -436,7 +442,7 @@ class TwoWayAutomaton:
             lines.append(f"state {state_name(q)} priority={self.priority(q)}")
             rows = sorted(
                 (stable_key(key), formula_to_text(f))
-                for key, _lab, f in self.transition_classes(q)
+                for key, f in self.classes(q)[0]
             )
             for guard, body in rows:
                 lines.append(f"  guard {guard} :: {body}")
@@ -473,7 +479,7 @@ def intersect(automata: list) -> TwoWayAutomaton:
         return tuple(a.rules[a.initial].project(label) for a in _auts)
 
     def init_build(label, _auts=tuple(automata)):
-        return f_and(*(_rename_formula(a.delta(a.initial, label), i)
+        return f_and(*(_rename_formula(a.rules[a.initial].build(label), i)
                        for i, a in enumerate(_auts)))
 
     rules[init] = StateRule(init_project, init_build)
@@ -813,22 +819,6 @@ class _T2Space:
         return frozenset(r for r in rho if r.name in self.qroles)
 
 
-def _q1_test(ctx):
-    qroles = ctx.sigQ.roles
-
-    def build(l):
-        mismatch = any(
-            r.name in qroles and r not in l.r1 for r in l.r2
-        )
-        return TRUE if mismatch else FALSE
-
-    proj = lambda l: (
-        tuple(sorted(map(str, l.r1))),
-        tuple(sorted(map(str, l.r2))),
-    )
-    return proj, build
-
-
 def build_A4(
     tbox1: NormalTBox,
     tbox2: NormalTBox,
@@ -841,7 +831,7 @@ def build_A4(
     role."""
     space = _T2Space(tbox2, ctx)
     tag = "s4" if sim else "4"
-    qconcepts = ctx.sigQ.concepts
+    qconcepts, qroles = ctx.sigQ.concepts, ctx.sigQ.roles
     rules = {}
     priorities = {}
     finhom_memo = {}
@@ -887,8 +877,13 @@ def build_A4(
     )
     priorities[(tag, "q0")] = 1
 
-    proj_q1, build_q1 = _q1_test(ctx)
-    rules[(tag, "q1")] = StateRule(proj_q1, build_q1)
+    # a query role L2 puts on the edge to the parent is missing from L1
+    rules[(tag, "q1")] = StateRule(
+        lambda l: (tuple(sorted(map(str, l.r1))),
+                   tuple(sorted(map(str, l.r2)))),
+        lambda l: TRUE if any(r.name in qroles and r not in l.r1
+                              for r in l.r2) else FALSE,
+    )
 
     for node in sorted(space.edges, key=stable_key):
         tq = frozenset(a for a in node.type if a in qconcepts)
@@ -1204,12 +1199,14 @@ class _DemandSearch:
 
     ``is_empty`` runs one search per pass and deepens it stage by stage.
     States are numbered in ``stable_key`` order, so sorting ids visits
-    them in that order.  The search keeps its tables (assignments per
-    guard key, viable labels, reach sets, joint label projections) and
-    the results of positions (``memo``) and node evaluations
-    (``eval_cache``) for all its stages.  A later stage reuses a result
-    of a shallower one only where it is complete for the depth now asked
-    for (see ``_reuse``).
+    them in that order.  Labels are numbered by their ``position`` in
+    the automaton's alphabet, and each state's guard classes come from
+    ``TwoWayAutomaton.classes``, so the search never projects a label
+    itself.  It keeps its tables (assignments per guard class, viable
+    labels, reach sets) and the results of positions (``memo``) and node
+    evaluations (``eval_cache``) for all its stages.  A later stage reuses
+    a result of a shallower one only where it is complete for the depth
+    now asked for (see ``_reuse``).
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1240,11 +1237,11 @@ class _DemandSearch:
         self.aut = aut
         self.states = sorted(aut.rules, key=stable_key)
         self.ids = {q: i for i, q in enumerate(self.states)}
-        self.rules = [aut.rules[q] for q in self.states]
+        self.alphabet = list(aut.position)
         self.priorities = [aut.priority(q) for q in self.states]
         self.prios = [0] * len(self.states) if relaxed else self.priorities
-        self.assign_cache, self.viable, self._mentions = {}, {}, {}
-        self._reach_cache, self._proj_cache = {}, {}
+        self.tables = [None] * len(self.states)
+        self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
         self.memo, self.eval_cache = {}, {}
         # steps, and approximate cache answers (see _reuse), so far
         self.work = self.approx = 0
@@ -1259,19 +1256,20 @@ class _DemandSearch:
         has one, for trees up to ``depth``, in ``WORK_LIMIT`` more steps."""
         self.stage_depth, self.limit = depth, self.work + WORK_LIMIT
         for label in self.aut.root_labels:
-            plan = self.eval_label(start, label, depth, True).get(frozenset())
+            i = self.aut.position[label]
+            plan = self.eval_label(start, i, depth, True).get(frozenset())
             if plan is not None:
                 yield plan
 
-    def _mentioned_states(self, q):
-        """States that can appear in any transition of q, over any label."""
-        hit = self._mentions.get(q)
+    def table(self, q):
+        """The guard classes of state id q (``TwoWayAutomaton.classes``),
+        and the ids of the states its transitions mention over any label."""
+        hit = self.tables[q]
         if hit is None:
-            hit = set()
-            for _key, _lab, f in self.aut.transition_classes(self.states[q]):
-                for atom in formula_atoms(f):
-                    hit.add(self.ids[atom[-1]])
-            self._mentions[q] = hit
+            rows, of = self.aut.classes(self.states[q])
+            ids = self.ids
+            hit = self.tables[q] = (rows, of, {
+                ids[a[-1]] for _key, f in rows for a in formula_atoms(f)})
         return hit
 
     def reach(self, states: frozenset) -> tuple:
@@ -1284,7 +1282,7 @@ class _DemandSearch:
             queue = list(states)
             while queue:
                 q = queue.pop()
-                for p in self._mentioned_states(q):
+                for p in self.table(q)[2]:
                     if p not in seen:
                         seen.add(p)
                         queue.append(p)
@@ -1292,19 +1290,18 @@ class _DemandSearch:
             self._reach_cache[states] = hit
         return hit
 
-    def joint_key(self, states: tuple, label):
-        """Label projection joint over the given states; node evaluation
-        results are identical for labels sharing it."""
-        hit = self._proj_cache.get((states, id(label)))
-        if hit is None:
-            hit = tuple(self.rules[q].project(label) for q in states)
-            self._proj_cache[(states, id(label))] = hit
-        return hit
+    def joint_key(self, states: tuple, i):
+        """The guard class of label position i in each of the given states,
+        which ``reach`` has tabled; node evaluation results are identical
+        for labels sharing it."""
+        tables = self.tables
+        return tuple(tables[q][1][i] for q in states)
 
-    def assignments(self, q, label):
-        """Minimal satisfying assignments of q's transition on the label,
-        each a tuple of atoms over state ids, in ``stable_key`` order."""
-        key = (q, self.rules[q].project(label))
+    def assignments(self, q, row):
+        """Minimal satisfying assignments of q's transition in its guard
+        class ``row``, each a tuple of atoms over state ids, in
+        ``stable_key`` order."""
+        key = (q, row)
         hit = self.assign_cache.get(key)
         if hit is None:
             ids = self.ids
@@ -1313,7 +1310,7 @@ class _DemandSearch:
                     a[:-1] + (ids[a[-1]],) for a in sorted(s, key=stable_key)
                 )
                 for s in sorted(
-                    sat_assignments(self.aut.delta(self.states[q], label)),
+                    sat_assignments(self.table(q)[0][row][1]),
                     key=lambda s: (len(s), sorted(map(stable_key, s))),
                 )
             ]
@@ -1321,12 +1318,14 @@ class _DemandSearch:
         return hit
 
     def viable_labels(self, q):
-        if q not in self.viable:
-            self.viable[q] = frozenset(
-                i for i, lab in enumerate(self.aut.labels)
-                if self.assignments(q, lab)
-            )
-        return self.viable[q]
+        """Positions of the labels on which q's transition is satisfiable."""
+        hit = self.viable.get(q)
+        if hit is None:
+            of = self.table(q)[1][:len(self.aut.labels)]
+            live = {r for r in set(of) if self.assignments(q, r)}
+            hit = self.viable[q] = frozenset(
+                i for i, r in enumerate(of) if r in live)
+        return hit
 
     def _tick(self):
         self.work += 1
@@ -1339,13 +1338,13 @@ class _DemandSearch:
 
     # -- one node -----------------------------------------------------------
 
-    def eval_label(self, copies, label, depth, is_root):
-        # copies are (state id, budget) pairs
+    def eval_label(self, copies, i, depth, is_root):
+        # copies are (state id, budget) pairs, i is the label's position
         states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
         # so results are shared across recursion levels and stages; see
         # _reuse for when a cached one answers.
-        jk = self.joint_key(states, label)
+        jk = self.joint_key(states, i)
         # An in-progress ancestor evaluation with the same copies and an
         # interchangeable label can absorb this position as a back edge:
         # the resulting regular tree repeats the ancestor's subtree
@@ -1376,8 +1375,7 @@ class _DemandSearch:
         hit = {}
         before = self.approx
         try:
-            self._close({}, pending, {}, {}, {}, label, depth, is_root, hit,
-                        {})
+            self._close({}, pending, {}, {}, {}, i, depth, is_root, hit, {})
         finally:
             self._tok_stack.pop()
             if prev is None:
@@ -1419,7 +1417,7 @@ class _DemandSearch:
             self.approx += 1
         cache[key] = (depth, self.stage_depth, self.approx == before, clean)
 
-    def _close(self, proc, pending, needs, dia, box, label, depth, is_root,
+    def _close(self, proc, pending, needs, dia, box, i, depth, is_root,
                out, asg_here):
         # Depth-first over the assignment choices of the pending copies,
         # on an explicit stack rather than one recursive call per choice.
@@ -1441,8 +1439,9 @@ class _DemandSearch:
         # budget is skipped once a smaller one has been processed.  The
         # keys hold state ids, cheap to hash where the product states
         # are nested tuples.  ``asg_here`` keeps each state's assignments
-        # on this node's label for the whole node evaluation.
-        prios = self.prios
+        # on this node's label, at position i, for the whole node
+        # evaluation.
+        prios, table = self.prios, self.table
         assignments = self.assignments
         seen = set()
         stack = [(proc, pending, needs, dia, box)]
@@ -1464,14 +1463,14 @@ class _DemandSearch:
                     continue
                 break
             else:
-                self._assemble(proc, needs, dia, box, label, depth, is_root,
+                self._assemble(proc, needs, dia, box, i, depth, is_root,
                                out, asg_here)
                 continue
             proc = dict(proc)
             proc[q] = min(proc.get(q, _BIG), b)
             asgs = asg_here.get(q)
             if asgs is None:
-                asgs = asg_here[q] = assignments(q, label)
+                asgs = asg_here[q] = assignments(q, table(q)[1][i])
             for asg in reversed(asgs):
                 nd, di, bx = dict(needs), dict(dia), dict(box)
                 pe = list(pending)
@@ -1532,11 +1531,11 @@ class _DemandSearch:
                 del out[m]
         out[n] = plan
 
-    def _assemble(self, proc, needs, dia, box, label, depth, is_root, out,
+    def _assemble(self, proc, needs, dia, box, i, depth, is_root, out,
                   asg_here):
         self._tick()
         if not dia:
-            self._record(out, needs, ("leaf", label))
+            self._record(out, needs, ("leaf", self.alphabet[i]))
             return
         if depth <= 0:
             return
@@ -1583,10 +1582,11 @@ class _DemandSearch:
                         if proc.get(p, _BIG) > bb
                     ]
                     if newpend:
-                        self._close(proc, newpend, needs, dia, box, label,
+                        self._close(proc, newpend, needs, dia, box, i,
                                     depth, is_root, out, asg_here)
                     else:
-                        plan = ("node", label, [pl for _nk, pl in combo],
+                        plan = ("node", self.alphabet[i],
+                                [pl for _nk, pl in combo],
                                 self._tok_stack[-1])
                         self._record(out, needs, plan)
 
@@ -1606,13 +1606,12 @@ class _DemandSearch:
             states = self.reach(frozenset(q for q, _b in copies))
             seen_keys = set()
             for i in sorted(viable):
-                label = self.aut.labels[i]
-                jk = self.joint_key(states, label)
+                jk = self.joint_key(states, i)
                 if jk in seen_keys:
                     continue
                 seen_keys.add(jk)
                 for needs, plan in self.eval_label(
-                    copies, label, depth, False
+                    copies, i, depth, False
                 ).items():
                     self._record(res, dict(needs), plan)
                 # The empty need-set covers every other one, so once it

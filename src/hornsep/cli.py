@@ -232,6 +232,8 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
     if not decision.entails and decision.precheck.get("ri") is False:
         code = EXIT_PRECHECK
     if verify_witness and not decision.entails:
+        if decision.stats.get("direction") == "backward":
+            p = p.swapped()  # the verdict failed on (T2, T1)
         witness = entailment.oracle_witness_search(
             p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
             mode="1tcq" if mode in ("1tcq", "deductive") else "cq",

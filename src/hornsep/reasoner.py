@@ -261,7 +261,6 @@ class ChaseState:
     tp: dict = field(default_factory=dict)  # individual -> set of names
     edges: dict = field(default_factory=dict)  # (a, b) -> roles, see _edge_roles
     consistent: bool = True
-    fork: tuple = None  # offending (func role, a, b, c) when a fork is found
 
 
 def _edge_roles(idx: ConsequenceIndex, abox: ABox) -> dict:
@@ -322,11 +321,8 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
         for (a, b), roles in edges.items():
             if any(idx.role_subsumes(r, f) for r in roles):
                 targets.setdefault(a, set()).add(b)
-        for a, bs in targets.items():
-            if len(bs) > 1:
-                state.consistent = False
-                b, c = sorted(bs)[:2]
-                state.fork = (f, a, b, c)
+        if any(len(bs) > 1 for bs in targets.values()):
+            state.consistent = False
     return state
 
 

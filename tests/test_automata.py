@@ -1,3 +1,4 @@
+import collections
 import random
 import warnings
 
@@ -46,7 +47,7 @@ from hornsep.automata import (
     _independent_sets,
     _minimal_derivations,
 )
-from hornsep.entailment import decide_cq_entailment
+from hornsep.entailment import build_pipeline, decide_cq_entailment
 from hornsep.models import stable_key
 from hornsep.syntax import ResourceLimitError
 from test_decision_golden import FIXTURES
@@ -462,6 +463,45 @@ def test_state_ids_sort_like_stable_key(advisor_parts):
     for _ in range(200):
         pairs = [(p, rng.randint(0, 10)) for p in rng.sample(range(n), 4)]
         assert sorted(pairs) == sorted(pairs, key=old_key)
+
+
+def _pipeline_products():
+    """The cq and 1tcq products of the fixtures and of chain n=1..3."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problems = {name: problem(*texts) for name, texts in FIXTURES.items()}
+    problems.update((f"chain{n}", chain_problem(n)) for n in range(1, 4))
+    for name, p in problems.items():
+        for sim in (False, True):
+            yield name, build_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim=sim)[1]
+
+
+def test_equal_guard_keys_get_equal_formulas():
+    """``classes`` builds one formula per guard key, from the first label
+    that reaches it; every label's own formula must be that one."""
+    with within(20):
+        for name, prod in _pipeline_products():
+            for q, rule in prod.rules.items():
+                for label in prod.labels:
+                    assert rule.build(label) == prod.delta(q, label), (name, q)
+
+
+def test_is_empty_projects_each_label_once_per_state(advisor_parts):
+    """The search reads every guard class from the automaton's table, so
+    ``is_empty`` projects each (state, label) pair at most once."""
+    p = chain_problem(3)
+    chain = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1]
+    for prod in (chain, intersect(advisor_parts[1])):
+        counts = collections.Counter()
+        for q, rule in list(prod.rules.items()):
+            def project(label, q=q, inner=rule.project):
+                counts[q, label] += 1
+                return inner(label)
+
+            prod.rules[q] = StateRule(project, rule.build)
+        assert not is_empty(prod).empty
+        most = max(counts.values())
+        assert most == 1, f"a (state, label) pair was projected {most} times"
 
 
 def test_chain_work_grows_at_most_two_and_a_half_times():

@@ -67,6 +67,28 @@ def test_check_verify_witness(runner):
     assert "adv(a0,a1)" in obj["witness"]["abox"]
 
 
+def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
+    """An inseparability verdict that fails backward is searched and
+    replayed on the swapped problem, where the witness lives."""
+    t1 = tmp_path / "t1.tbox"
+    t1.write_text("A sub some r B\n")
+    t2 = tmp_path / "t2.tbox"
+    t2.write_text("")
+    sig = tmp_path / "sig"
+    sig.write_text("concepts: A B\nroles: r\n")
+    res = invoke(
+        runner, "check", "--json", "--mode", "inseparable", "--verify-witness",
+        "--t1", str(t1), "--t2", str(t2),
+        "--sigma-a", str(sig), "--sigma-q", str(sig),
+    )
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"]["direction"] == "backward"
+    assert obj["witness_verified"] is True
+    assert obj["witness"]["abox"] == ["A(a0)"]
+    assert obj["witness"]["query"] == "q() <- B(x0)"
+
+
 def test_check_ri_precheck_exit_two(runner, tmp_path):
     t1 = tmp_path / "t1.tbox"
     t1.write_text("")
