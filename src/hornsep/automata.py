@@ -1217,6 +1217,13 @@ class _DemandSearch:
     as new copies until the configuration closes.  The value of a child
     position is the antichain of minimal need-sets it can realize.
 
+    Copies are drawn only from states live on the node's label, the
+    greatest fixpoint of "q has an assignment with no ``up!`` at the root
+    whose ``here`` atoms name live states" (``live``, over here-closures).
+    Each copy of a configuration that closes took such an assignment, so
+    dead copies cost no work and the plans stay the same; greatest, as a
+    processed copy discharges a here spawn, so a cycle of them is live.
+
     The budget is what keeps justifications of priority-1 states well
     founded: a copy already processed at a node discharges later demands
     for it, which is a coinductive argument, sound for priority 0 but
@@ -1242,7 +1249,7 @@ class _DemandSearch:
         self.prios = [0] * len(self.states) if relaxed else self.priorities
         self.tables = [None] * len(self.states)
         self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
-        self.memo, self.eval_cache = {}, {}
+        self.memo, self.eval_cache, self.live = {}, {}, {}
         # steps, and approximate cache answers (see _reuse), so far
         self.work = self.approx = 0
         self.stage_depth = self.limit = None
@@ -1317,6 +1324,36 @@ class _DemandSearch:
             self.assign_cache[key] = hit
         return hit
 
+    def live_assignments(self, q, i, is_root):
+        """q's live assignments on label position i, in ``assignments``
+        order, or none if q is dead there (see the class docstring)."""
+        tab = self.live.setdefault((i, is_root), {})
+        hit = tab.get(q)
+        if hit is None:
+            # over q's here-closure, less the states tabled with theirs
+            cand, todo = {}, [q]
+            while todo:
+                p = todo.pop()
+                if p in cand or p in tab:
+                    continue
+                cand[p] = c = [
+                    a for a in self.assignments(p, self.table(p)[1][i])
+                    if not (is_root and any(t[0] == "up!" for t in a))]
+                todo.extend(t[-1] for a in c for t in a if t[0] == "here")
+            # reversed, as spawned states mostly come later: fewer passes
+            changed = True
+            while changed:
+                changed = False
+                for p, c in reversed(cand.items()):
+                    keep = [a for a in c if all(
+                        t[0] != "here" or cand.get(t[-1], tab.get(t[-1]))
+                        for t in a)]
+                    if len(keep) < len(c):
+                        cand[p], changed = keep, True
+            tab.update((p, tuple(c)) for p, c in cand.items())
+            hit = tab[q]
+        return hit
+
     def viable_labels(self, q):
         """Positions of the labels on which q's transition is satisfiable."""
         hit = self.viable.get(q)
@@ -1339,7 +1376,10 @@ class _DemandSearch:
     # -- one node -----------------------------------------------------------
 
     def eval_label(self, copies, i, depth, is_root):
-        # copies are (state id, budget) pairs, i is the label's position
+        # copies are (state id, budget) pairs, i is the label's position;
+        # a back edge cannot revive a dead copy: its ancestor is dead too
+        if not all(self.live_assignments(q, i, is_root) for q, _b in copies):
+            return {}
         states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
         # so results are shared across recursion levels and stages; see
@@ -1438,11 +1478,11 @@ class _DemandSearch:
         # can only add obligations: a copy of a state with a larger
         # budget is skipped once a smaller one has been processed.  The
         # keys hold state ids, cheap to hash where the product states
-        # are nested tuples.  ``asg_here`` keeps each state's assignments
-        # on this node's label, at position i, for the whole node
-        # evaluation.
-        prios, table = self.prios, self.table
-        assignments = self.assignments
+        # are nested tuples.  ``asg_here`` keeps each state's live
+        # assignments on this node's label, at position i, for the whole
+        # node evaluation: a choice spawning a dead state here, or up!
+        # at the root, leads only to configurations that never close.
+        prios, live_assignments = self.prios, self.live_assignments
         seen = set()
         stack = [(proc, pending, needs, dia, box)]
         while stack:
@@ -1470,25 +1510,15 @@ class _DemandSearch:
             proc[q] = min(proc.get(q, _BIG), b)
             asgs = asg_here.get(q)
             if asgs is None:
-                asgs = asg_here[q] = assignments(q, table(q)[1][i])
+                asgs = asg_here[q] = live_assignments(q, i, is_root)
             for asg in reversed(asgs):
                 nd, di, bx = dict(needs), dict(dia), dict(box)
                 pe = list(pending)
                 ok = True
                 for atom in asg:
                     tag, p = atom[0], atom[-1]
-                    if tag in _UP and is_root:
-                        if tag == "up!":
-                            ok = False
-                            break
+                    if tag in _UP and is_root or tag == "dx" and atom[1] == 0:
                         continue
-                    if tag in _COUNTED:
-                        if atom[1] > 1:
-                            raise UnsupportedAutomatonError(
-                                "emptiness supports child counts 0 and 1 only"
-                            )
-                        if atom[1] == 0 and tag == "dx":
-                            continue
                     nb = b - prios[p]
                     if nb < 0:
                         ok = False
@@ -1693,10 +1723,20 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
         raise UnsupportedAutomatonError(
             "emptiness supports priorities 0 and 1 only"
         )
+    search = _DemandSearch(aut, True)
+    init = search.ids[aut.initial]
+    # every state the search can reach, scanned before the liveness cut
+    # can skip the assignment holding the count
+    if any(a[0] in _COUNTED and a[1] > 1
+           for q in search.reach(frozenset([init]))
+           for _key, f in search.table(q)[0] for a in formula_atoms(f)):
+        raise UnsupportedAutomatonError(
+            "emptiness supports child counts 0 and 1 only"
+        )
     stats = {"work": 0, "stages": 0}
     for relaxed in (True, False):
-        search = _DemandSearch(aut, relaxed)
-        init = search.ids[aut.initial]
+        if not relaxed:
+            search = _DemandSearch(aut, False)
         for budget, depth in DEFAULT_SCHEDULE:
             # the relaxed pass spends no budget, so its start copy needs
             # none, and its stages ask for the same positions

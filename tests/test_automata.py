@@ -47,7 +47,11 @@ from hornsep.automata import (
     _independent_sets,
     _minimal_derivations,
 )
-from hornsep.entailment import build_pipeline, decide_cq_entailment
+from hornsep.entailment import (
+    build_pipeline,
+    decide_cq_entailment,
+    oracle_witness_search,
+)
 from hornsep.models import stable_key
 from hornsep.syntax import ResourceLimitError
 from test_decision_golden import FIXTURES
@@ -265,7 +269,23 @@ def _toys():
             {"q0": 0, "q1": 0, "qb": 0},
             LABS,
         ),
+        # q0 and q1 spawn each other at the same node, on label a only
+        toy(
+            "t_here_cycle",
+            {"q0": lambda l: here("q1") if l == "a" else FALSE,
+             "q1": lambda l: here("q0") if l == "a" else FALSE},
+            "q0",
+            {"q0": 0, "q1": 0},
+            LABS,
+        ),
+        toy("t_here_false",
+            {"q0": lambda l: here("q1"), "q1": lambda l: FALSE},
+            "q0", {"q0": 0, "q1": 0}, LABS),
     ]
+
+
+def _toy(name):
+    return next(a for a in _toys() if a.name == name)
 
 
 def test_emptiness_agrees_with_small_tree_enumeration():
@@ -302,6 +322,24 @@ def _up_or_chain_toy(n):
         p=lambda l: FALSE,
     )
     return toy(f"upchain{n}", rules, "r", {q: 0 for q in rules}, LABS)
+
+
+def test_priority_zero_here_cycle_is_live():
+    """The liveness table is a greatest fixpoint: a state justified only
+    through a priority-0 cycle of here spawns is live, and the one-node
+    tree labelled a is accepted.  A least fixpoint would call it dead."""
+    a = _toy("t_here_cycle")
+    res = is_empty(a)
+    assert not res.empty
+    assert res.certificate.labels[res.certificate.root] == "a"
+    assert run_on_regular_tree(a, res.certificate)
+
+
+def test_here_spawn_of_a_false_state_is_dead():
+    a = _toy("t_here_false")
+    res = is_empty(a)
+    assert res.empty
+    assert res.stats["work"] == 0
 
 
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
@@ -373,10 +411,23 @@ def test_child_counts_above_one_are_refused():
     )
     with pytest.raises(UnsupportedAutomatonError):
         is_empty(a)
+    # the count sits only in an assignment that spawns a dead state here,
+    # which the search never draws; it is refused all the same
+    a = toy(
+        "t",
+        {"q0": lambda l: f_or(f_and(here("qf"), down_ex("q1", 2)),
+                              here("q1")),
+         "q1": lambda l: TRUE, "qf": lambda l: FALSE},
+        "q0",
+        {"q0": 0, "q1": 0, "qf": 0},
+        LABS,
+    )
+    with pytest.raises(UnsupportedAutomatonError):
+        is_empty(a)
 
 
 def test_intersection_is_conjunction_on_random_trees():
-    components = _toys()[:2] + _toys()[3:]
+    components = [_toy(name) for name in ("t_true", "t_pri1", "t_box")]
     prod = intersect(components)
     rng = random.Random(3)
     for _ in range(20):
@@ -518,11 +569,24 @@ def test_chain_work_grows_at_most_two_and_a_half_times():
 def test_chain_of_ten_decides():
     """Chain n=10 decides within the budget.  Its label context closes
     only the independent sets of its 11 concept names, the empty set and
-    the single names, so the emptiness search does nearly all the work."""
+    the single names, and the emptiness search skips the label classes
+    on which a copy is dead."""
     with within(30):
         d = decide_cq_entailment(chain_problem(10))
     assert not d.entails
     assert d.stats["certificate_nodes"] == 7
+
+
+def test_chain_work_grows_at_most_two_point_one_times_up_to_twelve():
+    """Chain n=10, 11 and 12 separate with a 7-node certificate, and the
+    emptiness work grows at most 2.1 times per n."""
+    with within(30):
+        ds = [decide_cq_entailment(chain_problem(n)) for n in (10, 11, 12)]
+    for d in ds:
+        assert not d.entails
+        assert d.stats["certificate_nodes"] == 7
+    for d, d_next in zip(ds, ds[1:]):
+        assert d_next.stats["work"] <= 2.1 * d.stats["work"]
 
 
 def _label_universes(p):
@@ -583,6 +647,17 @@ def test_thirteen_name_chain_entails_an_implied_axiom():
             "concepts: C0\nroles:", "concepts: C12\nroles:",
         ))
     assert d.entails
+
+
+def test_chain_of_twelve_entails_without_query_roles():
+    """Without roles in the queries, T2's anonymous successor shows
+    nothing: T1 already puts C12 on every C0 individual."""
+    p = problem(_CHAIN_12, _CHAIN_12 + "\nC0 sub some r C1",
+                "concepts: C0\nroles: r", "concepts: C12\nroles:")
+    with within(30):
+        d = decide_cq_entailment(p)
+    assert d.entails
+    assert oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3) is None
 
 
 def test_chain_of_twelve_builds_its_label_context_at_once():
