@@ -1176,12 +1176,10 @@ class EmptinessResult:
     stats: dict = field(default_factory=dict)
 
 
-#: (priority-1 budget, node depth) caps for the exact search, in order.
-#: The relaxed pre-pass ignores budgets and only uses the depths.  Cost
-#: of the exact search roughly doubles per stage; budgets beyond 10 blow
-#: past the work limit already on small products, so the schedule stops
-#: there and leans on the relaxed pass for anything deeper.
-DEFAULT_SCHEDULE = ((4, 6), (8, 12), (10, 16))
+#: (priority-1 budget, node depth) of each pass's two stages: depth 6
+#: finds small certificates, None is the fixpoint with no depth bound.
+#: Budgets beyond 10 blow past the work limit already on small products.
+DEFAULT_SCHEDULE = ((4, 6), (10, None))
 WORK_LIMIT = 4_000_000
 MAX_ASSIGNMENTS = 4000
 MAX_DIA = 6
@@ -1192,21 +1190,27 @@ _COUNTED = ("dx", "dab")
 
 
 class _DemandSearch:
-    """Search for a finite tree the automaton accepts, with bounded node
-    depth and (unless relaxed) a bounded number of priority-1 spawns
+    """Search for a tree the automaton accepts, finite or closed by back
+    edges, with (unless relaxed) a bounded number of priority-1 spawns
     along any justification path; the bound is the budget the caller
     gives the initial copy.
 
-    ``is_empty`` runs one search per pass and deepens it stage by stage.
+    ``is_empty`` runs one search per pass, in the two stages of
+    ``DEFAULT_SCHEDULE``.  The first caps the node depth (see ``_reuse``).
+    The second computes the least fixpoint of the position values in
+    rounds from the root, each position at most once per round.  A
+    position met again while still open gives its value of the last
+    round, plus a back edge if no copy in it has priority 1.  Values
+    start from the first stage's, only grow, and are final once they
+    hold the empty need-set; rounds repeat until no value read open grew.
+
     States are numbered in ``stable_key`` order, so sorting ids visits
     them in that order.  Labels are numbered by their ``position`` in
     the automaton's alphabet, and each state's guard classes come from
     ``TwoWayAutomaton.classes``, so the search never projects a label
     itself.  It keeps its tables (assignments per guard class, viable
     labels, reach sets) and the results of positions (``memo``) and node
-    evaluations (``eval_cache``) for all its stages.  A later stage reuses
-    a result of a shallower one only where it is complete for the depth
-    now asked for (see ``_reuse``).
+    evaluations (``eval_cache``) for both stages.
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1215,7 +1219,8 @@ class _DemandSearch:
     ways of grouping the child obligations into shared children), and
     whatever the chosen children in turn need from this node is absorbed
     as new copies until the configuration closes.  The value of a child
-    position is the antichain of minimal need-sets it can realize.
+    position is the antichain of minimal need-sets it can realize; a
+    back-edge plan covers only back-edge plans, so none hides a finite tree.
 
     Copies are drawn only from states live on the node's label, the
     greatest fixpoint of "q has an assignment with no ``up!`` at the root
@@ -1250,23 +1255,33 @@ class _DemandSearch:
         self.tables = [None] * len(self.states)
         self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
         self.memo, self.eval_cache, self.live = {}, {}, {}
-        # steps, and approximate cache answers (see _reuse), so far
-        self.work = self.approx = 0
-        self.stage_depth = self.limit = None
+        self.work, self.limit = 0, None
+        # the fixpoint stage: its round, the positions done in it, the
+        # open ones with the guard class each evaluates, those read open
+        self.round, self.done, self.open, self.reread = 0, set(), {}, set()
         # in-progress node evaluations, for tying regular back edges
         self._path = {}
         self._tok_stack = []
         self._tok_counter = itertools.count()
 
     def root_plans(self, start, depth):
-        """One stage of the schedule: the plan of each root label that
-        has one, for trees up to ``depth``, in ``WORK_LIMIT`` more steps."""
-        self.stage_depth, self.limit = depth, self.work + WORK_LIMIT
-        for label in self.aut.root_labels:
-            i = self.aut.position[label]
-            plan = self.eval_label(start, i, depth, True).get(frozenset())
-            if plan is not None:
-                yield plan
+        """One stage of the schedule: each root label's plan, for trees up
+        to ``depth`` (None: any), in ``WORK_LIMIT`` more steps."""
+        self.limit, self.again = self.work + WORK_LIMIT, True
+        while self.again:
+            self.again, self.done, self.reread = False, set(), set()
+            self.round += depth is None
+            for label in self.aut.root_labels:
+                i = self.aut.position[label]
+                try:
+                    res = self.eval_label(start, i, depth, True)
+                except RecursionError:  # a loud cap, like WORK_LIMIT
+                    raise ResourceLimitError(
+                        "emptiness search nested past the recursion limit"
+                    ) from None
+                plan = res.get(frozenset())
+                if plan is not None:
+                    yield plan
 
     def table(self, q):
         """The guard classes of state id q (``TwoWayAutomaton.classes``),
@@ -1367,10 +1382,12 @@ class _DemandSearch:
     def _tick(self):
         self.work += 1
         if self.work > self.limit:
+            stage = (f"fixpoint round {self.round}" if self.round
+                     else "depth-capped stage")
             raise ResourceLimitError(
                 f"emptiness search exceeded {WORK_LIMIT} steps "
                 f"(states={len(self.states)}, labels={len(self.aut.labels)}, "
-                f"depth={self.stage_depth})"
+                f"{stage})"
             )
 
     # -- one node -----------------------------------------------------------
@@ -1382,8 +1399,8 @@ class _DemandSearch:
             return {}
         states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
-        # so results are shared across recursion levels and stages; see
-        # _reuse for when a cached one answers.
+        # so the depth-capped stage shares results across recursion levels
+        # (_reuse); the fixpoint stage, whose values grow, reads none.
         jk = self.joint_key(states, i)
         # An in-progress ancestor evaluation with the same copies and an
         # interchangeable label can absorb this position as a back edge:
@@ -1402,7 +1419,7 @@ class _DemandSearch:
             return {frozenset(): ("loop", anc)}
         ck = (copies, jk, is_root)
         cached = self.eval_cache.get(ck)
-        if cached is not None:
+        if cached is not None and depth is not None:
             hit = self._reuse(cached, depth, True)
             if hit is not None:
                 return hit
@@ -1413,7 +1430,6 @@ class _DemandSearch:
         self._path[pk] = tok
         self._tok_stack.append(tok)
         hit = {}
-        before = self.approx
         try:
             self._close({}, pending, {}, {}, {}, i, depth, is_root, hit, {})
         finally:
@@ -1422,40 +1438,21 @@ class _DemandSearch:
                 del self._path[pk]
             else:
                 self._path[pk] = prev
-        self._store(self.eval_cache, ck, depth, before, hit)
+        # nothing checks that a node meets the needs of its own repeat
+        hit = {n: p for n, p in hit.items()
+               if not (n and _plan_has_loop(p, tok))}
+        if depth is not None:
+            self.eval_cache[ck] = (depth, _loop_free(hit))
         return hit
 
     def _reuse(self, cached, depth, deeper):
-        """The result of a cached ``(depth, stage, exact, result)`` entry
-        if it may answer a query at remaining ``depth``, else None.
-
-        An exact entry, one no approximate answer went into, holds every
-        minimal need-set of the trees up to its depth and answers queries
-        no deeper.  With ``deeper`` (node evaluations), one holding the
-        empty need-set, which covers all others, answers at any depth.
-        Other answers are approximate, and only the entry's own stage
-        takes them: an inexact entry, or with ``deeper`` a nonempty one
-        computed shallower, which can miss trees near the cap."""
-        cd, stage, exact, res = cached
-        if cd < depth and not (deeper and res):
-            return None
-        if frozenset() in res or exact and cd >= depth:
-            return res
-        if stage != self.stage_depth:
-            return None
-        self.approx += 1
-        return res
-
-    def _store(self, cache, key, depth, before, res):
-        # Plans holding a back-edge reference are only meaningful on the
-        # recursion path that produced them, so only the loop-free part
-        # of the result goes into the caches, and an entry that lost a
-        # plan is inexact.  Re-entering contexts still get the whole-node
-        # back edge through the path shortcut in eval_label.
-        clean = {k: v for k, v in res.items() if not _plan_has_loop(v)}
-        if len(clean) < len(res):
-            self.approx += 1
-        cache[key] = (depth, self.stage_depth, self.approx == before, clean)
+        """The result of a cached ``(depth, result)`` entry if it may
+        answer a query at remaining ``depth``, else None: one computed at
+        least that deep, or with ``deeper`` (node evaluations) any
+        nonempty one.  The latter can miss trees near the depth cap,
+        which the fixpoint stage finds."""
+        cd, res = cached
+        return res if cd >= depth or deeper and res else None
 
     def _close(self, proc, pending, needs, dia, box, i, depth, is_root,
                out, asg_here):
@@ -1547,17 +1544,15 @@ class _DemandSearch:
                 for q, b in weak
             )
 
-        for m in list(out):
-            if covers(m, n):
-                # an existing entry with weaker needs already dominates;
-                # still swap in a loop-free plan for the same needs, it
-                # survives caching where a back-edge plan cannot
-                if (m == n and _plan_has_loop(out[m])
-                        and not _plan_has_loop(plan)):
-                    out[m] = plan
+        # A back-edge plan dominates back-edge plans only: the caches drop
+        # it, so they must keep the loop-free plans it would cover, and a
+        # loop-free plan takes its place for the same needs.
+        loop = _plan_has_loop(plan)
+        for m, p in out.items():
+            if covers(m, n) and (loop or not _plan_has_loop(p)):
                 return
-        for m in list(out):
-            if covers(n, m):
+        for m, p in list(out.items()):
+            if covers(n, m) and (not loop or _plan_has_loop(p)):
                 del out[m]
         out[n] = plan
 
@@ -1567,8 +1562,9 @@ class _DemandSearch:
         if not dia:
             self._record(out, needs, ("leaf", self.alphabet[i]))
             return
-        if depth <= 0:
+        if depth == 0:  # None: no depth bound
             return
+        below = None if depth is None else depth - 1
         # state ids are unique among the keys, so these compare ids only
         items = sorted(dia.items())
         if len(items) > MAX_DIA:
@@ -1593,7 +1589,7 @@ class _DemandSearch:
                             continue
                         cs[p] = min(cs.get(p, _BIG), bb)
                     childsets.append(frozenset(cs.items()))
-                solved = [self.solve(cs, depth - 1) for cs in childsets]
+                solved = [self.solve(cs, below) for cs in childsets]
                 if any(not s for s in solved):
                     continue
                 options = [
@@ -1622,16 +1618,27 @@ class _DemandSearch:
 
     # -- positions ----------------------------------------------------------
 
-    def solve(self, copies: frozenset, depth: int):
+    def solve(self, copies: frozenset, depth):
         cached = self.memo.get(copies)
-        if cached is not None:
-            res = self._reuse(cached, depth, False)
+        old = cached[1] if cached else {}
+        if depth is not None:
+            res = cached and self._reuse(cached, depth, False)
             if res is not None:
                 return res
-        before = self.approx
+        elif frozenset() in old or copies in self.done:
+            return old
+        elif copies in self.open:
+            # the value of the last round, and with no priority-1 copy a
+            # back edge to the evaluation in progress
+            self.reread.add(copies)
+            res = dict(old)
+            if all(self.priorities[q] == 0 for q, _b in copies):
+                tok = self._path[copies, self.open[copies]]
+                res[frozenset()] = ("loop", tok)
+            return res
         viable = frozenset.intersection(
             *(self.viable_labels(q) for q, _b in copies))
-        res = {}
+        res = {} if depth is not None else dict(old)  # values only grow
         if viable:
             states = self.reach(frozenset(q for q, _b in copies))
             seen_keys = set()
@@ -1640,6 +1647,7 @@ class _DemandSearch:
                 if jk in seen_keys:
                     continue
                 seen_keys.add(jk)
+                self.open[copies] = jk
                 for needs, plan in self.eval_label(
                     copies, i, depth, False
                 ).items():
@@ -1652,13 +1660,25 @@ class _DemandSearch:
                 done = res.get(frozenset())
                 if done is not None and not _plan_has_loop(done):
                     break
-        self._store(self.memo, copies, depth, before, res)
+        value = _loop_free(res)
+        self.open.pop(copies, None)
+        if depth is None:
+            self.done.add(copies)
+            self.again |= copies in self.reread and value.keys() != old.keys()
+        self.memo[copies] = (depth, value)
         return res
 
 
-def _plan_has_loop(plan) -> bool:
-    return plan[0] == "loop" or (
-        plan[0] == "node" and any(map(_plan_has_loop, plan[2])))
+def _plan_has_loop(plan, tok=None) -> bool:
+    """Whether the plan has a back edge (to evaluation ``tok``, if given)."""
+    if plan[0] == "loop":
+        return tok is None or plan[1] == tok
+    return plan[0] == "node" and any(_plan_has_loop(p, tok) for p in plan[2])
+
+
+def _loop_free(res) -> dict:
+    # back edges mean something only on the recursion path that tied them
+    return {n: p for n, p in res.items() if not _plan_has_loop(p)}
 
 
 _NO_TOK = object()
@@ -1695,29 +1715,29 @@ def _plan_to_rep(plan) -> RegularTreeRep:
 
 
 def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
-    """Search for a finite accepted tree.
+    """Search for an accepted tree.
 
-    Two passes, one ``_DemandSearch`` each, deepened stage by stage over
-    ``DEFAULT_SCHEDULE``; a stage reuses what the shallower ones found
-    only where deeper search cannot add to it.
-    The budget-free relaxed search over-approximates the plan space: if
-    it finds nothing up to the deepest scheduled depth, the language has
-    no finite tree within that depth; if its plan passes the membership
-    game, that is a genuine witness.  Only when the relaxed pass
-    produces a spurious plan (a priority-1 state justified through its
-    own obligations) does the budgeted exact search run, whose plans are
-    valid unless they close a back edge, and which has to grind through
-    far more configurations.  Each stage may take ``WORK_LIMIT`` steps.
+    Two passes, one ``_DemandSearch`` each, in the two stages of
+    ``DEFAULT_SCHEDULE``: depth 6, then no depth bound.  The budget-free
+    relaxed search over-approximates the plan space: if it finds
+    nothing, the language has no finite tree; if its plan passes the
+    membership game, that is a genuine witness.  Only when the relaxed
+    pass produces a spurious plan (a priority-1 state justified through
+    its own obligations) does the budgeted exact search run, whose plans
+    are valid unless they close a back edge, and which has to grind
+    through far more configurations.  Each stage may take
+    ``WORK_LIMIT`` steps.
 
     ``stats`` holds the ``work`` and the number of ``stages`` summed over
     both passes, ``certificate_nodes`` of the returned certificate, and
     ``spurious_relaxed_plan`` when the budgeted pass ran.
 
     A nonempty verdict always carries a game-checked certificate.  An
-    empty verdict means no finite tree exists within the scheduled caps;
-    these are generous for the instance sizes this package targets, and
-    every pipeline verdict is additionally cross-checked against
-    brute-force oracles in the test suite.
+    empty verdict means that no finite tree is accepted at any depth
+    (after a spurious relaxed plan: none with at most 10 priority-1
+    spawns nested along a path), nor any tree closed by a back edge that
+    the search ties.  Every pipeline verdict is also cross-checked
+    against brute-force oracles in the test suite.
     """
     if aut.max_priority() > 1:
         raise UnsupportedAutomatonError(

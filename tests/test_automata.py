@@ -343,9 +343,9 @@ def test_here_spawn_of_a_false_state_is_dead():
 
 
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
-    """Each stage of the schedule reaches deeper (depths 6, 12, 16 below
-    the root): results the search keeps from a shallower stage must not
-    hide a deeper tree, and 16 is the cap."""
+    """The first stage stops at depth 6 below the root; the second has no
+    depth bound, and results the search keeps from the first must not
+    hide a deeper tree."""
     a = _chain_toy(8)
     res = is_empty(a)
     assert not res.empty
@@ -360,20 +360,28 @@ def test_depth_schedule_finds_deeper_chains_in_later_stages():
     assert res.stats["stages"] == 2
     assert res.stats["certificate_nodes"] == 10
     assert run_on_regular_tree(a, res.certificate)
-    res = is_empty(_chain_toy(14))
-    assert not res.empty and res.stats["stages"] == 3
-    res = is_empty(_chain_toy(18))
-    assert res.empty and res.stats["stages"] == 3
+    # 18 nodes, far below the first stage's depth cap
+    a = _chain_toy(18)
+    res = is_empty(a)
+    assert not res.empty and res.stats["stages"] == 2
+    assert res.stats["certificate_nodes"] == 18
+    assert run_on_regular_tree(a, res.certificate)
 
 
-@pytest.mark.xfail(strict=True, reason="a nonempty result found shallow "
-                   "answers a deeper query within a stage; ROADMAP item 5's "
-                   "fixpoint removes the depth caps")
+def test_nesting_past_the_recursion_limit_fails_loudly():
+    """The fixpoint stage recurses once per nested position, with no
+    depth bound; past Python's recursion limit it refuses with a
+    resource error, as for the work limit (exit 13 on the CLI)."""
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        is_empty(_chain_toy(1000))
+
+
 def test_shallow_result_does_not_hide_a_tree_within_the_caps():
     """The root takes either a child a1, which leads four levels down to
     another q, or q directly.  Only {p}, a need nobody meets, fits q's
-    result five levels down, and the root's own child q reuses it, so the
-    search misses the 14-node tree r, q, c1 ... c12, which fits depth 16."""
+    result five levels down in the depth-6 stage, and the root's own
+    child q reuses it there; the fixpoint stage must still find the
+    14-node tree r, q, c1 ... c12."""
     rules = _chain_rules(12)
     rules.update(
         r=lambda l: f_or(down_ex("a1"), down_ex("q")),
@@ -391,6 +399,103 @@ def test_shallow_result_does_not_hide_a_tree_within_the_caps():
                            "n0")
     assert run_on_regular_tree(a, chain)
     assert not is_empty(a).empty
+
+
+def test_fixpoint_stage_ties_a_cycle_below_the_root():
+    """r -> c1 -> ... -> c8 -> c1, all priority 0: only the regular tree
+    whose c8 node has a back edge to c1 is accepted, and the position of
+    c1 is met again while it is still open, eight levels down."""
+    rules = {f"c{i}": (lambda l, i=i: down_ex(f"c{i % 8 + 1}"))
+             for i in range(1, 9)}
+    rules["r"] = lambda l: down_ex("c1")
+    a = toy("cycle8", rules, "r", {q: 0 for q in rules}, LABS)
+    ids = [f"n{i}" for i in range(9)]
+    kids = {n: ids[i + 1:i + 2] for i, n in enumerate(ids)}
+    kids["n8"] = ["n1"]
+    assert run_on_regular_tree(a, RegularTreeRep(
+        {n: "a" for n in ids}, kids, "n0"))
+    res = is_empty(a)
+    assert not res.empty and res.stats["stages"] == 2
+    assert res.stats["certificate_nodes"] == 9
+    assert run_on_regular_tree(a, res.certificate)
+
+
+def test_fixpoint_stage_repeats_a_round_when_a_value_read_open_grows():
+    """r asks for children x and y; x = a and (some y or some c1); y = b
+    and some x, with priority 1; c1 .. c20 is a chain.  In round 1, y
+    reads x while x is open and x's stored value is still empty, so y is
+    stored empty and r has no plan.  x then needs nothing through c1,
+    so round 2 reads x's new value and finds the 44-node tree."""
+    rules = _chain_rules(20)
+    rules.update(
+        r=lambda l: f_and(down_ex("x"), down_ex("y")),
+        x=lambda l: f_and(TRUE if l == "a" else FALSE,
+                          f_or(down_ex("y"), down_ex("c1"))),
+        y=lambda l: f_and(TRUE if l == "b" else FALSE, down_ex("x")),
+    )
+    pri = {q: 0 for q in rules}
+    pri["y"] = 1
+    a = toy("two_rounds", rules, "r", pri, LABS)
+    res = is_empty(a)
+    assert not res.empty and res.stats["stages"] == 2
+    assert res.stats["certificate_nodes"] == 44
+    assert run_on_regular_tree(a, res.certificate)
+    search = _DemandSearch(a, True)
+    start = frozenset([(search.ids["r"], 0)])
+    assert not list(search.root_plans(start, 6))
+    assert len(list(search.root_plans(start, None))) >= 1
+    assert search.round == 2
+
+
+def test_back_edge_plans_carry_no_needs():
+    """q0 = here q3 and some child in q1; q1 = b, up! q3 and some child
+    in q1; q3 = a.  Every q1 node needs an a-labelled parent and a q1
+    child, whose parent is labelled b, so no tree is accepted.  A back
+    edge from q1's child to q1's own node would need nothing of its
+    parent, while the node it repeats needs q3 there."""
+    a = toy(
+        "t",
+        {
+            "q0": lambda l: f_and(here("q3"), down_ex("q1")),
+            "q1": lambda l: f_and(TRUE if l == "b" else FALSE,
+                                  up_must("q3"), down_ex("q1")),
+            "q3": lambda l: TRUE if l == "a" else FALSE,
+        },
+        "q0",
+        {"q0": 0, "q1": 0, "q3": 0},
+        LABS,
+    )
+    assert is_empty(a).empty
+
+
+def test_back_edge_plans_do_not_hide_finite_trees():
+    """r = here p and some child in x; p = c; x = a, up! p and some child
+    in y; y = b and (some child in x, or up! s and some child in z);
+    s = a.  y's back edge to x needs nothing, y's chain to z needs s;
+    x's plan over the back edge still needs p, now from y's b node, so
+    it is dropped, and y's plan needing s must not have been dropped
+    with it: the 4-node tree c, a, b, z is accepted."""
+    def lab(x):
+        return lambda l: TRUE if l == x else FALSE
+
+    a = toy(
+        "t",
+        {
+            "r": lambda l: f_and(here("p"), down_ex("x")),
+            "p": lab("c"),
+            "x": lambda l: f_and(lab("a")(l), up_must("p"), down_ex("y")),
+            "y": lambda l: f_and(lab("b")(l), f_or(
+                down_ex("x"), f_and(up_must("s"), down_ex("z")))),
+            "s": lab("a"),
+            "z": lambda l: TRUE,
+        },
+        "r",
+        dict.fromkeys("rpxysz", 0),
+        ["a", "b", "c"],
+    )
+    res = is_empty(a)
+    assert not res.empty and res.stats["certificate_nodes"] == 4
+    assert run_on_regular_tree(a, res.certificate)
 
 
 def test_priorities_above_one_are_refused():

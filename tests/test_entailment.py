@@ -220,6 +220,22 @@ def test_semantic_subsets_still_entail_through_the_pipeline():
             assert entails, (p.t1.source, p.t2.source)
 
 
+def test_entailing_products_end_in_the_fixpoint_stage():
+    """``tbox_entails`` settles every entailing criterion-6 draw, so no
+    decider sends a nontrivial entailing product through the emptiness
+    search; seed-601 draws 116 and 145 go through the pipeline directly,
+    where both stages of the relaxed pass come up empty."""
+    draws = _criterion6_draws()
+    with within(20):
+        for i in (116, 145):
+            p = draws[i]
+            entails, cert, stats = entailment._run_pipeline(
+                p.t1, p.t2, p.sigA, p.sigQ, False
+            )
+            assert entails and cert is None, i
+            assert stats["stages"] == 2, i
+
+
 def test_role_inclusion_precheck_fails():
     p = problem("", "r subr s", "concepts:\nroles: r s",
                 "concepts:\nroles: r s")
