@@ -29,7 +29,7 @@ from . import models, mosaics, reasoner
 from .models import stable_key
 from .reasoner import BOT, index_for
 from .syntax import HornsepError, NormalTBox, ResourceLimitError, Signature
-from .syntax import ConjSub, SubAll, SubBot, SubEx, TopSub
+from .syntax import SubAll, SubEx, TopSub
 
 
 class UnsupportedAutomatonError(HornsepError):
@@ -117,8 +117,9 @@ def formula_atoms(f):
 
 
 def _minimize_sets(sets):
+    # a set's proper subsets are smaller, so size alone orders the scan
     out = []
-    for s in sorted(set(sets), key=lambda x: (len(x), sorted(map(stable_key, x)))):
+    for s in sorted(set(sets), key=len):
         if not any(t <= s for t in out):
             out.append(s)
     return out
@@ -270,12 +271,9 @@ def _closed_sets(tbox: NormalTBox, universe, limit: int) -> list:
 @dataclass
 class LabelContext:
     sigQ: Signature
-    theta0_concepts: frozenset
     theta0_roles: frozenset
     theta1_concepts: frozenset
-    theta1_roles: frozenset
     theta2_concepts: frozenset
-    theta2_roles: frozenset
     labels: list = field(default_factory=list)
     root_labels: list = field(default_factory=list)
 
@@ -285,27 +283,33 @@ def build_label_context(
 ) -> LabelContext:
     """Enumerate the concrete labels the emptiness search ranges over.
 
-    The enumeration bakes in constraints that hold in every accepted
-    tree anyway and only trim the search: L0 is ABox-shaped (at most one
-    role symbol), the model layers carry consequence-closed consistent
-    concept sets and contain the asserted symbols, L2's role part is the
-    role-inclusion closure of the asserted edge role, and off-ABox nodes
-    have empty L2.  Each model layer's closed sets stop as soon as they
-    alone push the estimate past ``MAX_LABELS``, the one alphabet bound.
+    The enumeration alone enforces the label-local constraints; A1-A3 do
+    not check them again.  L0 is drawn from ΣA with at most one role.
+    c1 is empty or consistent and T1-closed (so, if not empty, it holds
+    T1's ``top sub`` names), r1 is closed under T1's role inclusions,
+    and L0 ⊆ L1.  ABox nodes have a consistent T2-closed c2 ⊇ c0, and as
+    r2 the closure of r0 under T2's role inclusions; other nodes have an
+    empty L2.  If T1 has a ``top sub`` axiom, labels whose L1 has roles
+    but no concepts are left out: A2's initial state runs at every node
+    (the root's initial conjunction holds it, and it sends itself to
+    every child) and rejects them.  Each model layer's closed sets stop
+    as soon as they alone push the estimate past ``MAX_LABELS``, the one
+    alphabet bound.
     """
-    idx2 = index_for(tbox2)
+    idx1, idx2 = index_for(tbox1), index_for(tbox2)
     th0c = frozenset(sigA.concepts)
     th0r = frozenset(sigA.role_objects())
     th1c = frozenset(tbox1.concept_names()) | th0c
     th1r = frozenset(tbox1.roles()) | th0r
     th2c = frozenset(tbox2.concept_names()) | th0c
     th2r = frozenset(tbox2.roles()) | th0r
+    tops = any(isinstance(ci, TopSub) for ci in tbox1.cis)
 
-    r1_options = [
-        frozenset(s)
-        for k in range(len(th1r) + 1)
-        for s in itertools.combinations(sorted(th1r), k)
-    ]
+    # the role sets closed under T1's role inclusions: unions of the
+    # roles' superrole sets, built without visiting the other subsets
+    r1_options = {frozenset()}
+    for r in th1r:
+        r1_options |= {s | idx1.superroles(r) for s in r1_options}
     l0_options = []
     for k in range(len(th0c) + 1):
         for cc in itertools.combinations(sorted(th0c), k):
@@ -343,7 +347,7 @@ def build_label_context(
             if not c0 <= c1:
                 continue
             for r1 in r1_options:
-                if not r0 <= r1:
+                if not r0 <= r1 or tops and r1 and not c1:
                     continue
                 for c2 in c2_opts:
                     labels.append(Label(c0, r0, c1, r1, c2, r2))
@@ -351,11 +355,7 @@ def build_label_context(
     root_labels = [
         l for l in labels if l.c0 and not l.r0 and not l.r1
     ]
-    return LabelContext(
-        sigQ,
-        th0c, th0r, th1c, th1r, th2c, th2r,
-        labels, root_labels,
-    )
+    return LabelContext(sigQ, th0r, th1c, th2c, labels, root_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +492,19 @@ def intersect(automata: list) -> TwoWayAutomaton:
 # A1: L0 spells out a finite tree-shaped ABox rooted at the tree root
 
 def build_A1(ctx: LabelContext) -> TwoWayAutomaton:
-    th0c = ctx.theta0_concepts
-    th0r = ctx.theta0_roles
+    """L0 is drawn from ΣA by the label enumeration; A1 checks its shape:
+    the root asserts concepts and no edge, every other ABox node one
+    edge, and no ABox node lies below an off-ABox one."""
 
     def init_build(l):
-        if not l.c0 or l.r0 or not l.c0 <= th0c:
+        if not l.c0 or l.r0:
             return FALSE
         return down_allbut(("1", "nd"))
 
     def nd_build(l):
         if l.l0_empty():
             return down_allbut(("1", "off"))
-        if len(l.r0) != 1 or not l.r0 <= th0r or not l.c0 <= th0c:
+        if len(l.r0) != 1:
             return FALSE
         return down_allbut(("1", "nd"))
 
@@ -528,50 +529,20 @@ def build_A1(ctx: LabelContext) -> TwoWayAutomaton:
 # A2: the L1 layer is a model of T1 containing the asserted ABox
 
 def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
+    """The label enumeration makes each L1 a closed, consistent superset
+    of L0; A2 checks the axioms that span edges: existential, value and
+    functionality axioms."""
     idx1 = index_for(tbox1)
-    tops = sorted({ci.sup for ci in tbox1.cis if isinstance(ci, TopSub)})
-    bots = sorted({ci.sub for ci in tbox1.cis if isinstance(ci, SubBot)})
-    conjs = sorted(
-        {
-            (ci.sub1, ci.sub2, ci.sup)
-            for ci in tbox1.cis
-            if isinstance(ci, ConjSub)
-        }
-    )
     exs = sorted(
         {(ci.sub, ci.role, ci.sup) for ci in tbox1.cis if isinstance(ci, SubEx)}
     )
     alls = sorted(
         {(ci.sub, ci.role, ci.sup) for ci in tbox1.cis if isinstance(ci, SubAll)}
     )
-    ri_pairs = sorted(
-        {
-            (r, s)
-            for r in ctx.theta1_roles
-            for s in ctx.theta1_roles
-            if r != s and idx1.role_subsumes(r, s)
-        }
-    )
     funcs = sorted(idx1.functional)
 
     def q0_build(l):
         parts = [down_allbut(("2", "q0"))]
-        # A_L containment: asserted symbols show up in the model layer
-        if not (l.c0 <= l.c1 and l.r0 <= l.r1):
-            return FALSE
-        for a1, a2, b in conjs:
-            if a1 in l.c1 and a2 in l.c1 and b not in l.c1:
-                return FALSE
-        for a in bots:
-            if a in l.c1:
-                return FALSE
-        for r, s in ri_pairs:
-            if r in l.r1 and s not in l.r1:
-                return FALSE
-        if not l.l1_empty():
-            for a in tops:
-                if a not in l.c1:
-                    return FALSE
         for a, r, b in exs:
             if a in l.c1:
                 witness_up = (
@@ -598,12 +569,7 @@ def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
 
     rules = {
         ("2", "q0"): StateRule(
-            lambda l: (
-                tuple(sorted(l.c0)),
-                tuple(sorted(map(str, l.r0))),
-                tuple(sorted(l.c1)),
-                tuple(sorted(map(str, l.r1))),
-            ),
+            lambda l: (tuple(sorted(l.c1)), tuple(sorted(map(str, l.r1)))),
             q0_build,
         )
     }
@@ -644,6 +610,9 @@ def _minimal_derivations(tbox2: NormalTBox, universe) -> dict:
 
 
 def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
+    """The label enumeration makes each ABox node's c2 consistent and
+    closed, and its r2 the closure of r0; A3 checks that c2 is what T2
+    derives over the whole ABox, and T2's functionality axioms."""
     idx2 = index_for(tbox2)
     th2c = sorted(ctx.theta2_concepts)
     th0r = sorted(ctx.theta0_roles)
@@ -683,8 +652,6 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         return TRUE if l.l0_empty() else here(("3", "q0p"))
 
     def q0p_build(l):
-        if not idx2.consistent(l.c2):
-            return FALSE
         parts = [
             down_allbut(("3", "q0")),
             down_allbut(("3", "q1")),
@@ -697,24 +664,13 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     def q1_build(l):
         if l.l0_empty():
             return TRUE
-        for r in sorted(ctx.theta2_roles):
-            derived = any(idx2.role_subsumes(s, r) for s in l.r0)
-            if derived != (r in l.r2):
-                return FALSE
         return f_and(*[here(("3", "f", fr)) for fr in funcs])
 
     rules[("3", "q0")] = StateRule(lambda l: l.l0_empty(), q0_build)
     rules[("3", "q0p")] = StateRule(
         lambda l: (tuple(sorted(l.c2)),), q0p_build
     )
-    rules[("3", "q1")] = StateRule(
-        lambda l: (
-            l.l0_empty(),
-            tuple(sorted(map(str, l.r0))),
-            tuple(sorted(map(str, l.r2))),
-        ),
-        q1_build,
-    )
+    rules[("3", "q1")] = StateRule(lambda l: l.l0_empty(), q1_build)
 
     def r0_key(l):
         return tuple(sorted(map(str, l.r0)))
@@ -1321,22 +1277,17 @@ class _DemandSearch:
 
     def assignments(self, q, row):
         """Minimal satisfying assignments of q's transition in its guard
-        class ``row``, each a tuple of atoms over state ids, in
-        ``stable_key`` order."""
+        class ``row``, each a sorted tuple of atoms over state ids, by
+        size and then atoms.  Ids sort like states' ``stable_key``, so
+        this is the order of the atoms' ``stable_key``."""
         key = (q, row)
         hit = self.assign_cache.get(key)
         if hit is None:
             ids = self.ids
-            hit = [
-                tuple(
-                    a[:-1] + (ids[a[-1]],) for a in sorted(s, key=stable_key)
-                )
-                for s in sorted(
-                    sat_assignments(self.table(q)[0][row][1]),
-                    key=lambda s: (len(s), sorted(map(stable_key, s))),
-                )
-            ]
-            self.assign_cache[key] = hit
+            hit = self.assign_cache[key] = sorted(
+                (tuple(sorted(a[:-1] + (ids[a[-1]],) for a in s))
+                 for s in sat_assignments(self.table(q)[0][row][1])),
+                key=lambda t: (len(t), t))
         return hit
 
     def live_assignments(self, q, i, is_root):
@@ -1411,13 +1362,13 @@ class _DemandSearch:
         # canonical models are infinite (for example a TBox demanding an
         # unbounded predecessor chain).  Checked before the caches: a
         # cached empty result from a loop-free context does not rule the
-        # back edge out.
-        pk = (copies, jk)
-        anc = self._path.get(pk)
+        # back edge out.  The root flag is part of the key: the root's
+        # evaluation skips up moves, which a repeat below it cannot.
+        ck = (copies, jk, is_root)
+        anc = self._path.get(ck)
         prio = self.priorities
         if anc is not None and all(prio[q] == 0 for q, _b in copies):
             return {frozenset(): ("loop", anc)}
-        ck = (copies, jk, is_root)
         cached = self.eval_cache.get(ck)
         if cached is not None and depth is not None:
             hit = self._reuse(cached, depth, True)
@@ -1426,8 +1377,8 @@ class _DemandSearch:
         # copies hold one budget per state, so this is the states' order
         pending = sorted(copies)
         tok = next(self._tok_counter)
-        prev = self._path.get(pk)
-        self._path[pk] = tok
+        prev = self._path.get(ck)
+        self._path[ck] = tok
         self._tok_stack.append(tok)
         hit = {}
         try:
@@ -1435,9 +1386,9 @@ class _DemandSearch:
         finally:
             self._tok_stack.pop()
             if prev is None:
-                del self._path[pk]
+                del self._path[ck]
             else:
-                self._path[pk] = prev
+                self._path[ck] = prev
         # nothing checks that a node meets the needs of its own repeat
         hit = {n: p for n, p in hit.items()
                if not (n and _plan_has_loop(p, tok))}
@@ -1633,7 +1584,7 @@ class _DemandSearch:
             self.reread.add(copies)
             res = dict(old)
             if all(self.priorities[q] == 0 for q, _b in copies):
-                tok = self._path[copies, self.open[copies]]
+                tok = self._path[copies, self.open[copies], False]
                 res[frozenset()] = ("loop", tok)
             return res
         viable = frozenset.intersection(

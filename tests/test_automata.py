@@ -53,7 +53,8 @@ from hornsep.entailment import (
     oracle_witness_search,
 )
 from hornsep.models import stable_key
-from hornsep.syntax import ResourceLimitError
+from hornsep.reasoner import index_for
+from hornsep.syntax import ResourceLimitError, TopSub
 from test_decision_golden import FIXTURES
 
 
@@ -498,6 +499,39 @@ def test_back_edge_plans_do_not_hide_finite_trees():
     assert run_on_regular_tree(a, res.certificate)
 
 
+def test_no_back_edge_ties_to_the_root_evaluation():
+    """q0 = a and (some child in q1 and up? p, or up! s and some child in
+    z); q1 = some child in q0; p = false, s = true, z = c.  At the root
+    q0 skips its up? atom, so a back edge from the q0 two levels down to
+    the root would repeat a node that never had to meet p.  Below the
+    root q0 can only take up! s and a c-labelled child, so the accepted
+    tree is the finite one a, a, a, c."""
+    def lab(x):
+        return lambda l: TRUE if l == x else FALSE
+
+    a = toy(
+        "t",
+        {
+            "q0": lambda l: f_and(lab("a")(l), f_or(
+                f_and(down_ex("q1"), up_may("p")),
+                f_and(up_must("s"), down_ex("z")))),
+            "q1": lambda l: down_ex("q0"),
+            "p": lambda l: FALSE,
+            "s": lambda l: TRUE,
+            "z": lab("c"),
+        },
+        "q0",
+        dict.fromkeys(["q0", "q1", "p", "s", "z"], 0),
+        ["a", "b", "c"],
+    )
+    res = is_empty(a)
+    assert not res.empty and res.stats["certificate_nodes"] == 4
+    cert = res.certificate
+    kids = [c for n in cert.labels for c in cert.children[n]]
+    assert sorted(kids) == sorted(set(cert.labels) - {cert.root})
+    assert run_on_regular_tree(a, cert)
+
+
 def test_priorities_above_one_are_refused():
     a = toy("t", {"q0": lambda l: TRUE}, "q0", {"q0": 2}, LABS)
     with pytest.raises(UnsupportedAutomatonError):
@@ -619,6 +653,24 @@ def test_state_ids_sort_like_stable_key(advisor_parts):
     for _ in range(200):
         pairs = [(p, rng.randint(0, 10)) for p in rng.sample(range(n), 4)]
         assert sorted(pairs) == sorted(pairs, key=old_key)
+
+    # the assignments of every guard class come out in the order of the
+    # atoms' stable_key text, which the search once sorted them by
+    with within(30):
+        for name, prod in _pipeline_products():
+            search = _DemandSearch(prod, False)
+            ids = search.ids
+            for q in range(len(search.states)):
+                for row, (_key, f) in enumerate(search.table(q)[0]):
+                    by_text = [
+                        tuple(a[:-1] + (ids[a[-1]],)
+                              for a in sorted(s, key=stable_key))
+                        for s in sorted(
+                            sat_assignments(f),
+                            key=lambda s: (len(s), sorted(map(stable_key, s))),
+                        )
+                    ]
+                    assert search.assignments(q, row) == by_text, (name, q)
 
 
 def _pipeline_products():
@@ -772,6 +824,19 @@ def test_chain_of_twelve_builds_its_label_context_at_once():
     assert len(ctx.labels) == 848
 
 
+def test_role_inclusion_chain_decides_at_once():
+    """r0 subr r1 ... subr r9: of the 2^20 sets of these roles and their
+    inverses, 11 × 11 are closed under the inclusions, and the alphabet
+    builds only those.  T2's anonymous r0-successor in B separates."""
+    t1 = "\n".join(f"r{i} subr r{i + 1}" for i in range(9))
+    p = problem(t1, t1 + "\nA sub some r0 B",
+                "concepts: A\nroles: r0", "concepts: B\nroles: r0")
+    with within(2):
+        d = decide_cq_entailment(p)
+    assert not d.entails
+    assert d.stats["labels"] == 704
+
+
 def test_too_many_closed_sets_are_refused_at_once():
     """Ten unrelated pairs ``Ai sub Bi`` have 3^10 closed sets; the
     enumeration stops once they pass the label alphabet bound instead of
@@ -782,3 +847,44 @@ def test_too_many_closed_sets_are_refused_at_once():
     with within(2):
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             decide_cq_entailment(p)
+
+
+def _check_label_constraints(p):
+    """Every label of the problem's context meets the constraints the
+    label enumeration alone enforces, which A1-A3 rely on unchecked."""
+    idx1, idx2 = index_for(p.t1), index_for(p.t2)
+    sig_roles = p.sigA.role_objects()
+    roles1 = p.t1.roles() | sig_roles
+    roles2 = p.t2.roles() | sig_roles
+    tops = {ci.sup for ci in p.t1.cis if isinstance(ci, TopSub)}
+    ctx = build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
+    for l in ctx.labels:
+        assert l.c0 <= p.sigA.concepts and l.r0 <= sig_roles, l
+        assert len(l.r0) <= 1, l
+        assert l.c0 <= l.c1 and l.r0 <= l.r1, l
+        assert not l.c1 or idx1.closure(l.c1) == l.c1, l
+        assert all(s in l.r1 for r in l.r1 for s in roles1
+                   if idx1.role_subsumes(r, s)), l
+        assert l.l1_empty() or tops <= l.c1, l
+        if l.l0_empty():
+            assert not l.c2 and not l.r2, l
+            continue
+        assert l.c0 <= l.c2 and idx2.closure(l.c2) == l.c2, l
+        assert l.r2 == {r for r in roles2
+                        if any(idx2.role_subsumes(s, r) for s in l.r0)}, l
+
+
+def test_label_context_owns_the_label_constraints():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problems = [problem(*texts) for texts in FIXTURES.values()]
+    problems += [chain_problem(n) for n in range(1, 13)]
+    rng = random.Random(601)
+    problems += [criterion6_problem(rng)[2] for _ in range(200)]
+    problems.append(problem(
+        "top sub B\nr subr s\nA sub some r A", "A sub some s B",
+        "concepts: A\nroles: r s", "concepts: B\nroles: s",
+    ))
+    with within(30):
+        for p in problems:
+            _check_label_constraints(p)
