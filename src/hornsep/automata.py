@@ -1037,56 +1037,59 @@ def _expand_choice(rep, pos):
     return 1, 0, [("s", c, q) for c in ch if c not in combo]
 
 
-def _attractor(info, target, player):
-    attr = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for p, (owner, _pr, moves) in info.items():
-            if p in attr or not moves:
-                continue
-            if owner == player:
-                ok = any(m in attr for m in moves)
-            else:
-                ok = all(m in attr for m in moves)
-            if ok:
-                attr.add(p)
-                changed = True
-    return attr
-
-
 def _solve_cobuchi(info, start) -> bool:
     """Winner of the parity game with priorities {0,1} from start, for
-    the player satisfying 'priority 1 only finitely often'."""
+    the player satisfying 'priority 1 only finitely often'.
+
+    Player 0's region w0 grows by attractors of the regions y outside it
+    where player 0 can stay on priority 0 forever (or escape into w0).
+    A position is forced into a set by ``need`` successors in it: one
+    for player 0, all its distinct ones for the opponent.  With the
+    predecessor lists built once, the attractors count each position's
+    successors still outside w0, and y sheds by worklist the positions
+    with fewer than ``need`` left in y or w0, so each outer round takes
+    time linear in the arena's moves.
+    """
+    ids = {p: k for k, p in enumerate(info)}
+    succ = [list(dict.fromkeys(ids[m] for m in mv))
+            for _o, _pr, mv in info.values()]
+    need = [len(s) if o else 1 for s, (o, _pr, _mv)
+            in zip(succ, info.values())]
+    preds = [[] for _ in succ]
+    for k, s in enumerate(succ):
+        for m in s:
+            preds[m].append(k)
+    missing, won = need[:], [False] * len(succ)
+
+    def attract(todo):
+        while todo:
+            k = todo.pop()
+            if not won[k]:
+                won[k] = True
+                for j in preds[k]:
+                    missing[j] -= 1
+                    if not missing[j]:
+                        todo.append(j)
+
     # positions where the mover is stuck lose for the mover
-    t0 = {p for p, (o, _pr, mv) in info.items() if o == 1 and not mv}
-    w0 = _attractor(info, t0, 0)
+    attract([k for k, n in enumerate(need) if not n])
     while True:
-        # region where player 0 can stay on priority 0 forever (or
-        # escape into the already-won region)
-        y = {
-            p
-            for p, (o, pr, mv) in info.items()
-            if p not in w0 and pr == 0 and mv
-        }
-        changed = True
-        while changed:
-            changed = False
-            for p in list(y):
-                owner, _pr, moves = info[p]
-                good = y | w0
-                ok = (
-                    any(m in good for m in moves)
-                    if owner == 0
-                    else all(m in good for m in moves)
-                )
-                if not ok:
-                    y.discard(p)
-                    changed = True
-        new_w0 = _attractor(info, y | w0, 0)
-        if new_w0 == w0:
-            return start in w0
-        w0 = new_w0
+        y = [not w and pr == 0
+             for w, (_o, pr, _mv) in zip(won, info.values())]
+        good = [sum(y[m] or won[m] for m in s) for s in succ]
+        todo = [k for k, n in enumerate(need) if y[k] and good[k] < n]
+        while todo:
+            k = todo.pop()
+            if y[k]:
+                y[k] = False
+                for j in preds[k]:
+                    good[j] -= 1
+                    if y[j] and good[j] < need[j]:
+                        todo.append(j)
+        todo = [k for k, inside in enumerate(y) if inside]
+        if not todo:
+            return won[ids[start]]
+        attract(todo)
 
 
 def run_on_regular_tree(aut: TwoWayAutomaton, rep: RegularTreeRep) -> bool:
@@ -1145,6 +1148,21 @@ _UP = ("up!", "up?")
 _COUNTED = ("dx", "dab")
 
 
+def _live_fixpoint(cand):
+    """The greatest fixpoint of liveness over a here-closure: each state's
+    assignments, less those with a ``here`` atom naming a dead state."""
+    # reversed, as spawned states mostly come later: fewer passes
+    changed = True
+    while changed:
+        changed = False
+        for p, c in reversed(cand.items()):
+            keep = tuple(a for a in c if all(
+                t[0] != "here" or cand[t[-1]] for t in a))
+            if len(keep) < len(c):
+                cand[p], changed = keep, True
+    return cand
+
+
 class _DemandSearch:
     """Search for a tree the automaton accepts, finite or closed by back
     edges, with (unless relaxed) a bounded number of priority-1 spawns
@@ -1184,6 +1202,9 @@ class _DemandSearch:
     Each copy of a configuration that closes took such an assignment, so
     dead copies cost no work and the plans stay the same; greatest, as a
     processed copy discharges a here spawn, so a cycle of them is live.
+    It reads only the root flag and the guard class of each state in q's
+    here-closure at the label, so it runs once per such signature
+    (``live_sigs``) and label positions that share one copy its values.
 
     The budget is what keeps justifications of priority-1 states well
     founded: a copy already processed at a node discharges later demands
@@ -1211,6 +1232,7 @@ class _DemandSearch:
         self.tables = [None] * len(self.states)
         self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
         self.memo, self.eval_cache, self.live = {}, {}, {}
+        self.live_rows, self.live_sigs = {}, {}
         self.work, self.limit = 0, None
         # the fixpoint stage: its round, the positions done in it, the
         # open ones with the guard class each evaluates, those read open
@@ -1296,27 +1318,25 @@ class _DemandSearch:
         tab = self.live.setdefault((i, is_root), {})
         hit = tab.get(q)
         if hit is None:
-            # over q's here-closure, less the states tabled with theirs
-            cand, todo = {}, [q]
+            # the key names every row of q's here-closure at i, tabled or not
+            cand, key, todo = {}, [is_root], [q]
             while todo:
                 p = todo.pop()
-                if p in cand or p in tab:
+                if p in cand:
                     continue
-                cand[p] = c = [
-                    a for a in self.assignments(p, self.table(p)[1][i])
-                    if not (is_root and any(t[0] == "up!" for t in a))]
-                todo.extend(t[-1] for a in c for t in a if t[0] == "here")
-            # reversed, as spawned states mostly come later: fewer passes
-            changed = True
-            while changed:
-                changed = False
-                for p, c in reversed(cand.items()):
-                    keep = [a for a in c if all(
-                        t[0] != "here" or cand.get(t[-1], tab.get(t[-1]))
-                        for t in a)]
-                    if len(keep) < len(c):
-                        cand[p], changed = keep, True
-            tab.update((p, tuple(c)) for p, c in cand.items())
+                key.append((p, self.table(p)[1][i]))
+                rk = key[-1] + (is_root,)
+                if rk not in self.live_rows:
+                    c = tuple(a for a in self.assignments(*key[-1]) if not (
+                        is_root and any(t[0] == "up!" for t in a)))
+                    self.live_rows[rk] = c, tuple(dict.fromkeys(
+                        t[-1] for a in c for t in a if t[0] == "here"))
+                cand[p], spawned = self.live_rows[rk]
+                todo.extend(spawned)
+            key = tuple(key)
+            if key not in self.live_sigs:
+                self.live_sigs[key] = _live_fixpoint(cand)
+            tab.update(self.live_sigs[key])
             hit = tab[q]
         return hit
 

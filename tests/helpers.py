@@ -4,8 +4,11 @@ test suite.
 Everything here is independent of the implementation strategy it
 cross-checks: the model enumerator interprets normal-form axioms
 directly over explicit finite structures, and the homomorphism
-reference works on unfoldings element by element.  The printers turn
-parsed inputs back into the surface syntax for round-trip tests.
+reference works on unfoldings element by element.  The co-Büchi game
+solver that rescans every position and the liveness table computed
+afresh per label position are the references for the emptiness code's
+faster forms.  The printers turn parsed inputs back into the surface
+syntax for round-trip tests.
 """
 
 import itertools
@@ -449,6 +452,96 @@ def small_trees(labels, max_nodes):
                 for labs in itertools.product(labels, repeat=n):
                     yield RegularTreeRep(dict(zip(ids, labs)), children,
                                          ids[0])
+
+
+# ---------------------------------------------------------------------------
+# game and liveness references
+
+
+def attractor_by_rescans(info, target, player):
+    attr = set(target)
+    changed = True
+    while changed:
+        changed = False
+        for p, (owner, _pr, moves) in info.items():
+            if p in attr or not moves:
+                continue
+            if owner == player:
+                ok = any(m in attr for m in moves)
+            else:
+                ok = all(m in attr for m in moves)
+            if ok:
+                attr.add(p)
+                changed = True
+    return attr
+
+
+def solve_cobuchi_by_rescans(info, start) -> bool:
+    """Winner of the parity game with priorities {0,1} from start, for
+    the player satisfying 'priority 1 only finitely often': the reference
+    for ``automata._solve_cobuchi``.  ``info`` maps each position to
+    (owner, priority, moves).  Every attractor step and every step of
+    the priority-0 greatest fixpoint rescans all positions."""
+    # positions where the mover is stuck lose for the mover
+    t0 = {p for p, (o, _pr, mv) in info.items() if o == 1 and not mv}
+    w0 = attractor_by_rescans(info, t0, 0)
+    while True:
+        # region where player 0 can stay on priority 0 forever (or
+        # escape into the already-won region)
+        y = {
+            p
+            for p, (o, pr, mv) in info.items()
+            if p not in w0 and pr == 0 and mv
+        }
+        changed = True
+        while changed:
+            changed = False
+            for p in list(y):
+                owner, _pr, moves = info[p]
+                good = y | w0
+                ok = (
+                    any(m in good for m in moves)
+                    if owner == 0
+                    else all(m in good for m in moves)
+                )
+                if not ok:
+                    y.discard(p)
+                    changed = True
+        new_w0 = attractor_by_rescans(info, y | w0, 0)
+        if new_w0 == w0:
+            return start in w0
+        w0 = new_w0
+
+
+def live_assignments_by_position(search, live, q, i, is_root):
+    """The reference for ``automata._DemandSearch.live_assignments``: the
+    greatest fixpoint of liveness, tabled per label position and root
+    flag in ``live`` (one dict per search) and computed afresh for each
+    position, over q's here-closure less the states already tabled."""
+    tab = live.setdefault((i, is_root), {})
+    hit = tab.get(q)
+    if hit is None:
+        cand, todo = {}, [q]
+        while todo:
+            p = todo.pop()
+            if p in cand or p in tab:
+                continue
+            cand[p] = c = [
+                a for a in search.assignments(p, search.table(p)[1][i])
+                if not (is_root and any(t[0] == "up!" for t in a))]
+            todo.extend(t[-1] for a in c for t in a if t[0] == "here")
+        changed = True
+        while changed:
+            changed = False
+            for p, c in reversed(cand.items()):
+                keep = [a for a in c if all(
+                    t[0] != "here" or cand.get(t[-1], tab.get(t[-1]))
+                    for t in a)]
+                if len(keep) < len(c):
+                    cand[p], changed = keep, True
+        tab.update((p, tuple(c)) for p, c in cand.items())
+        hit = tab[q]
+    return hit
 
 
 # ---------------------------------------------------------------------------

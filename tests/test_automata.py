@@ -1,6 +1,7 @@
 import collections
 import random
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from helpers import (
     criterion6_problem,
     derivation_sets_by_subsets,
     eval_formula,
+    live_assignments_by_position,
     random_regular_tree,
     small_trees,
+    solve_cobuchi_by_rescans,
 )
-from hornsep import normalize, parse_signature, parse_tbox
+from hornsep import automata, normalize, parse_signature, parse_tbox
 from hornsep.automata import (
     FALSE,
     MAX_LABELS,
@@ -46,6 +49,7 @@ from hornsep.automata import (
     _closed_sets,
     _independent_sets,
     _minimal_derivations,
+    _solve_cobuchi,
 )
 from hornsep.entailment import (
     build_pipeline,
@@ -55,7 +59,7 @@ from hornsep.entailment import (
 from hornsep.models import stable_key
 from hornsep.reasoner import index_for
 from hornsep.syntax import ResourceLimitError, TopSub
-from test_decision_golden import FIXTURES
+from test_decision_golden import FIXTURES, GOLDEN, _certificates, _decide
 
 
 def toy(name, rules, init, pri, labels, root_labels=None):
@@ -215,6 +219,41 @@ def test_game_resolves_up_moves_from_back_edge_copies():
     assert not run_on_regular_tree(a, rep)
 
 
+@st.composite
+def arenas(draw):
+    """Game arenas of 1-9 positions: each maps to (owner, priority, up to
+    3 moves), with repeated moves and dead ends."""
+    n = draw(st.integers(1, 9))
+    bit, pos = st.integers(0, 1), st.integers(0, n - 1)
+    return {p: (draw(bit), draw(bit), tuple(draw(st.lists(pos, max_size=3))))
+            for p in range(n)}
+
+
+@given(info=arenas())
+@settings(max_examples=300, deadline=None)
+def test_cobuchi_solver_agrees_with_the_rescanning_reference(info):
+    for start in info:
+        assert _solve_cobuchi(info, start) == solve_cobuchi_by_rescans(
+            info, start), start
+
+
+def test_certificate_games_agree_with_the_rescanning_reference(monkeypatch):
+    """Every membership game ``is_empty`` plays on the golden certificate
+    cases gets the reference's verdict.  The c6 draws have relaxed plans
+    the game rejects, so both verdicts occur."""
+    verdicts = collections.Counter()
+
+    def checked(info, start):
+        got = _solve_cobuchi(info, start)
+        assert got == solve_cobuchi_by_rescans(info, start)
+        verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(automata, "_solve_cobuchi", checked)
+    _certificates()
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 def test_box_and_diamond_interaction():
     a = toy(
         "t",
@@ -341,6 +380,54 @@ def test_here_spawn_of_a_false_state_is_dead():
     res = is_empty(a)
     assert res.empty
     assert res.stats["work"] == 0
+
+
+def test_liveness_agrees_with_the_per_position_table(monkeypatch):
+    """The liveness table shared by here-closure signature gives, on
+    every call, what the per-position table gives: on the fixtures in
+    all modes, chain n=1..12 and criterion-6 draws 0-24."""
+    refs = weakref.WeakKeyDictionary()
+    inner = _DemandSearch.live_assignments
+    calls = 0
+
+    def checked(search, q, i, is_root):
+        nonlocal calls
+        calls += 1
+        got = inner(search, q, i, is_root)
+        table = refs.setdefault(search, {})
+        assert got == live_assignments_by_position(search, table, q, i,
+                                                    is_root)
+        return got
+
+    monkeypatch.setattr(_DemandSearch, "live_assignments", checked)
+    rng = random.Random(601)
+    draws = [criterion6_problem(rng)[2] for _ in range(25)]
+    with within(120):
+        for case in GOLDEN:
+            _decide(*case.split("/"))
+        for n in range(1, 13):
+            decide_cq_entailment(chain_problem(n))
+        for p in draws:
+            decide_cq_entailment(p)
+    assert calls
+
+
+def test_chain_runs_the_liveness_fixpoint_once_per_signature(monkeypatch):
+    """Label positions whose here-closures read the same guard rows share
+    one liveness fixpoint: chain n=7 has 60 such signatures, where the
+    per-position table ran the fixpoint 737 times."""
+    runs = 0
+    inner = automata._live_fixpoint
+
+    def counted(cand):
+        nonlocal runs
+        runs += 1
+        return inner(cand)
+
+    monkeypatch.setattr(automata, "_live_fixpoint", counted)
+    p = chain_problem(7)
+    assert not is_empty(build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1]).empty
+    assert 0 < runs <= 60, runs
 
 
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
