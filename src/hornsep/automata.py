@@ -365,20 +365,26 @@ def build_label_context(
 class StateRule:
     """Transition rule of one state: ``project`` maps a label to the
     finite guard key the transition depends on; ``build`` produces the
-    formula for a concrete label.  Labels with equal keys must get equal
-    formulas: ``TwoWayAutomaton.classes`` builds one formula per key, and
-    the test suite checks it against ``build`` on every label of the
-    fixture and chain products."""
+    formula for a concrete label.  Both may read only the label layers
+    in ``reads``, a sorted tuple: 0 is c0 and r0 (and r2, computed from
+    r0), 1 is c1 and r1, 2 is c2; all three by default, as for labels
+    that are not ``Label`` objects.  ``TwoWayAutomaton.classes`` projects
+    one label per group of labels equal on those layers, and builds one
+    formula per guard key; the test suite checks every label's own key
+    and formula against them on the fixture, chain and criterion-6
+    products."""
 
     project: object
     build: object
+    reads: tuple = (0, 1, 2)
 
 
-def _test(project, holds, yes=TRUE, no=FALSE) -> StateRule:
+def _test(project, holds, yes=TRUE, no=FALSE, reads=(0, 1, 2)) -> StateRule:
     """Rule of a state that tests the label and spawns nothing else:
     ``yes`` on labels whose guard key satisfies ``holds``, ``no`` on the
     rest."""
-    return StateRule(project, lambda l: yes if holds(project(l)) else no)
+    return StateRule(project, lambda l: yes if holds(project(l)) else no,
+                     reads)
 
 
 class TwoWayAutomaton:
@@ -397,7 +403,7 @@ class TwoWayAutomaton:
         self.rules = rules
         self.labels = list(labels)
         self.root_labels = list(root_labels if root_labels is not None else labels)
-        self._classes = {}
+        self._classes, self._groups = {}, {}
 
     @functools.cached_property
     def position(self) -> dict:
@@ -406,6 +412,33 @@ class TwoWayAutomaton:
         alphabet = dict.fromkeys(itertools.chain(self.labels, self.root_labels))
         return {label: i for i, label in enumerate(alphabet)}
 
+    @functools.cached_property
+    def layers(self) -> list:
+        """Per layer (see ``StateRule.reads``), each position's number for
+        the label's value in that layer."""
+        values = [((l.c0, l.r0), (l.c1, l.r1), l.c2) for l in self.position]
+        ids = {}
+        return [[ids.setdefault(v, len(ids)) for v in layer]
+                for layer in zip(*values)]
+
+    def groups(self, reads):
+        """The positions grouped by their labels' values in the layers
+        ``reads``: each position's group, and each group's first label.
+        With all three layers, every position is its own group."""
+        hit = self._groups.get(reads)
+        if hit is None:
+            values = (range(len(self.position)) if reads == (0, 1, 2)
+                      else zip(*(self.layers[k] for k in reads))
+                      if reads else itertools.repeat(()))
+            ids, of, firsts = {}, [], []
+            for label, value in zip(self.position, values):
+                g = ids.setdefault(value, len(ids))
+                if g == len(firsts):
+                    firsts.append(label)
+                of.append(g)
+            hit = self._groups[reads] = of, firsts
+        return hit
+
     def priority(self, q) -> int:
         return self.priorities.get(q, 0)
 
@@ -413,20 +446,22 @@ class TwoWayAutomaton:
         return max(self.priorities.values(), default=0)
 
     def classes(self, q):
-        """q's guard classes, each label projected once: the rows (guard
-        key, formula) in the order the labels first reach them, and the
-        row of each label, listed by its ``position``."""
+        """q's guard classes: the rows (guard key, formula) in the order
+        the labels first reach them, and the row of each label, listed by
+        its ``position``.  Each of the ``groups`` of q's ``reads`` shares
+        the row of its first label, the only one projected."""
         hit = self._classes.get(q)
         if hit is None:
-            rule, rows, row_of, of = self.rules[q], [], {}, []
-            for label in self.position:
+            rule, rows, row_of, at = self.rules[q], [], {}, []
+            group, firsts = self.groups(rule.reads)
+            for label in firsts:
                 key = rule.project(label)
                 row = row_of.get(key)
                 if row is None:
                     row = row_of[key] = len(rows)
                     rows.append((key, rule.build(label)))
-                of.append(row)
-            hit = self._classes[q] = (rows, of)
+                at.append(row)
+            hit = self._classes[q] = (rows, [at[g] for g in group])
         return hit
 
     def delta(self, q, label):
@@ -471,16 +506,21 @@ def intersect(automata: list) -> TwoWayAutomaton:
         for q, rule in a.rules.items():
             rules[(i, q)] = StateRule(
                 rule.project,
-                lambda lab, r=rule, t=i: _rename_formula(r.build(lab), t))
+                lambda lab, r=rule, t=i: _rename_formula(r.build(lab), t),
+                rule.reads)
             priorities[(i, q)] = a.priority(q)
     init = ("x",)
+    starts = [a.rules[a.initial] for a in automata]
+    renamed = {}  # (component, its guard key) -> renamed initial formula
 
-    def init_project(label, _auts=tuple(automata)):
-        return tuple(a.rules[a.initial].project(label) for a in _auts)
+    def init_project(label):
+        return tuple(r.project(label) for r in starts)
 
-    def init_build(label, _auts=tuple(automata)):
-        return f_and(*(_rename_formula(a.rules[a.initial].build(label), i)
-                       for i, a in enumerate(_auts)))
+    def init_build(label):
+        for i, key in enumerate(keys := init_project(label)):
+            if (i, key) not in renamed:
+                renamed[i, key] = _rename_formula(starts[i].build(label), i)
+        return f_and(*(renamed[i, key] for i, key in enumerate(keys)))
 
     rules[init] = StateRule(init_project, init_build)
     name = "(" + "&".join(a.name for a in automata) + ")"
@@ -515,9 +555,9 @@ def build_A1(ctx: LabelContext) -> TwoWayAutomaton:
         return tuple(sorted(l.c0)), tuple(sorted(map(str, l.r0)))
 
     rules = {
-        ("1", "init"): StateRule(l0_key, init_build),
-        ("1", "nd"): StateRule(l0_key, nd_build),
-        ("1", "off"): StateRule(lambda l: l.l0_empty(), off_build),
+        ("1", "init"): StateRule(l0_key, init_build, (0,)),
+        ("1", "nd"): StateRule(l0_key, nd_build, (0,)),
+        ("1", "off"): StateRule(lambda l: l.l0_empty(), off_build, (0,)),
     }
     return TwoWayAutomaton(
         "A1", ("1", "init"), {("1", "nd"): 1}, rules, ctx.labels,
@@ -570,25 +610,25 @@ def build_A2(tbox1: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     rules = {
         ("2", "q0"): StateRule(
             lambda l: (tuple(sorted(l.c1)), tuple(sorted(map(str, l.r1)))),
-            q0_build,
+            q0_build, (1,),
         )
     }
     for b in sorted(ctx.theta1_concepts):
         has_b = lambda l, b=b: b in l.c1
-        rules[("2", "c1", b)] = _test(has_b, bool)
-        rules[("2", "nc1", b)] = _test(has_b, bool, FALSE, TRUE)
+        rules[("2", "c1", b)] = _test(has_b, bool, reads=(1,))
+        rules[("2", "nc1", b)] = _test(has_b, bool, FALSE, TRUE, (1,))
     for _a, r, b in exs:
         rules[("2", "dn", r, b)] = _test(
-            lambda l, r=r, b=b: (r in l.r1, b in l.c1), all
+            lambda l, r=r, b=b: (r in l.r1, b in l.c1), all, reads=(1,)
         )
     for a, r, _b in alls:
         u = r.inverse()
         rules[("2", "na", u, a)] = _test(
-            lambda l, u=u, a=a: (u in l.r1, a in l.c1), all, FALSE, TRUE
+            lambda l, u=u, a=a: (u in l.r1, a in l.c1), all, FALSE, TRUE, (1,)
         )
     for fr in funcs:
         rules[("2", "nr1", fr)] = _test(
-            lambda l, fr=fr: fr in l.r1, bool, FALSE, TRUE
+            lambda l, fr=fr: fr in l.r1, bool, FALSE, TRUE, (1,)
         )
     return TwoWayAutomaton(
         "A2", ("2", "q0"), {}, rules, ctx.labels, ctx.root_labels
@@ -666,11 +706,11 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
             return TRUE
         return f_and(*[here(("3", "f", fr)) for fr in funcs])
 
-    rules[("3", "q0")] = StateRule(lambda l: l.l0_empty(), q0_build)
+    rules[("3", "q0")] = StateRule(lambda l: l.l0_empty(), q0_build, (0,))
     rules[("3", "q0p")] = StateRule(
-        lambda l: (tuple(sorted(l.c2)),), q0p_build
+        lambda l: (tuple(sorted(l.c2)),), q0p_build, (2,)
     )
-    rules[("3", "q1")] = StateRule(lambda l: l.l0_empty(), q1_build)
+    rules[("3", "q1")] = StateRule(lambda l: l.l0_empty(), q1_build, (0,))
 
     def r0_key(l):
         return tuple(sorted(map(str, l.r0)))
@@ -680,7 +720,7 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
             par = any(idx2.role_subsumes(s.inverse(), fr) for s in l.r0)
             return down_allbut(("3", "nf", fr), 0 if par else 1)
 
-        rules[("3", "f", fr)] = StateRule(r0_key, f_build)
+        rules[("3", "f", fr)] = StateRule(r0_key, f_build, (0,))
 
         def nf_build(l, fr=fr):
             return (
@@ -689,7 +729,7 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
                 else TRUE
             )
 
-        rules[("3", "nf", fr)] = StateRule(r0_key, nf_build)
+        rules[("3", "nf", fr)] = StateRule(r0_key, nf_build, (0,))
 
     edge_states = set()
     for a in th2c:
@@ -727,14 +767,14 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
         proj = (lambda a: (
             lambda l: (l.l0_empty(), a in l.c0, tuple(sorted(map(str, l.r0))))
         ))(a)
-        rules[qa(a)] = StateRule(proj, qa_build)
+        rules[qa(a)] = StateRule(proj, qa_build, (0,))
         priorities[qa(a)] = 1
-        rules[qna(a)] = StateRule(proj, qna_build)
+        rules[qna(a)] = StateRule(proj, qna_build, (0,))
 
     for u, b in sorted(edge_states):
         has_u = lambda l, u=u: u in l.r0
-        rules[("3", "e", u, b)] = _test(has_u, bool, here(qa(b)))
-        rules[("3", "ne", u, b)] = _test(has_u, bool, here(qna(b)), TRUE)
+        rules[("3", "e", u, b)] = _test(has_u, bool, here(qa(b)), FALSE, (0,))
+        rules[("3", "ne", u, b)] = _test(has_u, bool, here(qna(b)), TRUE, (0,))
 
     return TwoWayAutomaton(
         "A3", ("3", "q0"), priorities, rules, ctx.labels, ctx.root_labels
@@ -829,7 +869,7 @@ def build_A4(
         return f_or(*parts)
 
     rules[(tag, "q0")] = StateRule(
-        lambda l: (l.l0_empty(), tuple(sorted(l.c2))), q0_build
+        lambda l: (l.l0_empty(), tuple(sorted(l.c2))), q0_build, (0, 2)
     )
     priorities[(tag, "q0")] = 1
 
@@ -838,7 +878,7 @@ def build_A4(
         lambda l: (tuple(sorted(map(str, l.r1))),
                    tuple(sorted(map(str, l.r2)))),
         lambda l: TRUE if any(r.name in qroles and r not in l.r1
-                              for r in l.r2) else FALSE,
+                              for r in l.r2) else FALSE, (0, 1),
     )
 
     for node in sorted(space.edges, key=stable_key):
@@ -856,7 +896,7 @@ def build_A4(
             ))
 
         rules[n2(node)] = StateRule(
-            lambda l, tq=tq: (l.l1_empty(), tq <= l.c1), n2_build
+            lambda l, tq=tq: (l.l1_empty(), tq <= l.c1), n2_build, (1,)
         )
         priorities[n2(node)] = 1
 
@@ -874,14 +914,14 @@ def build_A4(
 
                 rules[st] = StateRule(
                     lambda l, rq=rq: all(r.inverse() in l.r1 for r in rq),
-                    n2r_build,
+                    n2r_build, (1,),
                 )
 
                 std = (tag, "n2d", key, child)
                 if std not in rules:
                     rules[std] = _test(
                         lambda l, rq=rq: rq <= l.r1, bool,
-                        here(n2(child)), TRUE,
+                        here(n2(child)), TRUE, (1,),
                     )
 
     if sim:
@@ -904,7 +944,7 @@ def build_A4(
                 here(("4", "n3b", node.type)),
             )
 
-        rules[st] = StateRule(lambda l: (), n3_build)
+        rules[st] = StateRule(lambda l: (), n3_build, ())
 
         bt = ("4", "n3b", node.type)
         if bt not in rules:
@@ -912,7 +952,7 @@ def build_A4(
                 lambda l: (l.l0_empty(), tuple(sorted(l.c1))),
                 lambda l, t=node.type: (
                     TRUE if l.l0_empty() or not finhom(l.c1, t) else FALSE
-                ),
+                ), (0, 1),
             )
 
     return TwoWayAutomaton(
@@ -1202,9 +1242,11 @@ class _DemandSearch:
     Each copy of a configuration that closes took such an assignment, so
     dead copies cost no work and the plans stay the same; greatest, as a
     processed copy discharges a here spawn, so a cycle of them is live.
-    It reads only the root flag and the guard class of each state in q's
-    here-closure at the label, so it runs once per such signature
-    (``live_sigs``) and label positions that share one copy its values.
+    It reads only the root flag and the guard rows of q's here-closure at
+    the label, so it runs once per such signature (``live_sigs``).  The
+    closure at any label lies in q's here-closure over all labels, whose
+    states read only some layers; so ``live`` keeps q's value per root
+    flag and group of labels equal on those layers (``live_group``).
 
     The budget is what keeps justifications of priority-1 states well
     founded: a copy already processed at a node discharges later demands
@@ -1232,7 +1274,7 @@ class _DemandSearch:
         self.tables = [None] * len(self.states)
         self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
         self.memo, self.eval_cache, self.live = {}, {}, {}
-        self.live_rows, self.live_sigs = {}, {}
+        self.live_rows, self.live_sigs, self.live_groups = {}, {}, {}
         self.work, self.limit = 0, None
         # the fixpoint stage: its round, the positions done in it, the
         # open ones with the guard class each evaluates, those read open
@@ -1312,11 +1354,27 @@ class _DemandSearch:
                 key=lambda t: (len(t), t))
         return hit
 
+    def live_group(self, q):
+        """The group of each label position under the layers that the
+        states of q's here-closure over all labels read."""
+        hit = self.live_groups.get(q)
+        if hit is None:
+            seen, todo, reads = set(), [q], set()
+            while todo:
+                p = todo.pop()
+                if p not in seen:
+                    seen.add(p)
+                    reads.update(self.aut.rules[self.states[p]].reads)
+                    todo.extend(self.ids[a[1]] for _key, f in self.table(p)[0]
+                                for a in formula_atoms(f) if a[0] == "here")
+            hit = self.aut.groups(tuple(sorted(reads)))[0]
+            self.live_groups[q] = hit
+        return hit
+
     def live_assignments(self, q, i, is_root):
         """q's live assignments on label position i, in ``assignments``
         order, or none if q is dead there (see the class docstring)."""
-        tab = self.live.setdefault((i, is_root), {})
-        hit = tab.get(q)
+        hit = self.live.get((q, self.live_group(q)[i], is_root))
         if hit is None:
             # the key names every row of q's here-closure at i, tabled or not
             cand, key, todo = {}, [is_root], [q]
@@ -1336,8 +1394,9 @@ class _DemandSearch:
             key = tuple(key)
             if key not in self.live_sigs:
                 self.live_sigs[key] = _live_fixpoint(cand)
-            tab.update(self.live_sigs[key])
-            hit = tab[q]
+            for p, c in self.live_sigs[key].items():
+                self.live[p, self.live_group(p)[i], is_root] = c
+            hit = self.live_sigs[key][q]
         return hit
 
     def viable_labels(self, q):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 import warnings
 import weakref
@@ -19,7 +20,8 @@ from helpers import (
     small_trees,
     solve_cobuchi_by_rescans,
 )
-from hornsep import automata, normalize, parse_signature, parse_tbox
+from hornsep import automata, entailment, normalize, parse_signature
+from hornsep import parse_tbox
 from hornsep.automata import (
     FALSE,
     MAX_LABELS,
@@ -58,7 +60,7 @@ from hornsep.entailment import (
 )
 from hornsep.models import stable_key
 from hornsep.reasoner import index_for
-from hornsep.syntax import ResourceLimitError, TopSub
+from hornsep.syntax import ResourceLimitError, Signature, TopSub
 from test_decision_golden import FIXTURES, GOLDEN, _certificates, _decide
 
 
@@ -415,8 +417,12 @@ def test_liveness_agrees_with_the_per_position_table(monkeypatch):
 def test_chain_runs_the_liveness_fixpoint_once_per_signature(monkeypatch):
     """Label positions whose here-closures read the same guard rows share
     one liveness fixpoint: chain n=7 has 60 such signatures, where the
-    per-position table ran the fixpoint 737 times."""
-    runs = 0
+    per-position table ran the fixpoint 737 times.  A state's liveness is
+    tabled per group of labels equal on the layers its here-closure
+    reads, so chain n=7 walks a here-closure at most 100 times, where a
+    table per label position walked one 737 times.  Each walk looks its
+    signature up in ``live_sigs`` once, which counts the walks."""
+    runs = walks = 0
     inner = automata._live_fixpoint
 
     def counted(cand):
@@ -424,10 +430,24 @@ def test_chain_runs_the_liveness_fixpoint_once_per_signature(monkeypatch):
         runs += 1
         return inner(cand)
 
+    class Signatures(dict):
+        def __contains__(self, key):
+            nonlocal walks
+            walks += 1
+            return super().__contains__(key)
+
+    init = _DemandSearch.__init__
+
+    def counting_init(search, *args):
+        init(search, *args)
+        search.live_sigs = Signatures()
+
     monkeypatch.setattr(automata, "_live_fixpoint", counted)
+    monkeypatch.setattr(_DemandSearch, "__init__", counting_init)
     p = chain_problem(7)
     assert not is_empty(build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1]).empty
     assert 0 < runs <= 60, runs
+    assert runs <= walks <= 100, walks
 
 
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
@@ -760,12 +780,17 @@ def test_state_ids_sort_like_stable_key(advisor_parts):
                     assert search.assignments(q, row) == by_text, (name, q)
 
 
-def _pipeline_products():
-    """The cq and 1tcq products of the fixtures and of chain n=1..3."""
+def _pipeline_products(chains=3, draws=0):
+    """The cq and 1tcq products of the fixtures, of chain n=1..chains and
+    of the first seed-601 criterion-6 draws."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problems = {name: problem(*texts) for name, texts in FIXTURES.items()}
-    problems.update((f"chain{n}", chain_problem(n)) for n in range(1, 4))
+    problems.update(
+        (f"chain{n}", chain_problem(n)) for n in range(1, chains + 1))
+    rng = random.Random(601)
+    problems.update(
+        (f"draw{i}", criterion6_problem(rng)[2]) for i in range(draws))
     for name, p in problems.items():
         for sim in (False, True):
             yield name, build_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim=sim)[1]
@@ -781,22 +806,57 @@ def test_equal_guard_keys_get_equal_formulas():
                     assert rule.build(label) == prod.delta(q, label), (name, q)
 
 
+def test_reads_name_every_layer_a_rule_depends_on():
+    """``classes`` projects one label per group of labels equal on the
+    layers a state ``reads``, so every label's own guard key and formula
+    must be its row's.  Comparing the keys matters: with A4's q1 narrowed
+    to layer 1, every label of the fixture and chain products still gets
+    its own formula, but not its own key.  The corpus: the cq and 1tcq
+    products of the fixtures, chain n=1..12 and criterion-6 draws 0-24,
+    and the bot-free product of the bot-axiom case."""
+    p = problem(*FIXTURES["disjointness"])
+    fresh = entailment._fresh_concept(p.t1, p.t2)
+    bot_free = build_pipeline(
+        entailment._bot_free(p.t1, fresh), entailment._bot_free(p.t2, fresh),
+        p.sigA, Signature(concepts=frozenset([fresh])))[1]
+    with within(60):
+        for name, prod in [*_pipeline_products(12, 25), ("bot-free", bot_free)]:
+            for q, rule in prod.rules.items():
+                rows, of = prod.classes(q)
+                for label, i in prod.position.items():
+                    assert rows[of[i]] == (rule.project(label),
+                                           rule.build(label)), (name, q)
+
+
 def test_is_empty_projects_each_label_once_per_state(advisor_parts):
-    """The search reads every guard class from the automaton's table, so
-    ``is_empty`` projects each (state, label) pair at most once."""
-    p = chain_problem(3)
-    chain = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1]
-    for prod in (chain, intersect(advisor_parts[1])):
+    """The search reads every guard class from the automaton's table, and
+    the table projects the first label of each group of labels equal on
+    the layers a state reads: ``is_empty`` projects no (state, label)
+    pair twice, and each state at most one label per group.  On chain n=7
+    that is at most 1,100 projections, where projecting every label made
+    13,616."""
+    products = {}
+    for n in (7, 3):
+        p = chain_problem(n)
+        products[n] = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1]
+    products["advisor"] = intersect(advisor_parts[1])
+    for name, prod in products.items():
         counts = collections.Counter()
         for q, rule in list(prod.rules.items()):
             def project(label, q=q, inner=rule.project):
                 counts[q, label] += 1
                 return inner(label)
 
-            prod.rules[q] = StateRule(project, rule.build)
+            prod.rules[q] = dataclasses.replace(rule, project=project)
         assert not is_empty(prod).empty
+        if name == 7:
+            assert sum(counts.values()) <= 1_100, sum(counts.values())
         most = max(counts.values())
         assert most == 1, f"a (state, label) pair was projected {most} times"
+        groups = collections.Counter(
+            (q, prod.groups(prod.rules[q].reads)[0][prod.position[label]])
+            for q, label in counts)
+        assert max(groups.values()) == 1, name
 
 
 def test_chain_work_grows_at_most_two_and_a_half_times():
