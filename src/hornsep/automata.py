@@ -372,11 +372,13 @@ class StateRule:
     one label per group of labels equal on those layers, and builds one
     formula per guard key; the test suite checks every label's own key
     and formula against them on the fixture, chain and criterion-6
-    products."""
+    products.  If a state's transition conjoins those of other states,
+    ``parts`` names them, and ``classes`` builds its rows from theirs."""
 
     project: object
     build: object
     reads: tuple = (0, 1, 2)
+    parts: tuple = ()
 
 
 def _test(project, holds, yes=TRUE, no=FALSE, reads=(0, 1, 2)) -> StateRule:
@@ -449,19 +451,34 @@ class TwoWayAutomaton:
         """q's guard classes: the rows (guard key, formula) in the order
         the labels first reach them, and the row of each label, listed by
         its ``position``.  Each of the ``groups`` of q's ``reads`` shares
-        the row of its first label, the only one projected."""
+        the row of its first label, the only one projected.  A rule with
+        ``parts`` projects none: a position's row stands for the parts'
+        rows there, keyed by the tuple of their keys, with the ``f_and``
+        of their formulas, as projecting each label would give."""
         hit = self._classes.get(q)
         if hit is None:
             rule, rows, row_of, at = self.rules[q], [], {}, []
-            group, firsts = self.groups(rule.reads)
-            for label in firsts:
-                key = rule.project(label)
-                row = row_of.get(key)
-                if row is None:
-                    row = row_of[key] = len(rows)
-                    rows.append((key, rule.build(label)))
-                at.append(row)
-            hit = self._classes[q] = (rows, [at[g] for g in group])
+            if rule.parts:
+                tables = [self.classes(p) for p in rule.parts]
+                for ids in zip(*(of for _rows, of in tables)):
+                    row = row_of.get(ids)
+                    if row is None:
+                        row = row_of[ids] = len(rows)
+                        keys, fs = zip(*(t[0][k] for t, k in zip(tables, ids)))
+                        rows.append((keys, f_and(*fs)))
+                    at.append(row)
+                hit = rows, at
+            else:
+                group, firsts = self.groups(rule.reads)
+                for label in firsts:
+                    key = rule.project(label)
+                    row = row_of.get(key)
+                    if row is None:
+                        row = row_of[key] = len(rows)
+                        rows.append((key, rule.build(label)))
+                    at.append(row)
+                hit = rows, [at[g] for g in group]
+            self._classes[q] = hit
         return hit
 
     def delta(self, q, label):
@@ -496,7 +513,8 @@ def _rename_formula(f, tag):
 
 def intersect(automata: list) -> TwoWayAutomaton:
     """Product by disjoint union plus a fresh initial state whose
-    transition conjoins the components' initial transitions."""
+    transition conjoins the components' initial transitions; its
+    ``parts`` name them, and its rows come from theirs."""
     base = automata[0]
     for a in automata[1:]:
         if a.labels is not base.labels and a.labels != base.labels:
@@ -510,19 +528,12 @@ def intersect(automata: list) -> TwoWayAutomaton:
                 rule.reads)
             priorities[(i, q)] = a.priority(q)
     init = ("x",)
-    starts = [a.rules[a.initial] for a in automata]
-    renamed = {}  # (component, its guard key) -> renamed initial formula
-
-    def init_project(label):
-        return tuple(r.project(label) for r in starts)
-
-    def init_build(label):
-        for i, key in enumerate(keys := init_project(label)):
-            if (i, key) not in renamed:
-                renamed[i, key] = _rename_formula(starts[i].build(label), i)
-        return f_and(*(renamed[i, key] for i, key in enumerate(keys)))
-
-    rules[init] = StateRule(init_project, init_build)
+    parts = tuple((i, a.initial) for i, a in enumerate(automata))
+    starts = [rules[p] for p in parts]
+    rules[init] = StateRule(
+        lambda label: tuple(r.project(label) for r in starts),
+        lambda label: f_and(*(r.build(label) for r in starts)),
+        parts=parts)
     name = "(" + "&".join(a.name for a in automata) + ")"
     return TwoWayAutomaton(name, init, priorities, rules, base.labels,
                            base.root_labels)
@@ -1222,9 +1233,11 @@ class _DemandSearch:
     them in that order.  Labels are numbered by their ``position`` in
     the automaton's alphabet, and each state's guard classes come from
     ``TwoWayAutomaton.classes``, so the search never projects a label
-    itself.  It keeps its tables (assignments per guard class, viable
-    labels, reach sets) and the results of positions (``memo``) and node
-    evaluations (``eval_cache``) for both stages.
+    itself.  It keeps its tables (per state the guard classes and what
+    one walk over their formulas finds, see ``table``; assignments per
+    guard class, viable labels, reach sets) and the results of
+    positions (``memo``) and node evaluations (``eval_cache``) for both
+    stages.
 
     A node is processed as a set of state copies, each carrying its
     remaining budget.  Minimal satisfying assignments of each copy's
@@ -1305,13 +1318,22 @@ class _DemandSearch:
 
     def table(self, q):
         """The guard classes of state id q (``TwoWayAutomaton.classes``),
-        and the ids of the states its transitions mention over any label."""
+        then, over any label, the ids of the states its transitions
+        mention, the ids its ``here`` atoms name, and whether one counts
+        more than one child: all from one walk over the rows."""
         hit = self.tables[q]
         if hit is None:
             rows, of = self.aut.classes(self.states[q])
-            ids = self.ids
-            hit = self.tables[q] = (rows, of, {
-                ids[a[-1]] for _key, f in rows for a in formula_atoms(f)})
+            ids, mentions, heres, counts = self.ids, set(), set(), False
+            for _key, f in rows:
+                for a in formula_atoms(f):
+                    p = ids[a[-1]]
+                    mentions.add(p)
+                    if a[0] == "here":
+                        heres.add(p)
+                    elif a[0] in _COUNTED and a[1] > 1:
+                        counts = True
+            hit = self.tables[q] = (rows, of, mentions, heres, counts)
         return hit
 
     def reach(self, states: frozenset) -> tuple:
@@ -1365,8 +1387,7 @@ class _DemandSearch:
                 if p not in seen:
                     seen.add(p)
                     reads.update(self.aut.rules[self.states[p]].reads)
-                    todo.extend(self.ids[a[1]] for _key, f in self.table(p)[0]
-                                for a in formula_atoms(f) if a[0] == "here")
+                    todo.extend(self.table(p)[3])
             hit = self.aut.groups(tuple(sorted(reads)))[0]
             self.live_groups[q] = hit
         return hit
@@ -1777,9 +1798,7 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     init = search.ids[aut.initial]
     # every state the search can reach, scanned before the liveness cut
     # can skip the assignment holding the count
-    if any(a[0] in _COUNTED and a[1] > 1
-           for q in search.reach(frozenset([init]))
-           for _key, f in search.table(q)[0] for a in formula_atoms(f)):
+    if any(search.table(q)[4] for q in search.reach(frozenset([init]))):
         raise UnsupportedAutomatonError(
             "emptiness supports child counts 0 and 1 only"
         )

@@ -5,15 +5,16 @@ Everything here is independent of the implementation strategy it
 cross-checks: the model enumerator interprets normal-form axioms
 directly over explicit finite structures, and the homomorphism
 reference works on unfoldings element by element.  The co-Büchi game
-solver that rescans every position and the liveness table computed
-afresh per label position are the references for the emptiness code's
-faster forms.  The printers turn parsed inputs back into the surface
+solver that rescans every position, the liveness table computed
+afresh per label position and the product's initial rows projected
+label by label are the references for the automata code's faster
+forms.  The printers turn parsed inputs back into the surface
 syntax for round-trip tests.
 """
 
 import itertools
 
-from hornsep.automata import FALSE, TRUE, RegularTreeRep, is_atom
+from hornsep.automata import FALSE, TRUE, RegularTreeRep, f_and, is_atom
 from hornsep.entailment import make_problem
 from hornsep.models import (
     Interpretation,
@@ -455,7 +456,7 @@ def small_trees(labels, max_nodes):
 
 
 # ---------------------------------------------------------------------------
-# game and liveness references
+# game, liveness and guard-table references
 
 
 def attractor_by_rescans(info, target, player):
@@ -542,6 +543,28 @@ def live_assignments_by_position(search, live, q, i, is_root):
         tab.update((p, tuple(c)) for p, c in cand.items())
         hit = tab[q]
     return hit
+
+
+def initial_classes_by_label(prod):
+    """The reference for ``TwoWayAutomaton.classes`` of a product's
+    initial state: every label projected through the rules of the
+    states it conjoins (``parts``), one row per tuple of their guard keys
+    in the order the labels first reach them, and each part's formula
+    built once per guard key of that part."""
+    starts = [prod.rules[p] for p in prod.rules[prod.initial].parts]
+    built, rows, row_of, of = {}, [], {}, []
+    for label in prod.position:
+        keys = tuple(r.project(label) for r in starts)
+        row = row_of.get(keys)
+        if row is None:
+            for i, key in enumerate(keys):
+                if (i, key) not in built:
+                    built[i, key] = starts[i].build(label)
+            row = row_of[keys] = len(rows)
+            rows.append((keys, f_and(*(built[i, key]
+                                       for i, key in enumerate(keys)))))
+        of.append(row)
+    return rows, of
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import random
+import sys
 import warnings
 import weakref
 
@@ -15,6 +16,7 @@ from helpers import (
     criterion6_problem,
     derivation_sets_by_subsets,
     eval_formula,
+    initial_classes_by_label,
     live_assignments_by_position,
     random_regular_tree,
     small_trees,
@@ -806,6 +808,15 @@ def test_equal_guard_keys_get_equal_formulas():
                     assert rule.build(label) == prod.delta(q, label), (name, q)
 
 
+def _bot_free_product():
+    """The bot-free product of the bot-axiom case."""
+    p = problem(*FIXTURES["disjointness"])
+    fresh = entailment._fresh_concept(p.t1, p.t2)
+    return build_pipeline(
+        entailment._bot_free(p.t1, fresh), entailment._bot_free(p.t2, fresh),
+        p.sigA, Signature(concepts=frozenset([fresh])))[1]
+
+
 def test_reads_name_every_layer_a_rule_depends_on():
     """``classes`` projects one label per group of labels equal on the
     layers a state ``reads``, so every label's own guard key and formula
@@ -814,11 +825,7 @@ def test_reads_name_every_layer_a_rule_depends_on():
     its own formula, but not its own key.  The corpus: the cq and 1tcq
     products of the fixtures, chain n=1..12 and criterion-6 draws 0-24,
     and the bot-free product of the bot-axiom case."""
-    p = problem(*FIXTURES["disjointness"])
-    fresh = entailment._fresh_concept(p.t1, p.t2)
-    bot_free = build_pipeline(
-        entailment._bot_free(p.t1, fresh), entailment._bot_free(p.t2, fresh),
-        p.sigA, Signature(concepts=frozenset([fresh])))[1]
+    bot_free = _bot_free_product()
     with within(60):
         for name, prod in [*_pipeline_products(12, 25), ("bot-free", bot_free)]:
             for q, rule in prod.rules.items():
@@ -828,13 +835,27 @@ def test_reads_name_every_layer_a_rule_depends_on():
                                            rule.build(label)), (name, q)
 
 
+def test_initial_rows_come_from_the_parts_rows_in_label_order():
+    """The product's initial rows, conjoined from the rows of the
+    components' initial states, are the rows that projecting every label
+    gives: the same keys and formulas, numbered in the order the labels
+    first reach them, and the same row for every label.  On the corpus of
+    ``test_reads_name_every_layer_a_rule_depends_on``."""
+    bot_free = _bot_free_product()
+    with within(60):
+        for name, prod in [*_pipeline_products(12, 25), ("bot-free", bot_free)]:
+            assert prod.classes(prod.initial) == initial_classes_by_label(
+                prod), name
+
+
 def test_is_empty_projects_each_label_once_per_state(advisor_parts):
     """The search reads every guard class from the automaton's table, and
     the table projects the first label of each group of labels equal on
     the layers a state reads: ``is_empty`` projects no (state, label)
-    pair twice, and each state at most one label per group.  On chain n=7
-    that is at most 1,100 projections, where projecting every label made
-    13,616."""
+    pair twice, and each state at most one label per group.  The initial
+    state's rows come from its parts' rows, so it projects no label.  On
+    chain n=7 that is at most 720 projections (705), where one label per
+    group for every state made 1,067 and projecting every label 13,616."""
     products = {}
     for n in (7, 3):
         p = chain_problem(n)
@@ -850,13 +871,51 @@ def test_is_empty_projects_each_label_once_per_state(advisor_parts):
             prod.rules[q] = dataclasses.replace(rule, project=project)
         assert not is_empty(prod).empty
         if name == 7:
-            assert sum(counts.values()) <= 1_100, sum(counts.values())
+            assert sum(counts.values()) <= 720, sum(counts.values())
+        assert not any(q == prod.initial for q, _label in counts), name
         most = max(counts.values())
         assert most == 1, f"a (state, label) pair was projected {most} times"
         groups = collections.Counter(
             (q, prod.groups(prod.rules[q].reads)[0][prod.position[label]])
             for q, label in counts)
         assert max(groups.values()) == 1, name
+
+
+def test_is_empty_walks_each_tabled_state_once_per_search(
+        monkeypatch, advisor_parts):
+    """``_DemandSearch.table`` walks a state's guard rows once, and
+    ``live_group`` and the child-count check at ``is_empty``'s entry read
+    what that walk found: the top-level ``formula_atoms`` calls of an
+    ``is_empty`` are the row formulas of the states its searches tabled,
+    each once per search."""
+    inner, walked, searches = automata.formula_atoms, collections.Counter(), []
+
+    def formula_atoms(f):
+        # the walk's own calls on subformulas come from formula_atoms
+        if sys._getframe(1).f_code is not inner.__code__:
+            walked[id(f)] += 1
+        return inner(f)
+
+    class Search(_DemandSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(automata, "formula_atoms", formula_atoms)
+    monkeypatch.setattr(automata, "_DemandSearch", Search)
+    p = chain_problem(7)
+    products = {
+        "chain7": build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)[1],
+        "advisor": intersect(advisor_parts[1]),
+    }
+    for name, prod in products.items():
+        walked.clear()
+        searches.clear()
+        assert not is_empty(prod).empty
+        rows = collections.Counter(
+            id(f) for s in searches for t in s.tables if t is not None
+            for _key, f in t[0])
+        assert rows and walked == rows, name
 
 
 def test_chain_work_grows_at_most_two_and_a_half_times():
