@@ -1445,9 +1445,13 @@ class _DemandSearch:
 
     def eval_label(self, copies, i, depth, is_root):
         # copies are (state id, budget) pairs, i is the label's position;
-        # a back edge cannot revive a dead copy: its ancestor is dead too
-        if not all(self.live_assignments(q, i, is_root) for q, _b in copies):
-            return {}
+        # a back edge cannot revive a dead copy: its ancestor is dead too.
+        # The live assignments looked up here start _close's asg_here.
+        asg_here = {}
+        for q, _b in copies:
+            asg_here[q] = self.live_assignments(q, i, is_root)
+            if not asg_here[q]:
+                return {}
         states = self.reach(frozenset(q for q, _b in copies))
         # Depth is a resource cap, not part of the accepted-tree semantics,
         # so the depth-capped stage shares results across recursion levels
@@ -1482,7 +1486,8 @@ class _DemandSearch:
         self._tok_stack.append(tok)
         hit = {}
         try:
-            self._close({}, pending, {}, {}, {}, i, depth, is_root, hit, {})
+            self._close({}, pending, {}, {}, {}, i, depth, is_root, hit,
+                        asg_here)
         finally:
             self._tok_stack.pop()
             if prev is None:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import automata, models, reasoner
-from .reasoner import BOT, certain_answers, index_for
+from .reasoner import BOT, index_for, is_certain_answer
 from .syntax import (
     ABox,
     And,
@@ -110,9 +110,9 @@ def verify_witness(t1: NormalTBox, t2: NormalTBox, w: Witness) -> bool:
     m2 = models.UniversalModel(t2, w.abox)
     if not m2.consistent:
         return False
-    if w.answer not in certain_answers(m2, w.query):
+    if not is_certain_answer(m2, w.query, w.answer):
         return False
-    return w.answer not in certain_answers(m1, w.query)
+    return not is_certain_answer(m1, w.query, w.answer)
 
 
 @dataclass
@@ -237,7 +237,7 @@ def _holds_in(m: models.UniversalModel, a: str, c) -> bool:
         b = _new_successor(abox, a, c.role)
         return _holds(m.tbox, abox, b, c.arg)
     q = CQ(("x0",))
-    return _tree_query(c, "x0", q) and (a,) in certain_answers(m, q)
+    return _tree_query(c, "x0", q) and is_certain_answer(m, q, (a,))
 
 
 def _tree_query(c, z: str, q: CQ) -> bool:
@@ -611,8 +611,9 @@ def oracle_witness_search(
     exception (the command line raises ``ResourceLimitError``).  Each
     ABox is chased once per TBox.  A candidate's answer holds under the
     second TBox by construction (the identity map is a match), so each
-    candidate is asked once, of the first TBox's model, and
-    ``verify_witness`` replays the one returned."""
+    candidate is one membership question (``is_certain_answer``) asked
+    of the first TBox's model, and ``verify_witness`` replays the one
+    returned.  Candidates come in an order fixed by ``stable_key``."""
     if tbox_entails(t1, t2):
         return None
     for abox in enumerate_tree_aboxes(sigA, max_ind):
@@ -625,7 +626,7 @@ def oracle_witness_search(
         window = _sigma_reduct(m2.window(max_vars), sigQ)
         tried = set()
         subs = []
-        for top in sorted(window.elements, key=models.stable_key):
+        for top in window.neighbor_index().order:
             subs.extend(
                 models.enumerate_connected_substructures(window, top, max_vars)
             )
@@ -635,7 +636,7 @@ def oracle_witness_search(
                 if key in tried:
                     continue
                 tried.add(key)
-                if ans in certain_answers(m1, q):
+                if is_certain_answer(m1, q, ans):
                     continue
                 w = Witness(abox, q, ans)
                 if verify_witness(t1, t2, w):

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import reasoner
 from .reasoner import BOT, index_for
 from .syntax import ABox, NormalTBox, Role
+
+
+class NeighborIndex(NamedTuple):
+    order: list  # the elements, in stable_key order
+    near: dict  # element -> its distinct neighbours, in that order
+    touch: dict  # element -> the edges that touch it
 
 
 @dataclass
@@ -30,10 +37,13 @@ class Interpretation:
     individuals: set = field(default_factory=set)
     labels: dict = field(default_factory=dict)  # element -> set of concept names
     edges: set = field(default_factory=set)  # (x, role name, y)
+    _index: NeighborIndex = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_element(self, e, labels=()):
         self.elements.add(e)
         self.labels.setdefault(e, set()).update(labels)
+        self._index = None
 
     def add_role_edge(self, x, role: Role, y):
         """Add the edge (x, role, y), stored under the role name."""
@@ -41,14 +51,35 @@ class Interpretation:
             self.edges.add((y, role.name, x))
         else:
             self.edges.add((x, role.name, y))
+        self._index = None
 
-    def role_neighbors(self, x):
-        """Yield (role, y) for every role (name or inverse) with (x,y) in it."""
-        for a, r, b in self.edges:
-            if a == x:
-                yield Role(r), b
-            if b == x:
-                yield Role(r, True), a
+    def copy(self) -> "Interpretation":
+        return Interpretation(
+            set(self.elements), set(self.individuals),
+            {e: set(ls) for e, ls in self.labels.items()}, set(self.edges),
+        )
+
+    def neighbor_index(self) -> NeighborIndex:
+        """The elements in ``stable_key`` order, each element's distinct
+        neighbours along edges of either direction in that order, and
+        the edges that touch each element; built on first use and kept
+        until the next ``add_element`` or ``add_role_edge``."""
+        if self._index is None:
+            order = sorted(self.elements, key=stable_key)
+            rank = {e: i for i, e in enumerate(order)}
+            near = {e: set() for e in order}
+            touch = {e: [] for e in order}
+            for edge in self.edges:
+                a, _r, b = edge
+                near[a].add(b)
+                near[b].add(a)
+                touch[a].append(edge)
+                if b != a:
+                    touch[b].append(edge)
+            near = {e: sorted(ns, key=rank.__getitem__)
+                    for e, ns in near.items()}
+            self._index = NeighborIndex(order, near, touch)
+        return self._index
 
     def to_json(self) -> str:
         key = stable_key
@@ -101,9 +132,12 @@ class UniversalModel:
 
     Holds the chase state (with the asserted edge roles) and, each built
     on first use, the ABox successor types per (individual, role), the
-    materialized window per depth and the reachable anonymous classes.
-    One object serves every query asked of the same TBox and ABox.  The
-    windows are shared, so a caller that changes one must copy it first.
+    materialized window per depth with its leaves, and the reachable
+    anonymous classes.  One object serves every query asked of the same
+    TBox and ABox.  The windows are shared: ``materialize`` grows a
+    deeper window from a copy of a shallower one and never changes a
+    window the model holds, and a caller that changes one must copy it
+    first.
     """
 
     def __init__(self, tbox: NormalTBox, abox: ABox):
@@ -112,6 +146,7 @@ class UniversalModel:
         self.state = reasoner.chase(tbox, abox)
         self._succ: dict = {}
         self._windows: dict = {}
+        self._leaves: dict = {}
         self._anon = None
 
     @property
@@ -137,40 +172,52 @@ class UniversalModel:
 
 def materialize(model: UniversalModel, depth: int) -> Interpretation:
     """The ABox part of the universal model plus its anonymous trees cut
-    at the given depth."""
+    at the given depth, as a new interpretation.
+
+    A window is a prefix of every deeper one, so the build starts from
+    a copy of the deepest window below ``depth`` that the model holds
+    and continues breadth first from that window's leaves (its elements
+    at its depth; at depth 0 its individuals), which the model records
+    for every window built here."""
     if not model.consistent:
         raise reasoner.InconsistentABoxError(
             "cannot materialize an inconsistent ABox"
         )
     tbox, abox, state = model.tbox, model.abox, model.state
     idx = index_for(tbox)
-    interp = Interpretation()
-    for a in abox.individuals():
-        interp.add_element(a, set(state.tp[a]) - {BOT})
-        interp.individuals.add(a)
-    for s, a, b in abox.role_assertions:
-        for r in idx.superroles(Role(s)):
-            interp.add_role_edge(a, r, b)
-
-    # anonymous part, breadth first; frontier entries are
-    # (element, type, incoming generating role or None, remaining depth)
-    frontier = []
-    for a in sorted(abox.individuals()):
-        for r in sorted(idx.roles, key=str):
-            for t2 in sorted(model.succ(a, r), key=sorted):
-                if depth >= 1:
-                    frontier.append((a, t2, r, depth - 1))
-
-    while frontier:
-        parent, t, gen, budget = frontier.pop(0)
-        elem = (parent, str(gen), t)
-        interp.add_element(elem, set(t))
-        for s in index_for(tbox).superroles(gen):
-            interp.add_role_edge(parent, s, elem)
-        if budget == 0:
-            continue
-        for r, _rho, t2 in _anon_children(tbox, t, gen):
-            frontier.append((elem, t2, r, budget - 1))
+    # breadth first, one level at a time; a level holds (element, type,
+    # incoming generating role), with type and role None at an individual
+    start = max((d for d in model._windows if d < depth), default=None)
+    if start is not None:
+        interp = model._windows[start].copy()
+        level = model._leaves[start]
+    else:
+        start = 0
+        interp = Interpretation()
+        for a in abox.individuals():
+            interp.add_element(a, set(state.tp[a]) - {BOT})
+            interp.individuals.add(a)
+        for s, a, b in abox.role_assertions:
+            for r in idx.superroles(Role(s)):
+                interp.add_role_edge(a, r, b)
+        level = [(a, None, None) for a in sorted(abox.individuals())]
+    roles = sorted(idx.roles, key=str)
+    for _ in range(start, depth):
+        below = []
+        for parent, t, gen in level:
+            if gen is None:
+                kids = [(r, idx.superroles(r), t2) for r in roles
+                        for t2 in sorted(model.succ(parent, r), key=sorted)]
+            else:
+                kids = _anon_children(tbox, t, gen)
+            for r, rho, t2 in kids:
+                elem = (parent, str(r), t2)
+                interp.add_element(elem, t2)
+                for s in rho:
+                    interp.add_role_edge(parent, s, elem)
+                below.append((elem, t2, r))
+        level = below
+    model._leaves[depth] = level
     return interp
 
 
@@ -251,12 +298,12 @@ def reachable_anon_classes(model: UniversalModel) -> TypeGraph:
 
 def anonymous_component_match(model: UniversalModel, comp) -> bool:
     """Does a Boolean query component match entirely inside some anonymous
-    subtree of the universal model?"""
+    subtree of the universal model?  Stops at the first match."""
     tg = model.anon_classes()
     m = max(1, len(comp.variables()))
     for node in tg.nodes:
         prefix = prefix_interpretation(tg, node, m)
-        if reasoner.match_cq(comp, prefix):
+        if next(reasoner.match_cq(comp, prefix), None) is not None:
             return True
     return False
 
@@ -265,31 +312,28 @@ def anonymous_component_match(model: UniversalModel, comp) -> bool:
 # connected substructures
 
 
-def _tree_order(interp: Interpretation, root):
-    """Parent map of a weakly tree-shaped interpretation, rooted at root."""
-    parent = {root: None}
-    order = [root]
-    frontier = [root]
-    while frontier:
-        x = frontier.pop()
-        for _r, y in interp.role_neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                frontier.append(y)
-    return parent, order
-
-
 def enumerate_connected_substructures(
     interp: Interpretation, root, max_size: int
 ):
     """Connected induced substructures containing `root`, ≤ max_size
-    elements, of a weakly tree-shaped interpretation."""
-    parent, order = _tree_order(interp, root)
-    children: dict = {e: [] for e in order}
-    for e in order:
-        if parent[e] is not None:
-            children[parent[e]].append(e)
+    elements, of a weakly tree-shaped interpretation.
+
+    The tree is rooted at `root`, and each element's children are its
+    other neighbours in ``stable_key`` order, read off the
+    interpretation's ``neighbor_index``.  Only elements fewer than
+    max_size - 1 steps from the root can gain a child in a substructure,
+    so only those are expanded."""
+    index = interp.neighbor_index()
+    children: dict = {}
+    seen = {root}
+    level = [root]
+    for _ in range(max_size - 1):
+        below = []
+        for x in level:
+            kids = children[x] = [y for y in index.near[x] if y not in seen]
+            seen.update(kids)
+            below += kids
+        level = below
 
     results = []
 
@@ -300,16 +344,17 @@ def enumerate_connected_substructures(
         for i, c in enumerate(candidates):
             grow(
                 current | {c},
-                candidates[i + 1 :] + tuple(children[c]),
+                candidates[i + 1 :] + tuple(children.get(c, ())),
             )
 
-    grow(frozenset([root]), tuple(children[root]))
+    grow(frozenset([root]), tuple(children.get(root, ())))
 
     for subset in results:
         sub = Interpretation()
         for e in subset:
             sub.add_element(e, interp.labels.get(e, ()))
         sub.edges = {
-            (a, r, b) for a, r, b in interp.edges if a in subset and b in subset
+            edge for e in subset for edge in index.touch[e]
+            if edge[0] in subset and edge[2] in subset
         }
         yield sub

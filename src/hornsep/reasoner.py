@@ -352,12 +352,27 @@ def abox_succ(model, a, r: Role) -> set:
 # certain answers
 
 
-def match_cq(q: CQ, interp):
-    """All matches of q in a finite interpretation (models.Interpretation),
-    returned as a set of answer tuples.  Variables are bound in sorted
-    order.  A variable's concept atoms filter its domain up front, and
-    each role atom is checked once, when its later variable is bound."""
+def match_cq(q: CQ, interp, answer=None):
+    """Yield the answer tuple of every match of q in a finite
+    interpretation (``models.Interpretation``), one per match, by
+    backtracking: a caller that needs one match stops at the first.
+    With ``answer`` given, the answer variables are pinned to it, so a
+    repeated answer variable must get the same element, and an answer
+    of the wrong length or naming a non-individual has no match.
+    Variables are bound in sorted order.  A variable's concept atoms
+    filter its domain up front, and each role atom is checked once,
+    when its later variable is bound."""
+    pin = {}
+    if answer is not None:
+        if len(answer) != len(q.answer_vars):
+            return
+        for v, d in zip(q.answer_vars, answer):
+            if pin.setdefault(v, d) != d:
+                return
     variables = sorted(q.variables())
+    if not variables:
+        yield ()
+        return
     pos = {v: i for i, v in enumerate(variables)}
     concepts = {v: set() for v in variables}
     for cname, z in q.concept_atoms:
@@ -366,34 +381,37 @@ def match_cq(q: CQ, interp):
     domains = []
     for v in variables:
         # answer variables range over named individuals only
-        if v in q.answer_vars:
-            pool = interp.individuals
-        else:
-            pool = interp.elements
+        pool = interp.individuals if v in q.answer_vars else interp.elements
+        if v in pin:
+            pool = [pin[v]] if pin[v] in pool else []
         domains.append([d for d in pool if concepts[v] <= labels[d]])
+        if not domains[-1]:
+            return
     ratoms = [[] for _ in variables]
     for rname, z, w in sorted(q.role_atoms):
-        ratoms[max(pos[z], pos[w])].append((z, rname, w))
+        ratoms[max(pos[z], pos[w])].append((pos[z], rname, pos[w]))
+    out = [pos[v] for v in q.answer_vars]
     edges = interp.edges
-
-    results = set()
-
-    def extend(i, assign):
-        if i == len(variables):
-            results.add(tuple(assign[v] for v in q.answer_vars))
-            return
-        v = variables[i]
-        for d in domains[i]:
-            assign[v] = d
+    last = len(variables) - 1
+    # choices[i] iterates the untried values of variable i
+    assign = [None] * len(variables)
+    choices = [iter(domains[0])]
+    while choices:
+        i = len(choices) - 1
+        for d in choices[i]:
+            assign[i] = d
             for z, r, w in ratoms[i]:
                 if (assign[z], r, assign[w]) not in edges:
                     break
             else:
-                extend(i + 1, assign)
-        assign.pop(v, None)  # v stays unbound when its domain is empty
-
-    extend(0, {})
-    return results
+                break  # every role atom holds: d is bound
+        else:
+            choices.pop()
+            continue
+        if i == last:
+            yield tuple(assign[k] for k in out)
+        else:
+            choices.append(iter(domains[i + 1]))
 
 
 def query_components(q: CQ) -> list:
@@ -435,10 +453,36 @@ def query_components(q: CQ) -> list:
     return out
 
 
+def _split(model, q: CQ):
+    """The window q is evaluated in, the components of q with answer
+    variables joined into one CQ, and the Boolean components."""
+    if not model.consistent:
+        raise InconsistentABoxError("ABox is inconsistent with the TBox")
+    window = model.window(max(1, len(q.variables())))
+    answer_part = CQ(q.answer_vars)
+    booleans = []
+    for comp in query_components(q):
+        if comp.answer_vars:
+            answer_part.concept_atoms |= comp.concept_atoms
+            answer_part.role_atoms |= comp.role_atoms
+        else:
+            booleans.append(comp)
+    return window, answer_part, booleans
+
+
+def _boolean_holds(model, window, comp: CQ) -> bool:
+    from . import models  # deferred: models builds on this module
+
+    return next(match_cq(comp, window), None) is not None or (
+        models.anonymous_component_match(model, comp)
+    )
+
+
 def certain_answers(model, q: CQ) -> set:
-    """Evaluate the query over the universal model (a
+    """The certain answers of q over the universal model (a
     ``models.UniversalModel``, whose windows and anonymous classes are
-    built once and shared by every query asked of it).
+    built once and shared by every query asked of it), as a set of
+    tuples of individuals.
 
     A match of a connected m-variable component either touches the ABox
     part, in which case it lies within m role steps of an individual, or
@@ -447,21 +491,21 @@ def certain_answers(model, q: CQ) -> set:
     and the rest lies at most m steps below it.  Both cases are finite
     and searched exhaustively, so the evaluation is exact.  Components
     with answer variables bind those to individuals, so they touch the
-    ABox part and are matched together in the window, as one CQ.
+    ABox part and are matched together in the window, as one CQ.  To ask
+    about one tuple, ``is_certain_answer`` is the cheaper question.
     """
-    from . import models  # deferred: models builds on this module
+    window, answer_part, booleans = _split(model, q)
+    if not all(_boolean_holds(model, window, c) for c in booleans):
+        return set()
+    return set(match_cq(answer_part, window))
 
-    if not model.consistent:
-        raise InconsistentABoxError("ABox is inconsistent with the TBox")
-    window = model.window(max(1, len(q.variables())))
 
-    answer_part = CQ(q.answer_vars)
-    for comp in query_components(q):
-        if comp.answer_vars:
-            answer_part.concept_atoms |= comp.concept_atoms
-            answer_part.role_atoms |= comp.role_atoms
-        elif not match_cq(comp, window) and not models.anonymous_component_match(
-            model, comp
-        ):
-            return set()
-    return match_cq(answer_part, window)
+def is_certain_answer(model, q: CQ, answer: tuple) -> bool:
+    """``answer in certain_answers(model, q)``, decided as a membership
+    question: the answer variables are pinned to ``answer`` and every
+    search stops at its first match.  This is the homomorphism test of
+    Chandra and Merlin with the answer variables fixed."""
+    window, answer_part, booleans = _split(model, q)
+    return next(match_cq(answer_part, window, answer), None) is not None and (
+        all(_boolean_holds(model, window, c) for c in booleans)
+    )

@@ -8,7 +8,8 @@ reference works on unfoldings element by element.  The co-Büchi game
 solver that rescans every position, the liveness table computed
 afresh per label position and the product's initial rows projected
 label by label are the references for the automata code's faster
-forms.  The printers turn parsed inputs back into the surface
+forms, and the whole-window substructure enumeration is the one for
+the witness oracle's bounded form.  The printers turn parsed inputs back into the surface
 syntax for round-trip tests.
 """
 
@@ -315,6 +316,86 @@ def n_bounded_hom_oracle(
             if not hom_into_regular(sub, tgt, sig):
                 return False
     return True
+
+
+def substructures_by_whole_window(interp: Interpretation, root, max_size):
+    """The reference for ``models.enumerate_connected_substructures``:
+    a depth-first tree order over the whole interpretation, which scans
+    every edge for each element's neighbours and visits them sorted by
+    ``stable_key``, then the same growth of connected sets from the root,
+    each substructure's edges picked from all edges.  Returns a list."""
+
+    def neighbors(x):
+        for a, r, b in interp.edges:
+            if a == x:
+                yield stable_key(b), r, b
+            if b == x:
+                yield stable_key(a), "-" + r, a
+
+    parent = {root: None}
+    order = [root]
+    frontier = [root]
+    while frontier:
+        x = frontier.pop()
+        for _k, _r, y in sorted(neighbors(x), key=lambda n: n[:2]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                frontier.append(y)
+    children = {e: [] for e in order}
+    for e in order:
+        if parent[e] is not None:
+            children[parent[e]].append(e)
+
+    results = []
+
+    def grow(current: frozenset, candidates: tuple):
+        results.append(current)
+        if len(current) == max_size:
+            return
+        for i, c in enumerate(candidates):
+            grow(current | {c}, candidates[i + 1:] + tuple(children[c]))
+
+    grow(frozenset([root]), tuple(children[root]))
+    subs = []
+    for subset in results:
+        sub = Interpretation()
+        for e in subset:
+            sub.add_element(e, interp.labels.get(e, ()))
+        sub.edges = {
+            (a, r, b) for a, r, b in interp.edges if a in subset and b in subset
+        }
+        subs.append(sub)
+    return subs
+
+
+def oracle_candidates_by_whole_window(t1, t2, sigA, sigQ, max_ind, max_vars,
+                                      mode="cq"):
+    """The (query text, answer) candidates that
+    ``entailment.oracle_witness_search`` asks of the first TBox's models
+    when none of them is a witness, in order, with every window's
+    substructures enumerated by ``substructures_by_whole_window``."""
+    from hornsep import entailment, models
+    from hornsep.syntax import cq_to_text
+
+    out = []
+    for abox in entailment.enumerate_tree_aboxes(sigA, max_ind):
+        m1 = models.UniversalModel(t1, abox)
+        m2 = models.UniversalModel(t2, abox)
+        if not (m1.consistent and m2.consistent):
+            continue
+        window = entailment._sigma_reduct(m2.window(max_vars), sigQ)
+        tried = set()
+        for top in sorted(window.elements, key=stable_key):
+            for sub in substructures_by_whole_window(window, top, max_vars):
+                for q, ans in entailment._queries_from_sub(
+                    sub, window.individuals, sigQ, mode
+                ):
+                    key = (cq_to_text(q), ans)
+                    if key not in tried:
+                        tried.add(key)
+                        out.append(key)
+    return out
 
 
 def con_sigma_view(tg: TypeGraph, sig) -> TypeGraph:

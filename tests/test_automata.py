@@ -416,6 +416,41 @@ def test_liveness_agrees_with_the_per_position_table(monkeypatch):
     assert calls
 
 
+def test_eval_label_hands_its_liveness_lookups_to_close(monkeypatch):
+    """``eval_label`` checks every copy with ``live_assignments`` and
+    hands the results to ``_close`` as its starting ``asg_here``, so
+    ``_close`` looks none of them up again: on chain n=1..7 the lookups
+    fall from 5,917, with ``_close`` starting empty, to 4,755 or fewer,
+    and the decisions (their work included) stay the same."""
+    inner_live = _DemandSearch.live_assignments
+    inner_close = _DemandSearch._close
+    calls = 0
+
+    def counted(search, *args):
+        nonlocal calls
+        calls += 1
+        return inner_live(search, *args)
+
+    def starting_empty(search, proc, *args):
+        if not proc:  # eval_label's call; _assemble's has processed copies
+            args = args[:-1] + ({},)
+        return inner_close(search, proc, *args)
+
+    def decide_chains():
+        nonlocal calls
+        calls = 0
+        return [decide_cq_entailment(chain_problem(n)).to_json()
+                for n in range(1, 8)], calls
+
+    monkeypatch.setattr(_DemandSearch, "live_assignments", counted)
+    handed, handed_calls = decide_chains()
+    monkeypatch.setattr(_DemandSearch, "_close", starting_empty)
+    alone, alone_calls = decide_chains()
+    assert handed == alone
+    assert alone_calls == 5917 and handed_calls <= 4755, (alone_calls,
+                                                          handed_calls)
+
+
 def test_chain_runs_the_liveness_fixpoint_once_per_signature(monkeypatch):
     """Label positions whose here-closures read the same guard rows share
     one liveness fixpoint: chain n=7 has 60 such signatures, where the

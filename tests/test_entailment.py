@@ -9,6 +9,7 @@ from helpers import (
     criterion6_problem,
     finite_models,
     model_satisfies_raw,
+    oracle_candidates_by_whole_window,
 )
 from hornsep import (
     entailment,
@@ -36,8 +37,8 @@ from hornsep.entailment import (
     verify_witness,
 )
 from hornsep.automata import run_on_regular_tree
-from hornsep.reasoner import certain_answers
-from hornsep.syntax import ProfileError, Signature
+from hornsep.reasoner import certain_answers, is_certain_answer
+from hornsep.syntax import ProfileError, Signature, cq_to_text
 
 
 def test_advisor_cq_not_entailed(advisor_problem):
@@ -354,15 +355,16 @@ def test_oracle_chases_each_abox_once_per_tbox(fixture, request, monkeypatch):
 
 
 def test_shared_model_answers_like_a_fresh_one(monkeypatch):
-    """Every query the oracle asks of a shared universal model gets the
-    answers a freshly chased model gives, and the oracle's reading of a
-    window leaves the shared window as materialize builds it."""
+    """Every membership question the oracle asks of a shared universal
+    model gets the verdict a freshly chased model gives, and the oracle's
+    reading of a window leaves the shared window as materialize builds
+    it."""
     shared = {}
 
-    def checked(model, q):
-        got = certain_answers(model, q)
+    def checked(model, q, answer):
+        got = is_certain_answer(model, q, answer)
         fresh = models.UniversalModel(model.tbox, model.abox)
-        assert got == certain_answers(fresh, q), str(q)
+        assert got == is_certain_answer(fresh, q, answer), (str(q), answer)
         shared[id(model)] = model
         return got
 
@@ -374,7 +376,7 @@ def test_shared_model_answers_like_a_fresh_one(monkeypatch):
             continue  # the oracle returns at once
         searched += 1
         with monkeypatch.context() as mp:
-            mp.setattr(entailment, "certain_answers", checked)
+            mp.setattr(entailment, "is_certain_answer", checked)
             entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
     assert len(shared) > 10
     for model in shared.values():
@@ -382,6 +384,34 @@ def test_shared_model_answers_like_a_fresh_one(monkeypatch):
             fresh = models.UniversalModel(model.tbox, model.abox)
             want = models.materialize(fresh, depth).to_json()
             assert model.window(depth).to_json() == want
+
+
+def test_oracle_candidates_follow_stable_key_order(monkeypatch):
+    """The oracle's candidate order depends on ``stable_key`` alone, not
+    on the hash order of a window's edge set: with no candidate a
+    witness, the (query, answer) pairs it asks on seed-601 criterion-6
+    draws 0-19 at bounds (2, 3) are, in order, those of the reference
+    that sorts every element's neighbours explicitly.  CI runs this
+    under two hash seeds."""
+    asked = []
+
+    def record(model, q, answer):
+        asked.append((cq_to_text(q), answer))
+        return True
+
+    monkeypatch.setattr(entailment, "tbox_entails", lambda t1, t2: False)
+    monkeypatch.setattr(entailment, "is_certain_answer", record)
+    rng = random.Random(601)
+    total = 0
+    for _ in range(20):
+        _t1, _t2, p = criterion6_problem(rng)
+        asked.clear()
+        assert oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3) is None
+        want = oracle_candidates_by_whole_window(
+            p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
+        assert asked == want
+        total += len(asked)
+    assert total > 5000
 
 
 def test_candidate_queries_hold_under_the_second_tbox():

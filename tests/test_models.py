@@ -1,20 +1,31 @@
 import json
+import random
 
 import pytest
 
 from helpers import (
     con_sigma_view,
+    criterion6_problem,
     fin_hom_reference,
     hom_into_regular,
     n_bounded_hom_oracle,
+    substructures_by_whole_window,
 )
-from hornsep import normalize, parse_abox, parse_signature, parse_tbox
+from hornsep import (
+    entailment,
+    normalize,
+    parse_abox,
+    parse_signature,
+    parse_tbox,
+)
+from hornsep.entailment import enumerate_tree_aboxes
 from hornsep.models import (
     Interpretation,
     UniversalModel,
     enumerate_connected_substructures,
     materialize,
     prefix_interpretation,
+    stable_key,
     type_graph,
 )
 from hornsep.reasoner import InconsistentABoxError
@@ -96,6 +107,72 @@ def test_enumerate_connected_substructures_counts():
     # {0}, {0,1}, {0,2}, {0,1,2}
     assert len(subs) == 4
     assert all(0 in s.elements for s in subs)
+
+
+def _criterion6_models(draws):
+    """The consistent universal models of both TBoxes over the tree
+    ABoxes of up to two individuals, on seed-601 criterion-6 draws."""
+    rng = random.Random(601)
+    for _ in range(draws):
+        _t1, _t2, p = criterion6_problem(rng)
+        for abox in enumerate_tree_aboxes(p.sigA, 2):
+            for tbox in (p.t1, p.t2):
+                m = UniversalModel(tbox, abox)
+                if m.consistent:
+                    yield p, m
+
+
+def test_bounded_enumeration_equals_the_whole_window_one():
+    """Exploring only max_size - 1 steps from the root, with each
+    element's neighbours read off the window's index, yields the list
+    that the whole-window tree order with explicitly sorted neighbours
+    yields: on the depth-3 windows of criterion-6 models and on their
+    query-signature reducts (forests when a role is dropped), for every
+    root and sizes 1-4."""
+    compared = 0
+    for p, m in _criterion6_models(5):
+        window = m.window(3)
+        for interp in (window, entailment._sigma_reduct(window, p.sigQ)):
+            for root in sorted(interp.elements, key=stable_key):
+                for size in (1, 2, 3, 4):
+                    got = list(enumerate_connected_substructures(
+                        interp, root, size))
+                    want = substructures_by_whole_window(interp, root, size)
+                    assert got == want, (root, size)
+                    compared += len(got)
+    assert compared > 20000
+
+
+@pytest.mark.parametrize(
+    "order, grown", [((1, 2, 3), 2), ((3, 2, 1), 0), ((2, 0, 3), 1)])
+def test_grown_windows_equal_fresh_ones(order, grown, monkeypatch):
+    """A window grown from a copy of the deepest shallower window a model
+    holds equals a fresh ``materialize`` at its depth, whatever order
+    the depths are asked in, and growing it leaves the windows already
+    built, and their JSON, as they were.  ``grown`` counts the windows
+    per model that start from a shallower one."""
+    copies = 0
+    copy = Interpretation.copy
+
+    def counted(interp):
+        nonlocal copies
+        copies += 1
+        return copy(interp)
+
+    monkeypatch.setattr(Interpretation, "copy", counted)
+    checked = 0
+    for _p, m in _criterion6_models(10):
+        built = {}
+        for depth in order:
+            window = m.window(depth)
+            fresh = UniversalModel(m.tbox, m.abox)
+            assert window.to_json() == materialize(fresh, depth).to_json()
+            built[depth] = (window, window.to_json())
+            for shallow, (w, js) in built.items():
+                assert m.window(shallow) is w and w.to_json() == js
+        checked += 1
+    assert checked > 100
+    assert copies == grown * checked
 
 
 def test_n_bounded_hom_oracle_reflexive():

@@ -11,17 +11,22 @@ from helpers import (
     criterion6_problem,
     random_tbox_text,
 )
-from hornsep import normalize, parse_abox, parse_cq, parse_tbox
-from hornsep.models import UniversalModel
+from hornsep import entailment, normalize, parse_abox, parse_cq, parse_tbox
+from hornsep.models import (
+    UniversalModel,
+    enumerate_connected_substructures,
+    stable_key,
+)
 from hornsep.reasoner import (
     ConsequenceIndex,
     InconsistentABoxError,
     certain_answers,
     chase,
     index_for,
+    is_certain_answer,
     succ_rel,
 )
-from hornsep.syntax import Role
+from hornsep.syntax import CQ, Role
 
 
 def nt(text):
@@ -93,6 +98,55 @@ def test_chase_detects_inconsistency():
     m = UniversalModel(t, parse_abox("A(a)"))
     with pytest.raises(InconsistentABoxError):
         certain_answers(m, parse_cq("q(x) <- A(x)"))
+
+
+def test_is_certain_answer_is_membership_in_certain_answers():
+    """``is_certain_answer(m, q, t)`` is ``t in certain_answers(m, q)``
+    on the models of seed-601 criterion-6 draws over tree ABoxes of up
+    to two individuals.  The queries are read off each window, with no,
+    one or two answer variables (repeated ones and one that no atom
+    mentions included).  The tuples are every tuple of individuals, one
+    naming a non-individual and one of the wrong length."""
+    rng = random.Random(601)
+    seen = set()
+    for _ in range(6):
+        _t1, _t2, p = criterion6_problem(rng)
+        for abox in entailment.enumerate_tree_aboxes(p.sigA, 2):
+            for tbox in (p.t1, p.t2):
+                m = UniversalModel(tbox, abox)
+                if not m.consistent:
+                    continue
+                window = m.window(2)
+                inds = sorted(window.individuals)
+                other = next((e for e in sorted(window.elements, key=stable_key)
+                              if e not in window.individuals), "nobody")
+                bodies = {}
+                for top in inds:
+                    for sub in enumerate_connected_substructures(
+                            window, top, 2):
+                        for q, _ans in entailment._queries_from_sub(
+                                sub, window.individuals, p.sigQ, "cq"):
+                            key = (tuple(sorted(q.concept_atoms)),
+                                   tuple(sorted(q.role_atoms)))
+                            bodies.setdefault(key, q)
+                for body in bodies.values():
+                    xs = sorted(body.variables())
+                    heads = [()] + [(x,) for x in xs] + [
+                        (x, y) for x in xs for y in xs] + [(xs[0], "y")]
+                    for head in heads:
+                        q = CQ(head, set(body.concept_atoms),
+                               set(body.role_atoms))
+                        want = certain_answers(m, q)
+                        tuples = list(itertools.product(inds, repeat=len(head)))
+                        tuples += [(other,) + tuple(inds[:1]) * (len(head) - 1),
+                                   tuple(inds[:1]) * (len(head) + 1)]
+                        kind = len(head), len(set(head)), "y" in head
+                        for t in tuples:
+                            got = is_certain_answer(m, q, t)
+                            assert got == (t in want), (str(q), t)
+                            seen.add((kind, got))
+    # answers held and refused with every kind of head
+    assert len(seen) == 2 * 5, seen
 
 
 def test_certain_answers_simple():
