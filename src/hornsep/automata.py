@@ -373,7 +373,9 @@ class StateRule:
     formula per guard key; the test suite checks every label's own key
     and formula against them on the fixture, chain and criterion-6
     products.  If a state's transition conjoins those of other states,
-    ``parts`` names them, and ``classes`` builds its rows from theirs."""
+    ``parts`` names them, and ``classes`` builds its rows from theirs; such
+    a rule has no per-label definition, and its ``project`` and ``build``
+    are None."""
 
     project: object
     build: object
@@ -409,10 +411,9 @@ class TwoWayAutomaton:
 
     @functools.cached_property
     def position(self) -> dict:
-        """Each label's place in the alphabet: the labels, then the root
-        labels that are not among them."""
-        alphabet = dict.fromkeys(itertools.chain(self.labels, self.root_labels))
-        return {label: i for i, label in enumerate(alphabet)}
+        """Each label's place in the alphabet, ``labels``; the root labels
+        are among them."""
+        return {label: i for i, label in enumerate(self.labels)}
 
     @functools.cached_property
     def layers(self) -> list:
@@ -513,8 +514,9 @@ def _rename_formula(f, tag):
 
 def intersect(automata: list) -> TwoWayAutomaton:
     """Product by disjoint union plus a fresh initial state whose
-    transition conjoins the components' initial transitions; its
-    ``parts`` name them, and its rows come from theirs."""
+    transition conjoins the components' initial transitions.  The state
+    is defined by its ``parts`` alone, which name those initial states:
+    ``classes`` builds its rows from theirs."""
     base = automata[0]
     for a in automata[1:]:
         if a.labels is not base.labels and a.labels != base.labels:
@@ -528,12 +530,8 @@ def intersect(automata: list) -> TwoWayAutomaton:
                 rule.reads)
             priorities[(i, q)] = a.priority(q)
     init = ("x",)
-    parts = tuple((i, a.initial) for i, a in enumerate(automata))
-    starts = [rules[p] for p in parts]
     rules[init] = StateRule(
-        lambda label: tuple(r.project(label) for r in starts),
-        lambda label: f_and(*(r.build(label) for r in starts)),
-        parts=parts)
+        None, None, parts=tuple((i, a.initial) for i, a in enumerate(automata)))
     name = "(" + "&".join(a.name for a in automata) + ")"
     return TwoWayAutomaton(name, init, priorities, rules, base.labels,
                            base.root_labels)
@@ -1256,10 +1254,10 @@ class _DemandSearch:
     dead copies cost no work and the plans stay the same; greatest, as a
     processed copy discharges a here spawn, so a cycle of them is live.
     It reads only the root flag and the guard rows of q's here-closure at
-    the label, so it runs once per such signature (``live_sigs``).  The
-    closure at any label lies in q's here-closure over all labels, whose
-    states read only some layers; so ``live`` keeps q's value per root
-    flag and group of labels equal on those layers (``live_group``).
+    the label.  The closure at any label lies in q's here-closure over
+    all labels, whose states read only some layers; so ``live`` keeps
+    q's value per root flag and group of labels equal on those layers
+    (``live_group``), and one fixpoint fills it for the whole closure.
 
     The budget is what keeps justifications of priority-1 states well
     founded: a copy already processed at a node discharges later demands
@@ -1281,13 +1279,12 @@ class _DemandSearch:
         self.aut = aut
         self.states = sorted(aut.rules, key=stable_key)
         self.ids = {q: i for i, q in enumerate(self.states)}
-        self.alphabet = list(aut.position)
         self.priorities = [aut.priority(q) for q in self.states]
         self.prios = [0] * len(self.states) if relaxed else self.priorities
         self.tables = [None] * len(self.states)
         self.assign_cache, self.viable, self._reach_cache = {}, {}, {}
         self.memo, self.eval_cache, self.live = {}, {}, {}
-        self.live_rows, self.live_sigs, self.live_groups = {}, {}, {}
+        self.live_rows, self.live_groups = {}, {}
         self.work, self.limit = 0, None
         # the fixpoint stage: its round, the positions done in it, the
         # open ones with the guard class each evaluates, those read open
@@ -1394,37 +1391,35 @@ class _DemandSearch:
 
     def live_assignments(self, q, i, is_root):
         """q's live assignments on label position i, in ``assignments``
-        order, or none if q is dead there (see the class docstring)."""
+        order, or none if q is dead there (see the class docstring).  A
+        miss walks q's here-closure at i, with each state's candidate
+        rows kept in ``live_rows``, and runs one fixpoint over it, whose
+        values fill ``live`` for every state of the closure."""
         hit = self.live.get((q, self.live_group(q)[i], is_root))
         if hit is None:
-            # the key names every row of q's here-closure at i, tabled or not
-            cand, key, todo = {}, [is_root], [q]
+            cand, todo = {}, [q]
             while todo:
                 p = todo.pop()
                 if p in cand:
                     continue
-                key.append((p, self.table(p)[1][i]))
-                rk = key[-1] + (is_root,)
+                rk = (p, self.table(p)[1][i], is_root)
                 if rk not in self.live_rows:
-                    c = tuple(a for a in self.assignments(*key[-1]) if not (
+                    c = tuple(a for a in self.assignments(p, rk[1]) if not (
                         is_root and any(t[0] == "up!" for t in a)))
                     self.live_rows[rk] = c, tuple(dict.fromkeys(
                         t[-1] for a in c for t in a if t[0] == "here"))
                 cand[p], spawned = self.live_rows[rk]
                 todo.extend(spawned)
-            key = tuple(key)
-            if key not in self.live_sigs:
-                self.live_sigs[key] = _live_fixpoint(cand)
-            for p, c in self.live_sigs[key].items():
+            for p, c in _live_fixpoint(cand).items():
                 self.live[p, self.live_group(p)[i], is_root] = c
-            hit = self.live_sigs[key][q]
+            hit = cand[q]
         return hit
 
     def viable_labels(self, q):
         """Positions of the labels on which q's transition is satisfiable."""
         hit = self.viable.get(q)
         if hit is None:
-            of = self.table(q)[1][:len(self.aut.labels)]
+            of = self.table(q)[1]
             live = {r for r in set(of) if self.assignments(q, r)}
             hit = self.viable[q] = frozenset(
                 i for i, r in enumerate(of) if r in live)
@@ -1616,7 +1611,7 @@ class _DemandSearch:
                   asg_here):
         self._tick()
         if not dia:
-            self._record(out, needs, ("leaf", self.alphabet[i]))
+            self._record(out, needs, ("leaf", self.aut.labels[i]))
             return
         if depth == 0:  # None: no depth bound
             return
@@ -1667,7 +1662,7 @@ class _DemandSearch:
                         self._close(proc, newpend, needs, dia, box, i,
                                     depth, is_root, out, asg_here)
                     else:
-                        plan = ("node", self.alphabet[i],
+                        plan = ("node", self.aut.labels[i],
                                 [pl for _nk, pl in combo],
                                 self._tok_stack[-1])
                         self._record(out, needs, plan)

@@ -494,13 +494,15 @@ def inseparable(p: Problem) -> Decision:
 # brute-force witness oracle
 
 def _canonical_abox_key(abox: ABox) -> str:
-    """Isomorphism-invariant serialization of a tree-shaped ABox."""
+    """Isomorphism-invariant serialization of a tree-shaped ABox whose
+    individuals are named as ``enumerate_tree_aboxes`` names them."""
     kids = {}
     parent = {}
     for r, a, b in abox.role_assertions:
         # generation guarantees one role assertion per non-root, touching
-        # its parent; orient by individual naming (parents come first)
-        lo, hi = (a, b) if a < b else (b, a)
+        # its parent; orient by the generated index (parents come first):
+        # a shorter name has the smaller index, so "a2" comes before "a10"
+        lo, hi = (a, b) if (len(a), a) < (len(b), b) else (b, a)
         parent[hi] = lo
         kids.setdefault(lo, []).append((r, a, b))
     conc = {}
@@ -613,7 +615,9 @@ def oracle_witness_search(
     second TBox by construction (the identity map is a match), so each
     candidate is one membership question (``is_certain_answer``) asked
     of the first TBox's model, and ``verify_witness`` replays the one
-    returned.  Candidates come in an order fixed by ``stable_key``."""
+    returned.  Candidates come in an order fixed by ``stable_key``: the
+    roots of the window, and below each its connected substructures,
+    enumerated as the questions are asked."""
     if tbox_entails(t1, t2):
         return None
     for abox in enumerate_tree_aboxes(sigA, max_ind):
@@ -625,20 +629,18 @@ def oracle_witness_search(
             continue
         window = _sigma_reduct(m2.window(max_vars), sigQ)
         tried = set()
-        subs = []
         for top in window.neighbor_index().order:
-            subs.extend(
-                models.enumerate_connected_substructures(window, top, max_vars)
-            )
-        for sub in subs:
-            for q, ans in _queries_from_sub(sub, window.individuals, sigQ, mode):
-                key = (cq_to_text(q), ans)
-                if key in tried:
-                    continue
-                tried.add(key)
-                if is_certain_answer(m1, q, ans):
-                    continue
-                w = Witness(abox, q, ans)
-                if verify_witness(t1, t2, w):
-                    return w
+            for sub in models.enumerate_connected_substructures(
+                    window, top, max_vars):
+                for q, ans in _queries_from_sub(
+                        sub, window.individuals, sigQ, mode):
+                    key = (cq_to_text(q), ans)
+                    if key in tried:
+                        continue
+                    tried.add(key)
+                    if is_certain_answer(m1, q, ans):
+                        continue
+                    w = Witness(abox, q, ans)
+                    if verify_witness(t1, t2, w):
+                        return w
     return None

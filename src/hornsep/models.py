@@ -28,7 +28,6 @@ from .syntax import ABox, NormalTBox, Role
 class NeighborIndex(NamedTuple):
     order: list  # the elements, in stable_key order
     near: dict  # element -> its distinct neighbours, in that order
-    touch: dict  # element -> the edges that touch it
 
 
 @dataclass
@@ -53,32 +52,21 @@ class Interpretation:
             self.edges.add((x, role.name, y))
         self._index = None
 
-    def copy(self) -> "Interpretation":
-        return Interpretation(
-            set(self.elements), set(self.individuals),
-            {e: set(ls) for e, ls in self.labels.items()}, set(self.edges),
-        )
-
     def neighbor_index(self) -> NeighborIndex:
-        """The elements in ``stable_key`` order, each element's distinct
-        neighbours along edges of either direction in that order, and
-        the edges that touch each element; built on first use and kept
-        until the next ``add_element`` or ``add_role_edge``."""
+        """The elements in ``stable_key`` order and each element's distinct
+        neighbours along edges of either direction in that order; built
+        on first use and kept until the next ``add_element`` or
+        ``add_role_edge``."""
         if self._index is None:
             order = sorted(self.elements, key=stable_key)
             rank = {e: i for i, e in enumerate(order)}
             near = {e: set() for e in order}
-            touch = {e: [] for e in order}
-            for edge in self.edges:
-                a, _r, b = edge
+            for a, _r, b in self.edges:
                 near[a].add(b)
                 near[b].add(a)
-                touch[a].append(edge)
-                if b != a:
-                    touch[b].append(edge)
             near = {e: sorted(ns, key=rank.__getitem__)
                     for e, ns in near.items()}
-            self._index = NeighborIndex(order, near, touch)
+            self._index = NeighborIndex(order, near)
         return self._index
 
     def to_json(self) -> str:
@@ -132,12 +120,9 @@ class UniversalModel:
 
     Holds the chase state (with the asserted edge roles) and, each built
     on first use, the ABox successor types per (individual, role), the
-    materialized window per depth with its leaves, and the reachable
-    anonymous classes.  One object serves every query asked of the same
-    TBox and ABox.  The windows are shared: ``materialize`` grows a
-    deeper window from a copy of a shallower one and never changes a
-    window the model holds, and a caller that changes one must copy it
-    first.
+    materialized window per depth and the reachable anonymous classes.
+    One object serves every query asked of the same TBox and ABox.  The
+    windows are shared, so a caller that changes one must copy it first.
     """
 
     def __init__(self, tbox: NormalTBox, abox: ABox):
@@ -146,7 +131,6 @@ class UniversalModel:
         self.state = reasoner.chase(tbox, abox)
         self._succ: dict = {}
         self._windows: dict = {}
-        self._leaves: dict = {}
         self._anon = None
 
     @property
@@ -172,37 +156,26 @@ class UniversalModel:
 
 def materialize(model: UniversalModel, depth: int) -> Interpretation:
     """The ABox part of the universal model plus its anonymous trees cut
-    at the given depth, as a new interpretation.
-
-    A window is a prefix of every deeper one, so the build starts from
-    a copy of the deepest window below ``depth`` that the model holds
-    and continues breadth first from that window's leaves (its elements
-    at its depth; at depth 0 its individuals), which the model records
-    for every window built here."""
+    at the given depth, as a new interpretation, built breadth first
+    from the individuals."""
     if not model.consistent:
         raise reasoner.InconsistentABoxError(
             "cannot materialize an inconsistent ABox"
         )
     tbox, abox, state = model.tbox, model.abox, model.state
     idx = index_for(tbox)
-    # breadth first, one level at a time; a level holds (element, type,
-    # incoming generating role), with type and role None at an individual
-    start = max((d for d in model._windows if d < depth), default=None)
-    if start is not None:
-        interp = model._windows[start].copy()
-        level = model._leaves[start]
-    else:
-        start = 0
-        interp = Interpretation()
-        for a in abox.individuals():
-            interp.add_element(a, set(state.tp[a]) - {BOT})
-            interp.individuals.add(a)
-        for s, a, b in abox.role_assertions:
-            for r in idx.superroles(Role(s)):
-                interp.add_role_edge(a, r, b)
-        level = [(a, None, None) for a in sorted(abox.individuals())]
+    interp = Interpretation()
+    for a in abox.individuals():
+        interp.add_element(a, set(state.tp[a]) - {BOT})
+        interp.individuals.add(a)
+    for s, a, b in abox.role_assertions:
+        for r in idx.superroles(Role(s)):
+            interp.add_role_edge(a, r, b)
+    # one level at a time; a level holds (element, type, incoming
+    # generating role), with type and role None at an individual
+    level = [(a, None, None) for a in sorted(abox.individuals())]
     roles = sorted(idx.roles, key=str)
-    for _ in range(start, depth):
+    for _ in range(depth):
         below = []
         for parent, t, gen in level:
             if gen is None:
@@ -217,7 +190,6 @@ def materialize(model: UniversalModel, depth: int) -> Interpretation:
                     interp.add_role_edge(parent, s, elem)
                 below.append((elem, t2, r))
         level = below
-    model._leaves[depth] = level
     return interp
 
 
@@ -322,7 +294,8 @@ def enumerate_connected_substructures(
     other neighbours in ``stable_key`` order, read off the
     interpretation's ``neighbor_index``.  Only elements fewer than
     max_size - 1 steps from the root can gain a child in a substructure,
-    so only those are expanded."""
+    so only those are expanded.  A substructure's edges are those of the
+    interpretation with both ends in it."""
     index = interp.neighbor_index()
     children: dict = {}
     seen = {root}
@@ -354,7 +327,6 @@ def enumerate_connected_substructures(
         for e in subset:
             sub.add_element(e, interp.labels.get(e, ()))
         sub.edges = {
-            edge for e in subset for edge in index.touch[e]
-            if edge[0] in subset and edge[2] in subset
+            (a, r, b) for a, r, b in interp.edges if a in subset and b in subset
         }
         yield sub

@@ -133,17 +133,6 @@ class TBox:
             out |= _concept_names(l) | _concept_names(r)
         return out
 
-    def role_names(self) -> set:
-        out = set()
-        for l, r in self.cis:
-            out |= _role_names(l) | _role_names(r)
-        for r, s in self.ris:
-            out.add(r.name)
-            out.add(s.name)
-        for r in self.fas:
-            out.add(r.name)
-        return out
-
 
 def _concept_names(c: Concept) -> set:
     if isinstance(c, Name):
@@ -152,14 +141,6 @@ def _concept_names(c: Concept) -> set:
         return _concept_names(c.left) | _concept_names(c.right)
     if isinstance(c, (Exists, Forall)):
         return _concept_names(c.arg)
-    return set()
-
-
-def _role_names(c: Concept) -> set:
-    if isinstance(c, And):
-        return _role_names(c.left) | _role_names(c.right)
-    if isinstance(c, (Exists, Forall)):
-        return {c.role.name} | _role_names(c.arg)
     return set()
 
 
@@ -515,11 +496,6 @@ class Signature:
             out.add(Role(n))
             out.add(Role(n, True))
         return out
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Role):
-            return item.name in self.roles
-        return item in self.concepts or item in self.roles
 
 
 # ---------------------------------------------------------------------------

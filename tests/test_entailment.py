@@ -38,7 +38,7 @@ from hornsep.entailment import (
 )
 from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers, is_certain_answer
-from hornsep.syntax import ProfileError, Signature, cq_to_text
+from hornsep.syntax import ABox, ProfileError, Signature, cq_to_text
 
 
 def test_advisor_cq_not_entailed(advisor_problem):
@@ -187,7 +187,8 @@ def test_tbox_entails_holds_in_small_finite_models():
     """On the seed-601 criterion-6 draws, every interpretation of the
     names of both TBoxes with at most two elements that satisfies the
     first TBox as written also satisfies the second wherever the check
-    says T1 ⊨ T2."""
+    says T1 ⊨ T2.  The names are those of the normalized TBoxes, whose
+    role names are the written ones."""
     yes = models_checked = 0
     for p in _criterion6_draws():
         if not entailment.tbox_entails(p.t1, p.t2):
@@ -195,7 +196,7 @@ def test_tbox_entails_holds_in_small_finite_models():
         yes += 1
         t1, t2 = p.t1.source, p.t2.source
         concepts = t1.concept_names() | t2.concept_names()
-        roles = t1.role_names() | t2.role_names()
+        roles = p.t1.role_names() | p.t2.role_names()
         for m in finite_models(concepts, roles, 2):
             if model_satisfies_raw(m, t1):
                 models_checked += 1
@@ -467,6 +468,16 @@ def test_enumerate_tree_aboxes_bounds():
     assert [sorted(a.concept_assertions) for a in seen] == [
         sorted(a.concept_assertions) for a in again
     ]
+
+
+def test_canonical_abox_key_keeps_a_long_path_connected():
+    """Each edge is oriented by the generated index of its individuals,
+    not by their names as strings, under which "a10" < "a2": the
+    12-individual r-path gets a key with a single root."""
+    n = 12
+    abox = ABox(set(), {("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)})
+    key = entailment._canonical_abox_key(abox)
+    assert key == "(|rf[" * (n - 1) + "(|)" + "])" * (n - 1)
 
 
 def test_decision_json_shape(advisor_problem):

@@ -143,23 +143,11 @@ def test_bounded_enumeration_equals_the_whole_window_one():
     assert compared > 20000
 
 
-@pytest.mark.parametrize(
-    "order, grown", [((1, 2, 3), 2), ((3, 2, 1), 0), ((2, 0, 3), 1)])
-def test_grown_windows_equal_fresh_ones(order, grown, monkeypatch):
-    """A window grown from a copy of the deepest shallower window a model
-    holds equals a fresh ``materialize`` at its depth, whatever order
-    the depths are asked in, and growing it leaves the windows already
-    built, and their JSON, as they were.  ``grown`` counts the windows
-    per model that start from a shallower one."""
-    copies = 0
-    copy = Interpretation.copy
-
-    def counted(interp):
-        nonlocal copies
-        copies += 1
-        return copy(interp)
-
-    monkeypatch.setattr(Interpretation, "copy", counted)
+@pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1), (2, 0, 3)])
+def test_windows_asked_in_any_order_equal_fresh_ones(order):
+    """A model's window equals a fresh ``materialize`` at its depth,
+    whatever order the depths are asked in, and asking a depth again
+    returns the window the model holds, with its JSON unchanged."""
     checked = 0
     for _p, m in _criterion6_models(10):
         built = {}
@@ -172,7 +160,6 @@ def test_grown_windows_equal_fresh_ones(order, grown, monkeypatch):
                 assert m.window(shallow) is w and w.to_json() == js
         checked += 1
     assert checked > 100
-    assert copies == grown * checked
 
 
 def test_n_bounded_hom_oracle_reflexive():
