@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from . import models, mosaics, reasoner
@@ -201,12 +202,6 @@ class Label:
     def l1_empty(self) -> bool:
         return not self.c1 and not self.r1
 
-    def key(self):
-        return tuple(
-            tuple(sorted(map(str, part)))
-            for part in (self.c0, self.r0, self.c1, self.r1, self.c2, self.r2)
-        )
-
     def __str__(self):
         return (
             f"(L0={stable_key(self.c0 | self.r0)} "
@@ -351,7 +346,12 @@ def build_label_context(
                     continue
                 for c2 in c2_opts:
                     labels.append(Label(c0, r0, c1, r1, c2, r2))
-    labels.sort(key=lambda l: l.key())
+    # in the order of each layer's names as sorted strings, layer by
+    # layer, rendering each distinct set once
+    parts = operator.attrgetter("c0", "r0", "c1", "r1", "c2", "r2")
+    names = {s: tuple(sorted(map(str, s)))
+             for s in {s for l in labels for s in parts(l)}}
+    labels.sort(key=lambda l: tuple(map(names.__getitem__, parts(l))))
     root_labels = [
         l for l in labels if l.c0 and not l.r0 and not l.r1
     ]
@@ -1184,9 +1184,13 @@ class EmptinessResult:
     stats: dict = field(default_factory=dict)
 
 
-#: (priority-1 budget, node depth) of each pass's two stages: depth 6
-#: finds small certificates, None is the fixpoint with no depth bound.
-#: Budgets beyond 10 blow past the work limit already on small products.
+#: (priority-1 budget, node depth) of the budgeted pass's two stages:
+#: depth 6 finds small certificates, None is the fixpoint with no depth
+#: bound.  The relaxed pass, which spends no budget, runs them the other
+#: way round: its fixpoint settles most products alone, and its depth-6
+#: stage runs only after a spurious fixpoint plan, as a cheaper way to a
+#: certificate than the budgeted pass.  Budgets beyond 10 blow past the
+#: work limit already on small products.
 DEFAULT_SCHEDULE = ((4, 6), (10, None))
 WORK_LIMIT = 4_000_000
 MAX_ASSIGNMENTS = 4000
@@ -1219,13 +1223,17 @@ class _DemandSearch:
     gives the initial copy.
 
     ``is_empty`` runs one search per pass, in the two stages of
-    ``DEFAULT_SCHEDULE``.  The first caps the node depth (see ``_reuse``).
-    The second computes the least fixpoint of the position values in
-    rounds from the root, each position at most once per round.  A
-    position met again while still open gives its value of the last
-    round, plus a back edge if no copy in it has priority 1.  Values
-    start from the first stage's, only grow, and are final once they
-    hold the empty need-set; rounds repeat until no value read open grew.
+    ``DEFAULT_SCHEDULE``: the budgeted pass in its order, the relaxed
+    pass the other way round.  The depth stage caps the node depth (see
+    ``_reuse``).  The fixpoint stage computes the least fixpoint of the
+    position values in rounds from the root, each position at most once
+    per round.  A position met again while still open gives its value of
+    the last round, plus a back edge if no copy in it has priority 1.
+    Values start from those the search holds (in the budgeted pass, the
+    depth stage's), only grow, and are final once they hold the empty
+    need-set; rounds repeat until no value read open grew.  A depth stage
+    after the fixpoint must start from fresh values (``memo`` emptied),
+    as a fixpoint value answers no depth-capped query.
 
     States are numbered in ``stable_key`` order, so sorting ids visits
     them in that order.  Labels are numbered by their ``position`` in
@@ -1297,7 +1305,7 @@ class _DemandSearch:
     def root_plans(self, start, depth):
         """One stage of the schedule: each root label's plan, for trees up
         to ``depth`` (None: any), in ``WORK_LIMIT`` more steps."""
-        self.limit, self.again = self.work + WORK_LIMIT, True
+        self.limit, self.again, self.round = self.work + WORK_LIMIT, True, 0
         while self.again:
             self.again, self.done, self.reread = False, set(), set()
             self.round += depth is None
@@ -1768,15 +1776,18 @@ def _plan_to_rep(plan) -> RegularTreeRep:
 def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     """Search for an accepted tree.
 
-    Two passes, one ``_DemandSearch`` each, in the two stages of
-    ``DEFAULT_SCHEDULE``: depth 6, then no depth bound.  The budget-free
-    relaxed search over-approximates the plan space: if it finds
-    nothing, the language has no finite tree; if its plan passes the
-    membership game, that is a genuine witness.  Only when the relaxed
-    pass produces a spurious plan (a priority-1 state justified through
-    its own obligations) does the budgeted exact search run, whose plans
-    are valid unless they close a back edge, and which has to grind
-    through far more configurations.  Each stage may take
+    Two passes, one ``_DemandSearch`` each.  The budget-free relaxed
+    search over-approximates the plan space.  It runs the fixpoint stage
+    first: if that finds nothing, the language has no finite tree; if
+    its plan passes the membership game, that is a genuine witness.
+    Only after a spurious plan (a priority-1 state justified through its
+    own obligations) does it run the depth-6 stage, on fresh position
+    values, whose small trees often pass the game where the fixpoint's
+    plan did not; that costs far less than the budgeted pass.  When that
+    plan is spurious too, or there is none, the budgeted exact search
+    runs the stages of ``DEFAULT_SCHEDULE``, depth 6 and then no depth
+    bound.  Its plans are valid unless they close a back edge, and it
+    has to grind through far more configurations.  Each stage may take
     ``WORK_LIMIT`` steps.
 
     ``stats`` holds the ``work`` and the number of ``stages`` summed over
@@ -1806,11 +1817,15 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
     for relaxed in (True, False):
         if not relaxed:
             search = _DemandSearch(aut, False)
-        for budget, depth in DEFAULT_SCHEDULE:
+        for budget, depth in (DEFAULT_SCHEDULE[::-1] if relaxed
+                              else DEFAULT_SCHEDULE):
             # the relaxed pass spends no budget, so its start copy needs
-            # none, and its stages ask for the same positions
+            # none, and its stages ask for the same positions; its depth
+            # stage starts from fresh values, not the fixpoint's
             b = 0 if relaxed else budget - aut.priority(aut.initial)
             start = frozenset([(init, b)])
+            if relaxed and depth is not None:
+                search.memo = {}
             stats["stages"] += 1
             accepted = None
             for plan in search.root_plans(start, depth):
@@ -1829,10 +1844,11 @@ def is_empty(aut: TwoWayAutomaton) -> EmptinessResult:
                 stats["work"] += search.work
                 stats["certificate_nodes"] = rep.node_count()
                 return EmptinessResult(False, rep, stats)
-            if relaxed and accepted is False:
-                stats["spurious_relaxed_plan"] = True
-                break
+            if relaxed and accepted is None and depth is None:
+                # no relaxed tree at any depth: exactly empty
+                stats["work"] += search.work
+                return EmptinessResult(True, None, stats)
         stats["work"] += search.work
-        if "spurious_relaxed_plan" not in stats:
-            break
+        if relaxed:
+            stats["spurious_relaxed_plan"] = True
     return EmptinessResult(True, None, stats)

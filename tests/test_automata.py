@@ -53,6 +53,7 @@ from hornsep.automata import (
     _closed_sets,
     _independent_sets,
     _minimal_derivations,
+    _plan_to_rep,
     _solve_cobuchi,
 )
 from hornsep.entailment import (
@@ -420,7 +421,7 @@ def test_eval_label_hands_its_liveness_lookups_to_close(monkeypatch):
     """``eval_label`` checks every copy with ``live_assignments`` and
     hands the results to ``_close`` as its starting ``asg_here``, so
     ``_close`` looks none of them up again: on chain n=1..7 the lookups
-    fall from 5,917, with ``_close`` starting empty, to 4,755 or fewer,
+    fall from 5,357, with ``_close`` starting empty, to 4,370 or fewer,
     and the decisions (their work included) stay the same."""
     inner_live = _DemandSearch.live_assignments
     inner_close = _DemandSearch._close
@@ -447,7 +448,7 @@ def test_eval_label_hands_its_liveness_lookups_to_close(monkeypatch):
     monkeypatch.setattr(_DemandSearch, "_close", starting_empty)
     alone, alone_calls = decide_chains()
     assert handed == alone
-    assert alone_calls == 5917 and handed_calls <= 4755, (alone_calls,
+    assert alone_calls == 5357 and handed_calls <= 4370, (alone_calls,
                                                           handed_calls)
 
 
@@ -486,30 +487,35 @@ def test_chain_runs_the_liveness_fixpoint_once_per_walk(monkeypatch):
     assert 0 < runs == walks <= 100, (runs, walks)
 
 
+def _budgeted_stages(a):
+    """The budgeted search's depth-6 stage and then its fixpoint stage,
+    both from one start copy, so that the fixpoint starts from every
+    value the first stage stored: the certificates of each stage."""
+    search = _DemandSearch(a, False)
+    start = frozenset([(search.ids[a.initial], 4)])
+    return [[_plan_to_rep(plan) for plan in search.root_plans(start, depth)]
+            for depth in (6, None)]
+
+
 def test_depth_schedule_finds_deeper_chains_in_later_stages():
-    """The first stage stops at depth 6 below the root; the second has no
-    depth bound, and results the search keeps from the first must not
-    hide a deeper tree."""
-    a = _chain_toy(8)
-    res = is_empty(a)
-    assert not res.empty
-    assert res.stats["stages"] == 2
-    assert res.stats["certificate_nodes"] == 8
-    assert run_on_regular_tree(a, res.certificate)
-    # at stage 1, q realizes only the need for p, which kills the root;
-    # stage 2 must look for q's deeper tree, which needs nothing
-    a = _up_or_chain_toy(8)
-    res = is_empty(a)
-    assert not res.empty
-    assert res.stats["stages"] == 2
-    assert res.stats["certificate_nodes"] == 10
-    assert run_on_regular_tree(a, res.certificate)
-    # 18 nodes, far below the first stage's depth cap
-    a = _chain_toy(18)
-    res = is_empty(a)
-    assert not res.empty and res.stats["stages"] == 2
-    assert res.stats["certificate_nodes"] == 18
-    assert run_on_regular_tree(a, res.certificate)
+    """The relaxed pass's fixpoint stage finds each tree at once.  In the
+    budgeted search the first stage stops at depth 6 below the root; the
+    second has no depth bound, and results the search keeps from the
+    first must not hide a deeper tree."""
+    # in the budgeted stages, q realizes at depth 6 only the need for p,
+    # which kills the root; the fixpoint must look for q's deeper tree,
+    # which needs nothing.  The 18-node chain lies far below depth 6.
+    for a, nodes in ((_chain_toy(8), 8), (_up_or_chain_toy(8), 10),
+                     (_chain_toy(18), 18)):
+        res = is_empty(a)
+        assert not res.empty and res.stats["stages"] == 1
+        assert res.stats["certificate_nodes"] == nodes
+        assert run_on_regular_tree(a, res.certificate)
+        shallow, deep = _budgeted_stages(a)
+        assert not shallow and deep, a.name
+        for rep in deep:
+            assert rep.node_count() == nodes
+            assert run_on_regular_tree(a, rep)
 
 
 def test_nesting_past_the_recursion_limit_fails_loudly():
@@ -559,9 +565,13 @@ def test_fixpoint_stage_ties_a_cycle_below_the_root():
     assert run_on_regular_tree(a, RegularTreeRep(
         {n: "a" for n in ids}, kids, "n0"))
     res = is_empty(a)
-    assert not res.empty and res.stats["stages"] == 2
+    assert not res.empty and res.stats["stages"] == 1
     assert res.stats["certificate_nodes"] == 9
     assert run_on_regular_tree(a, res.certificate)
+    shallow, deep = _budgeted_stages(a)
+    assert not shallow
+    assert [rep.node_count() for rep in deep] == [9]
+    assert run_on_regular_tree(a, deep[0])
 
 
 def test_fixpoint_stage_repeats_a_round_when_a_value_read_open_grows():
@@ -581,14 +591,31 @@ def test_fixpoint_stage_repeats_a_round_when_a_value_read_open_grows():
     pri["y"] = 1
     a = toy("two_rounds", rules, "r", pri, LABS)
     res = is_empty(a)
-    assert not res.empty and res.stats["stages"] == 2
+    assert not res.empty and res.stats["stages"] == 1
     assert res.stats["certificate_nodes"] == 44
     assert run_on_regular_tree(a, res.certificate)
+    shallow, deep = _budgeted_stages(a)
+    assert not shallow and deep
+    for rep in deep:
+        assert rep.node_count() == 44
+        assert run_on_regular_tree(a, rep)
     search = _DemandSearch(a, True)
     start = frozenset([(search.ids["r"], 0)])
     assert not list(search.root_plans(start, 6))
     assert len(list(search.root_plans(start, None))) >= 1
     assert search.round == 2
+
+
+def test_fixpoint_stage_finding_nothing_ends_the_search():
+    """q0 asks some child for q0, with priority 1: only an infinite
+    branch has a run, and it meets priority 1 forever, so the repeating
+    one-node loop is rejected.  The relaxed fixpoint stage ties no back
+    edge through a priority-1 copy and finds no finite tree, which proves
+    the product empty after that one stage."""
+    a = toy("t", {"q0": lambda l: down_ex("q0")}, "q0", {"q0": 1}, LABS)
+    assert not run_on_regular_tree(a, LOOP)
+    res = is_empty(a)
+    assert res.empty and res.stats == {"work": 12, "stages": 1}
 
 
 def test_back_edge_plans_carry_no_needs():
@@ -962,12 +989,12 @@ def test_is_empty_walks_each_tabled_state_once_per_search(
 
 def test_chain_work_grows_at_most_two_and_a_half_times():
     """The emptiness work of the concept chain grows at most 2.5 times
-    from length 7 to length 8, while the certificate stays at 7 nodes."""
+    from length 7 to length 8, while the certificate stays at 2 nodes."""
     with within(30):
         d7 = decide_cq_entailment(chain_problem(7))
         d8 = decide_cq_entailment(chain_problem(8))
     assert not d7.entails and not d8.entails
-    assert d8.stats["certificate_nodes"] == 7
+    assert d8.stats["certificate_nodes"] == 2
     assert d8.stats["work"] <= 2.5 * d7.stats["work"]
 
 
@@ -979,17 +1006,17 @@ def test_chain_of_ten_decides():
     with within(30):
         d = decide_cq_entailment(chain_problem(10))
     assert not d.entails
-    assert d.stats["certificate_nodes"] == 7
+    assert d.stats["certificate_nodes"] == 2
 
 
 def test_chain_work_grows_at_most_two_point_one_times_up_to_twelve():
-    """Chain n=10, 11 and 12 separate with a 7-node certificate, and the
+    """Chain n=10, 11 and 12 separate with a 2-node certificate, and the
     emptiness work grows at most 2.1 times per n."""
     with within(30):
         ds = [decide_cq_entailment(chain_problem(n)) for n in (10, 11, 12)]
     for d in ds:
         assert not d.entails
-        assert d.stats["certificate_nodes"] == 7
+        assert d.stats["certificate_nodes"] == 2
     for d, d_next in zip(ds, ds[1:]):
         assert d_next.stats["work"] <= 2.1 * d.stats["work"]
 
@@ -1136,3 +1163,22 @@ def test_label_context_owns_the_label_constraints():
     with within(30):
         for p in problems:
             _check_label_constraints(p)
+
+
+def _rendered_layers(l):
+    """The reference label order: each layer's names as sorted strings."""
+    return tuple(tuple(sorted(map(str, part)))
+                 for part in (l.c0, l.r0, l.c1, l.r1, l.c2, l.r2))
+
+
+def test_labels_sort_by_their_rendered_layers():
+    """The label context renders each distinct layer set once; the order
+    must be the one rendering every label's layers gives, on the fixtures
+    and chain n=1..12."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problems = [problem(*texts) for texts in FIXTURES.values()]
+    problems += [chain_problem(n) for n in range(1, 13)]
+    for p in problems:
+        labels = build_label_context(p.t1, p.t2, p.sigA, p.sigQ).labels
+        assert labels == sorted(labels, key=_rendered_layers)

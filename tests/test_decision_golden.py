@@ -16,7 +16,12 @@ import pytest
 from conftest import problem
 from helpers import chain_problem, criterion6_problem
 from hornsep import HornsepError, entailment
-from hornsep.automata import is_empty
+from hornsep.automata import (
+    RegularTreeRep,
+    is_empty,
+    label_to_json,
+    run_on_regular_tree,
+)
 from hornsep.entailment import build_pipeline
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -117,12 +122,11 @@ def test_oracle_witnesses_match_golden():
     assert got == want
 
 
-def _certificates():
-    """``RegularTreeRep.to_json()`` of ``is_empty``'s certificate, or
-    None, on the cq and 1tcq products of the fixtures, the chains of
-    length 1..7 and the seed-601 criterion-6 draws 13, 18, 40 and 83,
-    whose relaxed plans fail the game, so their certificates come from
-    the budgeted pass."""
+def _certificate_products():
+    """The cq and 1tcq products of the fixtures, the chains of length
+    1..7 and the seed-601 criterion-6 draws 13, 18, 40 and 83, whose
+    relaxed plans fail the game, so their certificates come from the
+    budgeted pass."""
     cases = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -136,9 +140,15 @@ def _certificates():
     draws = [criterion6_problem(rng)[2] for _ in range(84)]
     for i in (13, 18, 40, 83):
         cases[f"c6/{i:03d}"] = (draws[i], False)
-    out = {}
     for case, (p, sim) in cases.items():
-        _ctx, prod = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim=sim)
+        yield case, build_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim=sim)[1]
+
+
+def _certificates():
+    """``RegularTreeRep.to_json()`` of ``is_empty``'s certificate, or
+    None, on each product of ``_certificate_products``."""
+    out = {}
+    for case, prod in _certificate_products():
         cert = is_empty(prod).certificate
         out[case] = cert.to_json() if cert else None
     return out
@@ -147,3 +157,24 @@ def _certificates():
 def test_certificates_match_golden():
     want = json.loads((DATA / "certificates.json").read_text())
     assert _certificates() == want
+
+
+def test_golden_certificates_are_trees_the_game_accepts():
+    """Each certificate in ``data/certificates.json``, read back onto its
+    product's labels, is a tree, with no back edge, and the membership
+    game accepts it on that product."""
+    want = json.loads((DATA / "certificates.json").read_text())
+    for case, prod in _certificate_products():
+        if want[case] is None:
+            continue
+        data = json.loads(want[case])
+        by_json = {json.dumps(label_to_json(l), sort_keys=True): l
+                   for l in prod.labels}
+        labels = {n["id"]: by_json[json.dumps(n["label"], sort_keys=True)]
+                  for n in data["nodes"]}
+        children = {n["id"]: n["children"] for n in data["nodes"]}
+        rep = RegularTreeRep(labels, children, data["root"])
+        kids = sorted(c for cs in children.values() for c in cs)
+        assert kids == sorted(set(labels) - {rep.root}), case
+        assert len(rep.parents()) == len(labels) - 1, case
+        assert run_on_regular_tree(prod, rep), case

@@ -226,7 +226,7 @@ def test_entailing_products_end_in_the_fixpoint_stage():
     """``tbox_entails`` settles every entailing criterion-6 draw, so no
     decider sends a nontrivial entailing product through the emptiness
     search; seed-601 draws 116 and 145 go through the pipeline directly,
-    where both stages of the relaxed pass come up empty."""
+    where the relaxed pass's first stage, the fixpoint, comes up empty."""
     draws = _criterion6_draws()
     with within(20):
         for i in (116, 145):
@@ -235,7 +235,21 @@ def test_entailing_products_end_in_the_fixpoint_stage():
                 p.t1, p.t2, p.sigA, p.sigQ, False
             )
             assert entails and cert is None, i
-            assert stats["stages"] == 2, i
+            assert stats["stages"] == 1, i
+
+
+def test_spurious_fixpoint_plan_falls_back_to_the_depth_stage():
+    """Seed-601 draw 199's relaxed fixpoint plan fails the membership
+    game.  The relaxed pass's depth-6 stage then finds a plan the game
+    accepts, so the budgeted pass, which takes over ten times as much
+    work on this product, never runs."""
+    p = _criterion6_draws()[199]
+    with within(8):
+        entails, cert, stats = entailment._run_pipeline(
+            p.t1, p.t2, p.sigA, p.sigQ, False
+        )
+    assert not entails and cert is not None
+    assert stats["stages"] == 2 and "spurious_relaxed_plan" not in stats
 
 
 def test_role_inclusion_precheck_fails():

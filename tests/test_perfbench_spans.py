@@ -52,6 +52,6 @@ def test_emptiness_counters_read_every_stats_key():
         work += res.stats["work"]
         spans._count_emptiness(counts, (prod,), res)
     assert counts["automata.work"] == work > 0
-    assert counts["automata.stages"] == 2 + 1 + 2
-    assert counts["automata.certificate_nodes"] == 0 + 7 + 4
+    assert counts["automata.stages"] == 1 + 1 + 3
+    assert counts["automata.certificate_nodes"] == 0 + 2 + 4
     assert counts["automata.spurious"] == 1
