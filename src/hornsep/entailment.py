@@ -574,7 +574,7 @@ def _sigma_reduct(interp: models.Interpretation, sig: Signature):
     return out
 
 
-def _queries_from_sub(sub: models.Interpretation, individuals, sigQ, mode):
+def _queries_from_sub(sub: models.Interpretation, individuals, mode):
     """Candidate queries read off one connected substructure of the
     materialized second-TBox model: each element becomes a variable."""
     elems = sorted(sub.elements, key=models.stable_key)
@@ -633,7 +633,7 @@ def oracle_witness_search(
             for sub in models.enumerate_connected_substructures(
                     window, top, max_vars):
                 for q, ans in _queries_from_sub(
-                        sub, window.individuals, sigQ, mode):
+                        sub, window.individuals, mode):
                     key = (cq_to_text(q), ans)
                     if key in tried:
                         continue

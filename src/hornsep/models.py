@@ -10,8 +10,12 @@ presents the anonymous tree below a single type as a finite graph whose
 unfolding is the model; all homomorphism questions against universal
 models are asked against such graphs.
 
-Elements of materialized interpretations are either individual names
-(strings) or path tuples (parent, role, type) for anonymous elements.
+Below the individuals, every anonymous child is read off one table, the
+TBox's ``ConsequenceIndex.children``, filled once per (type, incoming
+role) and shared by every model, window, type graph and prefix of that
+TBox.  Windows and prefixes grow through one level walk, and their
+anonymous elements are path tuples (parent, role, type); the other
+elements are individual names (strings) or a prefix's root (start,).
 """
 
 from __future__ import annotations
@@ -101,20 +105,6 @@ def stable_key(key) -> str:
     return str(key)
 
 
-def _anon_children(tbox: NormalTBox, t: frozenset, rin) -> list:
-    """Children (gen role, rho, child type) of an anonymous element with
-    type t entered via rin (None at a root), per the successor relation and
-    the no-immediate-return condition for functional roles."""
-    idx = index_for(tbox)
-    out = []
-    for r in sorted(idx.roles, key=str):
-        if r in idx.functional and rin is not None and rin == r.inverse():
-            continue
-        for t2 in sorted(reasoner.succ_rel(tbox, t, r), key=sorted):
-            out.append((r, idx.superroles(r), t2))
-    return out
-
-
 class UniversalModel:
     """The universal model of one TBox and ABox, chased once.
 
@@ -138,9 +128,24 @@ class UniversalModel:
         return self.state.consistent
 
     def succ(self, a, r: Role) -> set:
+        """The maximal successor types of individual a along r: those of
+        its type's anonymous r-children and of its named r-successors.
+        None at all when r is functional and a has a named r-successor,
+        which is then the only one (the functionality proviso)."""
         key = (a, r)
         if key not in self._succ:
-            self._succ[key] = reasoner.abox_succ(self, a, r)
+            if not self.consistent:
+                raise reasoner.InconsistentABoxError(
+                    "ABox is inconsistent with the TBox")
+            idx = index_for(self.tbox)
+            tp = self.state.tp
+            named = {b for (x, b), roles in self.state.edges.items()
+                     if x == a and any(idx.role_subsumes(s, r) for s in roles)}
+            types = set()
+            if not (r in idx.functional and named):
+                types = reasoner.succ_rel(self.tbox, tp[a] - {BOT}, r) | {
+                    frozenset(tp[b]) - {BOT} for b in named}
+            self._succ[key] = reasoner.maximal(types)
         return self._succ[key]
 
     def window(self, depth: int) -> Interpretation:
@@ -162,8 +167,8 @@ def materialize(model: UniversalModel, depth: int) -> Interpretation:
         raise reasoner.InconsistentABoxError(
             "cannot materialize an inconsistent ABox"
         )
-    tbox, abox, state = model.tbox, model.abox, model.state
-    idx = index_for(tbox)
+    abox, state = model.abox, model.state
+    idx = index_for(model.tbox)
     interp = Interpretation()
     for a in abox.individuals():
         interp.add_element(a, set(state.tp[a]) - {BOT})
@@ -171,24 +176,32 @@ def materialize(model: UniversalModel, depth: int) -> Interpretation:
     for s, a, b in abox.role_assertions:
         for r in idx.superroles(Role(s)):
             interp.add_role_edge(a, r, b)
-    # one level at a time; a level holds (element, type, incoming
-    # generating role), with type and role None at an individual
-    level = [(a, None, None) for a in sorted(abox.individuals())]
     roles = sorted(idx.roles, key=str)
+
+    def children(e, node):
+        if node is not None:
+            return idx.children(node.type, node.rin)
+        return [(r, idx.superroles(r), t2) for r in roles
+                for t2 in sorted(model.succ(e, r), key=sorted)]
+
+    level = [(a, None) for a in sorted(abox.individuals())]
+    return _unfold_levels(interp, level, depth, children)
+
+
+def _unfold_levels(interp, level, depth: int, children) -> Interpretation:
+    """Add depth levels of anonymous elements to interp below ``level``, a
+    list of (element, TGNode, or None at an individual) pairs.
+    ``children(element, node)`` lists each child's generating role r, its
+    superroles and its type t, and the child is named (element, str(r), t)."""
     for _ in range(depth):
         below = []
-        for parent, t, gen in level:
-            if gen is None:
-                kids = [(r, idx.superroles(r), t2) for r in roles
-                        for t2 in sorted(model.succ(parent, r), key=sorted)]
-            else:
-                kids = _anon_children(tbox, t, gen)
-            for r, rho, t2 in kids:
+        for parent, node in level:
+            for r, rho, t2 in children(parent, node):
                 elem = (parent, str(r), t2)
                 interp.add_element(elem, t2)
                 for s in rho:
                     interp.add_role_edge(parent, s, elem)
-                below.append((elem, t2, r))
+                below.append((elem, TGNode(t2, r)))
         level = below
     return interp
 
@@ -213,7 +226,8 @@ class TypeGraph:
 
 def _unfold(tbox: NormalTBox, root, starts) -> TypeGraph:
     """The (incoming role, type) classes reachable from the start nodes,
-    breadth first, with their children per ``_anon_children``."""
+    breadth first, with their children per ``ConsequenceIndex.children``."""
+    idx = index_for(tbox)
     tg = TypeGraph(root=root)
     queue = list(starts)
     while queue:
@@ -223,7 +237,7 @@ def _unfold(tbox: NormalTBox, root, starts) -> TypeGraph:
         tg.nodes.add(node)
         tg.out[node] = [
             (r, rho, TGNode(t2, r))
-            for r, rho, t2 in _anon_children(tbox, node.type, node.rin)
+            for r, rho, t2 in idx.children(node.type, node.rin)
         ]
         queue += [c for _r, _rho, c in tg.out[node] if c not in tg.nodes]
     return tg
@@ -238,22 +252,14 @@ def type_graph(tbox: NormalTBox, t0) -> TypeGraph:
 
 
 def prefix_interpretation(tg: TypeGraph, start: TGNode, depth: int) -> Interpretation:
-    """Unfold the subtree below an instance of `start` to the given depth."""
-    interp = Interpretation()
+    """Unfold the subtree below an instance of `start`, named (start,), to
+    the given depth."""
     root = (start,)
+    interp = Interpretation()
     interp.add_element(root, set(start.type))
-    frontier = [(root, start, depth)]
-    while frontier:
-        elem, node, budget = frontier.pop(0)
-        if budget == 0:
-            continue
-        for i, (r, rho, child) in enumerate(tg.out[node]):
-            celem = elem + ((i, child),)
-            interp.add_element(celem, set(child.type))
-            for s in rho:
-                interp.add_role_edge(elem, s, celem)
-            frontier.append((celem, child, budget - 1))
-    return interp
+    return _unfold_levels(
+        interp, [(root, start)], depth,
+        lambda _e, node: [(r, rho, c.type) for r, rho, c in tg.out[node]])
 
 
 def reachable_anon_classes(model: UniversalModel) -> TypeGraph:

@@ -75,25 +75,19 @@ def _sigma_roles(roles, sigma: Signature) -> frozenset:
     return frozenset(r for r in roles if r.name in sigma.roles)
 
 
-def _requirements(tbox2: NormalTBox, t_hat: frozenset, sigma: Signature) -> list:
-    """The (σ|_Σ, successor type) obligations of a T2-type, for condition
-    (M); successors reached only through non-Σ roles impose nothing."""
-    idx = index_for(tbox2)
-    reqs = set()
-    for r in idx.roles:
-        sigma_roles = _sigma_roles(idx.superroles(r), sigma)
-        if not sigma_roles:
-            continue
-        for t_next in reasoner.succ_rel(tbox2, t_hat, r):
-            reqs.add((sigma_roles, t_next))
-    return sorted(reqs, key=lambda p: (sorted(map(str, p[0])), sorted(p[1])))
-
-
 def check_condition_M(m: Mosaic, tbox2: NormalTBox, sigma: Signature) -> bool:
+    """Condition (M): every T2-type on the center fits its Σ-concepts,
+    and each of its (σ|_Σ, successor type) obligations is absorbed by the
+    predecessor or a successor position.  Successors reached only through
+    non-Σ roles impose nothing."""
+    children = index_for(tbox2).children
     for t_hat in m.self_label:
         if not _sigma_concepts(t_hat, sigma) <= m.nb.t:
             return False
-        for sig_roles, t_next in _requirements(tbox2, t_hat, sigma):
+        for _r, rho, t_next in children(t_hat):
+            sig_roles = _sigma_roles(rho, sigma)
+            if not sig_roles:
+                continue
             # (b): the predecessor absorbs the successor obligation
             if (
                 m.nb.tpre is not None

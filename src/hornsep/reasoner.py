@@ -39,6 +39,7 @@ from .syntax import (
     SubBot,
     SubEx,
     TopSub,
+    role_inclusion_closure,
 )
 
 #: pseudo concept name standing for the bottom concept in queries
@@ -51,7 +52,7 @@ class InconsistentABoxError(HornsepError):
 
 class ConsequenceIndex:
     """Saturated rule set for one NormalTBox; built lazily, then read-only
-    except for registering new contexts on demand.
+    except for registering new contexts and tabling children on demand.
 
     ``register`` applies the rules only to the contexts a new seed can
     change, and that is exact.  Every rule is monotone, and the rules of
@@ -65,7 +66,14 @@ class ConsequenceIndex:
     name outside it, every context holding ``BOT`` reads it through
     ``cl |= concept_universe`` and is applied again.  A context with a
     ``BOT`` successor holds ``BOT`` itself, so no other old context
-    reads a closure that changes."""
+    reads a closure that changes.
+
+    ``children`` tables the anonymous successors of a type once per
+    incoming role.  That is exact for a consistent type only: its
+    context and the successor contexts it reads are at their fixpoint
+    and never read the universe, so its entry never changes.  A type
+    holding ``BOT`` reads the growing universe and is derived afresh on
+    every call."""
 
     def __init__(self, tbox: NormalTBox):
         self.tbox = tbox
@@ -78,31 +86,17 @@ class ConsequenceIndex:
         self.exs = [ci for ci in tbox.cis if isinstance(ci, SubEx)]
         self.alls = [ci for ci in tbox.cis if isinstance(ci, SubAll)]
 
-        self._role_pairs = self._close_roles(tbox)
+        self._role_pairs = role_inclusion_closure(tbox.ris)
         self._superroles: dict = {}
         self.functional = set(tbox.fas)
 
         # context -> derived names (may include BOT); context -> tuples (R, N)
         self.cl: dict = {}
         self.ex: dict = {}
+        # (type, incoming role) -> its anonymous children, see ``children``
+        self._children: dict = {}
 
     # -- roles -------------------------------------------------------------
-
-    @staticmethod
-    def _close_roles(tbox: NormalTBox) -> set:
-        universe = tbox.roles()
-        pairs = {(r, r) for r in universe}
-        for r, s in tbox.ris:
-            pairs.add((r, s))
-            pairs.add((r.inverse(), s.inverse()))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(pairs), list(pairs)):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-        return pairs
 
     def role_subsumes(self, r: Role, s: Role) -> bool:
         return r == s or (r, s) in self._role_pairs
@@ -222,9 +216,30 @@ class ConsequenceIndex:
     def consistent(self, seed) -> bool:
         return BOT not in self.closure(seed)
 
-    def successor_tuples(self, seed) -> set:
-        m = self.register(seed)
-        return set(self.ex[m])
+    def children(self, seed, rin=None) -> tuple:
+        """The children (r, superroles of r, t') of an anonymous element
+        of type seed entered via rin (None at a root): per role r, ordered
+        by ``str``, the maximal t' with T |= (and seed) sub some r.(and t'),
+        ordered by ``sorted``; none along a functional r whose inverse is
+        rin, so no child returns at once along a functional role."""
+        key = (frozenset(seed), rin)
+        kids = self._children.get(key)
+        if kids is None:
+            kids = self._derive_children(*key)
+            if BOT not in self.cl[key[0]]:
+                self._children[key] = kids
+        return kids
+
+    def _derive_children(self, m: frozenset, rin) -> tuple:
+        succs = [(rr, self.type_of(nn)) for rr, nn in self.ex[self.register(m)]]
+        return tuple(
+            (r, self.superroles(r), t2)
+            for r in sorted(self.roles, key=str)
+            if not (r in self.functional and rin == r.inverse())
+            for t2 in sorted(maximal(
+                t for rr, t in succs
+                if any(self.role_subsumes(r0, r) for r0 in rr)), key=sorted)
+        )
 
 
 def index_for(tbox: NormalTBox) -> ConsequenceIndex:
@@ -235,7 +250,7 @@ def index_for(tbox: NormalTBox) -> ConsequenceIndex:
     return idx
 
 
-def _maximal(sets) -> set:
+def maximal(sets) -> set:
     sets = set(sets)
     return {
         s for s in sets if not any(s < other for other in sets)
@@ -244,12 +259,7 @@ def _maximal(sets) -> set:
 
 def succ_rel(tbox: NormalTBox, t, r: Role) -> set:
     """The maximal types t' with T |= (and t) sub some r.(and t')."""
-    idx = index_for(tbox)
-    candidates = set()
-    for rr, nn in idx.successor_tuples(t):
-        if any(idx.role_subsumes(r0, r) for r0 in rr):
-            candidates.add(idx.type_of(nn))
-    return _maximal(candidates)
+    return {t2 for r0, _rho, t2 in index_for(tbox).children(t) if r0 == r}
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +334,6 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
         if any(len(bs) > 1 for bs in targets.values()):
             state.consistent = False
     return state
-
-
-def abox_succ(model, a, r: Role) -> set:
-    """Maximal successor types of individual a along r in the universal
-    model (a ``models.UniversalModel``), honoring the functionality
-    proviso (no anonymous r-successor when func(r) holds and a named
-    r-successor is entailed)."""
-    idx = index_for(model.tbox)
-    state = model.state
-    if not state.consistent:
-        raise InconsistentABoxError("ABox is inconsistent with the TBox")
-    named = {
-        b
-        for (x, b), roles in state.edges.items()
-        if x == a and any(idx.role_subsumes(s, r) for s in roles)
-    }
-    if r in idx.functional and named:
-        return set()
-    candidates = set(succ_rel(model.tbox, frozenset(state.tp[a]) - {BOT}, r))
-    for b in named:
-        candidates.add(frozenset(state.tp[b]) - {BOT})
-    return _maximal(candidates)
 
 
 # ---------------------------------------------------------------------------

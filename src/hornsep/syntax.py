@@ -223,6 +223,20 @@ class NormalTBox:
         return out
 
 
+def role_inclusion_closure(ris: Iterable) -> set:
+    """The pairs (r, s) with r subr s entailed by the role inclusions: each
+    read in both directions (r subr s gives inv(r) subr inv(s)), closed
+    under transitivity.  A role is not its own subrole, even on a cycle."""
+    pairs = set()
+    for r, s in ris:
+        pairs |= {(r, s), (r.inverse(), s.inverse())}
+    while True:
+        step = {(a, d) for a, b in pairs for c, d in pairs if b == c}
+        if step <= pairs:
+            return {(r, s) for r, s in pairs if r != s}
+        pairs |= step
+
+
 def check_functional_subroles(ris: Iterable, fas: Iterable) -> list:
     """Return the (r, s) pairs where s is asserted functional and r subr s.
 
@@ -230,12 +244,8 @@ def check_functional_subroles(ris: Iterable, fas: Iterable) -> list:
     since reasonable inputs (role hierarchies feeding an inverse-functional
     role) trip it.
     """
-    closed = set()
-    for r, s in ris:
-        closed.add((r, s))
-        closed.add((r.inverse(), s.inverse()))
     fas = set(fas)
-    return sorted((r, s) for r, s in closed if s in fas)
+    return sorted((r, s) for r, s in role_inclusion_closure(ris) if s in fas)
 
 
 class _Normalizer:

@@ -389,7 +389,7 @@ def oracle_candidates_by_whole_window(t1, t2, sigA, sigQ, max_ind, max_vars,
         for top in sorted(window.elements, key=stable_key):
             for sub in substructures_by_whole_window(window, top, max_vars):
                 for q, ans in entailment._queries_from_sub(
-                    sub, window.individuals, sigQ, mode
+                    sub, window.individuals, mode
                 ):
                     key = (cq_to_text(q), ans)
                     if key not in tried:

@@ -447,7 +447,7 @@ def test_candidate_queries_hold_under_the_second_tbox():
                 subs = models.enumerate_connected_substructures(window, top, 3)
                 for sub in subs:
                     for q, ans in entailment._queries_from_sub(
-                        sub, window.individuals, p.sigQ, "cq"
+                        sub, window.individuals, "cq"
                     ):
                         assert ans in certain_answers(m2, q), (str(q), ans)
                         asked += 1

@@ -64,6 +64,17 @@ def test_materialize_respects_role_hierarchy():
     assert names == {"r", "s"}
 
 
+def test_named_successor_along_a_functional_role_has_no_anonymous_twin():
+    # func(r) makes b the one r-successor of a, so the window gives a no
+    # anonymous r-child, and b takes B from the existential
+    t = nt("A sub some r B\nfunc(r)")
+    window = UniversalModel(t, parse_abox("A(a)\nr(a,b)")).window(1)
+    assert "B" in window.labels["b"]
+    assert not [e for e in window.elements
+                if isinstance(e, tuple) and e[:2] == ("a", "r")]
+    assert ("a", "r", "b") in window.edges
+
+
 def test_materialize_inconsistent_raises():
     with pytest.raises(InconsistentABoxError):
         materialize(UniversalModel(nt("A sub bot"), parse_abox("A(a)")), 0)

@@ -77,6 +77,31 @@ def test_functionality_pulls_successor_back():
     assert "Prof" not in chase(t_nofunc, a).tp["a0"]
 
 
+def test_children_table_derives_each_key_once(monkeypatch):
+    """The oracle search on seed-601 criterion-6 draws derives each
+    (type, incoming role) entry of a TBox's children table once, however
+    many elements, windows and models read it: the table's misses are
+    its distinct keys.  ``tbox_entails`` reads a private copy's index,
+    so the indexes are those the derivations ran on."""
+    derive = ConsequenceIndex._derive_children
+    derived = []
+    indexes = {}
+
+    def counting(idx, m, rin):
+        indexes[id(idx)] = idx
+        derived.append((id(idx), m, rin))
+        return derive(idx, m, rin)
+
+    monkeypatch.setattr(ConsequenceIndex, "_derive_children", counting)
+    rng = random.Random(601)
+    for _ in range(20):
+        _t1, _t2, p = criterion6_problem(rng)
+        entailment.oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 2, 3)
+    keys = {(i, *key) for i, idx in indexes.items() for key in idx._children}
+    assert len(derived) == len(keys) > 20
+    assert set(derived) == keys
+
+
 def test_role_hierarchy_closure():
     t = nt("r subr s\ns subr inv(q)")
     idx = index_for(t)
@@ -125,7 +150,7 @@ def test_is_certain_answer_is_membership_in_certain_answers():
                     for sub in enumerate_connected_substructures(
                             window, top, 2):
                         for q, _ans in entailment._queries_from_sub(
-                                sub, window.individuals, p.sigQ, "cq"):
+                                sub, window.individuals, "cq"):
                             key = (tuple(sorted(q.concept_atoms)),
                                    tuple(sorted(q.role_atoms)))
                             bodies.setdefault(key, q)

@@ -20,6 +20,7 @@ from hornsep.syntax import (
     SubBot,
     SubEx,
     TopSub,
+    check_functional_subroles,
     cq_is_1tcq,
     cq_to_text,
     cq_tree_shaped,
@@ -30,6 +31,7 @@ from hornsep.syntax import (
     parse_cq,
     parse_signature,
     parse_tbox,
+    role_inclusion_closure,
 )
 
 NORMAL_SHAPES = (TopSub, SubBot, ConjSub, SubEx, SubAll)
@@ -39,6 +41,30 @@ def test_role_inverse_involution():
     r = Role("adv")
     assert r.inverse().inverse() == r
     assert r.inverse() != r
+
+
+def test_functional_subrole_warning_follows_inclusion_chains():
+    # r subr t subr s with func(s): r is a subrole of s as much as t is
+    t = parse_tbox("r subr t\nt subr s\nfunc(s)")
+    r, s, u = Role("r"), Role("s"), Role("t")
+    assert check_functional_subroles(t.ris, t.fas) == [(r, s), (u, s)]
+    with pytest.warns(UserWarning) as caught:
+        normalize(t)
+    assert sorted(str(w.message).split(";")[0] for w in caught) == [
+        "functional role s has subrole r",
+        "functional role s has subrole t",
+    ]
+
+
+def test_role_inclusion_closure_is_transitive_and_irreflexive():
+    r, s = Role("r"), Role("s")
+    # on a cycle every role is below the other, and none below itself
+    assert role_inclusion_closure(parse_tbox("r subr s\ns subr r").ris) == {
+        (r, s), (s, r), (r.inverse(), s.inverse()), (s.inverse(), r.inverse())
+    }
+    chain = role_inclusion_closure(parse_tbox("r subr s\ns subr inv(q)").ris)
+    assert (Role("q"), r.inverse()) not in chain
+    assert (r.inverse(), Role("q")) in chain
 
 
 def test_parse_tbox_round_trip():
