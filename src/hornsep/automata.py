@@ -297,7 +297,6 @@ def build_label_context(
     th1c = frozenset(tbox1.concept_names()) | th0c
     th1r = frozenset(tbox1.roles()) | th0r
     th2c = frozenset(tbox2.concept_names()) | th0c
-    th2r = frozenset(tbox2.roles()) | th0r
     tops = any(isinstance(ci, TopSub) for ci in tbox1.cis)
 
     # the role sets closed under T1's role inclusions: unions of the
@@ -329,9 +328,7 @@ def build_label_context(
     labels = []
     for c0, r0 in l0_options:
         if c0 or r0:
-            r2 = frozenset(
-                r for r in th2r if any(idx2.role_subsumes(s, r) for s in r0)
-            )
+            r2 = frozenset().union(*map(idx2.superroles, r0))
             c2_opts = [t for t in c2_closed if c0 <= t]
             if not c2_opts:
                 continue  # asserted concepts already inconsistent under T2
@@ -668,23 +665,13 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
     dsets = _minimal_derivations(tbox2, th2c)
 
     # (premise concept, asserted edge role) pairs that can push a
-    # concept onto an edge target: value restrictions, and existentials
-    # whose witness a functional role glues onto the asserted neighbor
-    pairs = {a: [] for a in th2c}
-    for ci in tbox2.cis:
-        if isinstance(ci, SubAll) and ci.sup in pairs:
-            for s in th0r:
-                if idx2.role_subsumes(s, ci.role):
-                    pairs[ci.sup].append((ci.sub, s))
-        if isinstance(ci, SubEx) and ci.sup in pairs:
-            for f in idx2.functional:
-                if not idx2.role_subsumes(ci.role, f):
-                    continue
-                for s in th0r:
-                    if idx2.role_subsumes(s, f):
-                        pairs[ci.sup].append((ci.sub, s))
-    for a in pairs:
-        pairs[a] = sorted(set(pairs[a]))
+    # concept onto an edge target, read off ``pushes``
+    pairs = {a: set() for a in th2c}
+    for s in th0r:
+        for sub, sup, _glued in idx2.pushes(s):
+            if sup in pairs:
+                pairs[sup].add((sub, s))
+    pairs = {a: sorted(ps) for a, ps in pairs.items()}
 
     funcs = sorted(idx2.functional)
 
@@ -726,17 +713,13 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
 
     for fr in funcs:
         def f_build(l, fr=fr):
-            par = any(idx2.role_subsumes(s.inverse(), fr) for s in l.r0)
+            par = fr.inverse() in l.r2
             return down_allbut(("3", "nf", fr), 0 if par else 1)
 
         rules[("3", "f", fr)] = StateRule(r0_key, f_build, (0,))
 
         def nf_build(l, fr=fr):
-            return (
-                FALSE
-                if any(idx2.role_subsumes(s, fr) for s in l.r0)
-                else TRUE
-            )
+            return FALSE if fr in l.r2 else TRUE
 
         rules[("3", "nf", fr)] = StateRule(r0_key, nf_build, (0,))
 
@@ -752,7 +735,7 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
                 return TRUE
             parts = []
             for s in dsets[a]:
-                parts.append(f_and(*[here(qa(b)) for b in s]))
+                parts.append(f_and(*[here(qa(b)) for b in sorted(s)]))
             for b, s in pairs[a]:
                 if s in l.r0:
                     parts.append(up_must(qa(b)))
@@ -766,7 +749,7 @@ def build_A3(tbox2: NormalTBox, ctx: LabelContext) -> TwoWayAutomaton:
                 return FALSE
             parts = []
             for s in dsets[a]:
-                parts.append(f_or(*[here(qna(b)) for b in s]))
+                parts.append(f_or(*[here(qna(b)) for b in sorted(s)]))
             for b, s in pairs[a]:
                 if s in l.r0:
                     parts.append(up_may(qna(b)))

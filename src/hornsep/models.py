@@ -137,12 +137,11 @@ class UniversalModel:
             if not self.consistent:
                 raise reasoner.InconsistentABoxError(
                     "ABox is inconsistent with the TBox")
-            idx = index_for(self.tbox)
             tp = self.state.tp
             named = {b for (x, b), roles in self.state.edges.items()
-                     if x == a and any(idx.role_subsumes(s, r) for s in roles)}
+                     if x == a and r in roles}
             types = set()
-            if not (r in idx.functional and named):
+            if not (r in index_for(self.tbox).functional and named):
                 types = reasoner.succ_rel(self.tbox, tp[a] - {BOT}, r) | {
                     frozenset(tp[b]) - {BOT} for b in named}
             self._succ[key] = reasoner.maximal(types)
@@ -173,8 +172,8 @@ def materialize(model: UniversalModel, depth: int) -> Interpretation:
     for a in abox.individuals():
         interp.add_element(a, set(state.tp[a]) - {BOT})
         interp.individuals.add(a)
-    for s, a, b in abox.role_assertions:
-        for r in idx.superroles(Role(s)):
+    for (a, b), roles in state.edges.items():
+        for r in roles:
             interp.add_role_edge(a, r, b)
     roles = sorted(idx.roles, key=str)
 

@@ -13,12 +13,18 @@ Role conjunctions appear because functionality merges existentials:
 if r1 and r2 are both subroles of a functional f, the r1- and
 r2-successors coincide.  The calculus below saturates contexts under the
 normal-form axioms, merges existentials through functional superroles,
-pushes value restrictions down into successor tuples and back up through
-inverse roles, and propagates inconsistency upward.
+carries concepts along the edges to and from successors, and propagates
+inconsistency upward.
+
+Two rules act along an edge: a value restriction carries its filler
+across an edge below its role, and an existential glues its witness onto
+a neighbour reached along a role that shares a functional superrole with
+the existential's.  ``ConsequenceIndex.pushes`` owns both, tabled per
+role; the saturation, the chase and A3 read it.
 
 The ABox-level operations run a chase over the individuals using the
-same machinery for the per-individual types plus the edge-sensitive
-derivation rules.  One chase gives every individual's concept names and
+same machinery for the per-individual types plus the edge rules along
+asserted edges.  One chase gives every individual's concept names and
 decides consistency; certain answers are evaluated over the universal
 model built from it.
 """
@@ -68,6 +74,9 @@ class ConsequenceIndex:
     ``BOT`` successor holds ``BOT`` itself, so no other old context
     reads a closure that changes.
 
+    ``pushes`` tables the edge rules per role, and ``superroles`` and
+    ``functional_superroles`` the role hierarchy they read.
+
     ``children`` tables the anonymous successors of a type once per
     incoming role.  That is exact for a consistent type only: its
     context and the successor contexts it reads are at their fixpoint
@@ -87,8 +96,11 @@ class ConsequenceIndex:
         self.alls = [ci for ci in tbox.cis if isinstance(ci, SubAll)]
 
         self._role_pairs = role_inclusion_closure(tbox.ris)
-        self._superroles: dict = {}
         self.functional = set(tbox.fas)
+        # role -> its superroles, functional superroles and edge pushes
+        self._superroles: dict = {}
+        self._functional_superroles: dict = {}
+        self._pushes: dict = {}
 
         # context -> derived names (may include BOT); context -> tuples (R, N)
         self.cl: dict = {}
@@ -108,8 +120,27 @@ class ConsequenceIndex:
             self._superroles[r] = sup
         return sup
 
-    def functional_superroles(self, r: Role) -> set:
-        return {f for f in self.functional if self.role_subsumes(r, f)}
+    def functional_superroles(self, r: Role) -> frozenset:
+        fs = self._functional_superroles.get(r)
+        if fs is None:
+            fs = self._functional_superroles[r] = (
+                self.superroles(r) & self.functional)
+        return fs
+
+    def pushes(self, r: Role) -> tuple:
+        """The edge rules along r: (A, B, glued) for each concept B that
+        an r-edge carries to its target from a source holding A.  With
+        glued None, ``A sub only R B`` for R above r; otherwise
+        ``A sub some R B`` with glued = R, where R and r share a
+        functional superrole, so the edge's target is A's R-witness."""
+        out = self._pushes.get(r)
+        if out is None:
+            up, fs = self.superroles(r), self.functional_superroles(r)
+            out = self._pushes[r] = tuple(
+                [(ci.sub, ci.sup, None) for ci in self.alls if ci.role in up]
+                + [(ci.sub, ci.sup, ci.role) for ci in self.exs
+                   if fs & self.functional_superroles(ci.role)])
+        return out
 
     # -- saturation --------------------------------------------------------
 
@@ -163,13 +194,13 @@ class ConsequenceIndex:
             if shared:
                 ex.add((r1 | r2, n1 | n2))
 
-        # push value restrictions into successor tuples
+        # value restrictions carried down into successor tuples; glued
+        # existentials reach them through the merge above
         for rr, nn in list(ex):
-            for ci in self.alls:
-                if ci.sub in cl and any(
-                    self.role_subsumes(r, ci.role) for r in rr
-                ):
-                    ex.add((rr, nn | {ci.sup}))
+            for r in rr:
+                for a, b, glued in self.pushes(r):
+                    if glued is None and a in cl:
+                        ex.add((rr, nn | {b}))
 
         for rr, nn in list(ex):
             if nn not in self.cl:
@@ -177,25 +208,14 @@ class ConsequenceIndex:
                 self.ex[nn] = set()
                 todo.append(nn)
             cl_n = self.cl[nn]
-            # value restrictions seen from the successor side
-            for ci in self.alls:
-                if ci.sub in cl_n and any(
-                    self.role_subsumes(r.inverse(), ci.role) for r in rr
-                ):
-                    cl.add(ci.sup)
-            # the successor's own existential may be forced back onto m:
-            # if some r in R has functional r^- and the successor entails
-            # some s.B with s below that functional role, the witness is m
-            for ci in self.exs:
-                if ci.sub not in cl_n:
-                    continue
-                for r in rr:
-                    back_funcs = self.functional_superroles(r.inverse())
-                    if any(
-                        self.role_subsumes(ci.role, f) for f in back_funcs
-                    ):
-                        cl.add(ci.sup)
-                        ex.add((rr | {ci.role.inverse()}, nn))
+            # the edges back from the successor: a glued existential of
+            # the successor has m as its witness, along every role in R
+            for r in rr:
+                for a, b, glued in self.pushes(r.inverse()):
+                    if a in cl_n:
+                        cl.add(b)
+                        if glued is not None:
+                            ex.add((rr | {glued.inverse()}, nn))
             if BOT in cl_n:
                 cl.add(BOT)
 
@@ -275,12 +295,12 @@ class ChaseState:
 
 def _edge_roles(idx: ConsequenceIndex, abox: ABox) -> dict:
     """(a, b) -> set of roles entailed to connect a to b, from assertions
-    closed under role inclusions (both reading directions)."""
+    closed under role inclusions: s(a, b) gives (a, b) the superroles of
+    s and (b, a) those of inv(s), which are their inverses."""
     out: dict = {}
     for s, a, b in abox.role_assertions:
-        for role in idx.superroles(Role(s)):
-            out.setdefault((a, b), set()).add(role)
-            out.setdefault((b, a), set()).add(role.inverse())
+        out.setdefault((a, b), set()).update(idx.superroles(Role(s)))
+        out.setdefault((b, a), set()).update(idx.superroles(Role(s, True)))
     return out
 
 
@@ -300,27 +320,13 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
             if closed - state.tp[a]:
                 state.tp[a] |= closed
                 changed = True
+        # the edge rules along each asserted edge, from b to a
         for (b, a), roles in edges.items():
-            # value restrictions travel along asserted edges
-            for ci in idx.alls:
-                if ci.sub in state.tp[b] and any(
-                    idx.role_subsumes(r, ci.role) for r in roles
-                ):
-                    if ci.sup not in state.tp[a]:
-                        state.tp[a].add(ci.sup)
+            for r in roles:
+                for c, d, _glued in idx.pushes(r):
+                    if c in state.tp[b] and d not in state.tp[a]:
+                        state.tp[a].add(d)
                         changed = True
-            # a functional existential is satisfied by the asserted edge,
-            # so its filler concept lands on the named successor
-            for ci in idx.exs:
-                if ci.sub not in state.tp[b]:
-                    continue
-                for f in idx.functional:
-                    if idx.role_subsumes(ci.role, f) and any(
-                        idx.role_subsumes(r, f) for r in roles
-                    ):
-                        if ci.sup not in state.tp[a]:
-                            state.tp[a].add(ci.sup)
-                            changed = True
 
     for a in inds:
         if BOT in state.tp[a]:
@@ -329,7 +335,7 @@ def chase(tbox: NormalTBox, abox: ABox) -> ChaseState:
     for f in idx.functional:
         targets: dict = {}
         for (a, b), roles in edges.items():
-            if any(idx.role_subsumes(r, f) for r in roles):
+            if f in roles:
                 targets.setdefault(a, set()).add(b)
         if any(len(bs) > 1 for bs in targets.values()):
             state.consistent = False

@@ -645,15 +645,16 @@ def parse_tbox(text: str) -> TBox:
     return t
 
 
-_ASSERTION_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*([A-Za-z_][A-Za-z0-9_]*)\s*)?\)$"
+#: one atom, A(x) or r(x,y): an ABox assertion or a query body atom
+_ATOM_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*([A-Za-z_][A-Za-z0-9_]*)\s*)?\)"
 )
 
 
 def parse_abox(text: str) -> ABox:
     a = ABox()
     for lineno, line in _statement_lines(text):
-        m = _ASSERTION_RE.match(line)
+        m = _ATOM_RE.fullmatch(line)
         if not m:
             raise ParseError("expected A(a) or r(a,b)", lineno, 1)
         pred, x, y = m.group(1), m.group(2), m.group(3)
@@ -679,15 +680,8 @@ def parse_cq(text: str) -> CQ:
         raise ParseError("malformed query head", lineno, 1)
     args = [v.strip() for v in hm.group(1).split(",") if v.strip()]
     q = CQ(answer_vars=tuple(args))
-    atoms = re.findall(
-        r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*([A-Za-z_][A-Za-z0-9_]*)\s*)?\)",
-        body,
-    )
-    consumed = re.sub(
-        r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:,\s*([A-Za-z_][A-Za-z0-9_]*)\s*)?\)",
-        "",
-        body,
-    )
+    atoms = _ATOM_RE.findall(body)
+    consumed = _ATOM_RE.sub("", body)
     if consumed.replace(",", "").strip():
         raise ParseError(f"malformed query body near {consumed.strip()!r}", lineno, 1)
     for pred, z, w in atoms:

@@ -9,8 +9,10 @@ solver that rescans every position, the liveness table computed
 afresh per label position and the product's initial rows projected
 label by label are the references for the automata code's faster
 forms, and the whole-window substructure enumeration is the one for
-the witness oracle's bounded form.  The printers turn parsed inputs back into the surface
-syntax for round-trip tests.
+the witness oracle's bounded form.  The edge rules written as scans
+over the axioms (``ScanIndex``, ``chase_by_scan``) are the references
+for ``ConsequenceIndex.pushes``.  The printers turn parsed inputs back
+into the surface syntax for round-trip tests.
 """
 
 import itertools
@@ -210,6 +212,145 @@ class FullSweepIndex(ConsequenceIndex):
                     if self._apply(k, []):
                         changed = True
         return m
+
+
+class ScanIndex(ConsequenceIndex):
+    """The edge rules as scans over the axioms with ``role_subsumes``:
+    ``_apply`` scans the value restrictions and existentials per
+    successor tuple, ``functional_superroles`` scans the functional
+    roles, and ``pushes`` is A3's scan for its (premise, edge role)
+    pairs, with the edge role fixed.  Reference for the tabled
+    ``pushes`` that the saturation, the chase and A3 read."""
+
+    def functional_superroles(self, r: Role) -> set:
+        return {f for f in self.functional if self.role_subsumes(r, f)}
+
+    def pushes(self, s: Role) -> list:
+        out = []
+        for ci in self.tbox.cis:
+            if isinstance(ci, SubAll) and self.role_subsumes(s, ci.role):
+                out.append((ci.sub, ci.sup, None))
+            if isinstance(ci, SubEx):
+                for f in self.functional:
+                    if self.role_subsumes(ci.role, f) and self.role_subsumes(
+                            s, f):
+                        out.append((ci.sub, ci.sup, ci.role))
+        return out
+
+    def _apply(self, m: frozenset, todo) -> bool:
+        cl = self.cl[m]
+        ex = self.ex[m]
+        before = (len(cl), len(ex))
+
+        for ci in self.tops:
+            cl.add(ci.sup)
+        for ci in self.conjs:
+            if ci.sub1 in cl and ci.sub2 in cl:
+                cl.add(ci.sup)
+        for ci in self.bots:
+            if ci.sub in cl:
+                cl.add(BOT)
+        for ci in self.exs:
+            if ci.sub in cl:
+                ex.add((frozenset([ci.role]), frozenset([ci.sup])))
+
+        for (r1, n1), (r2, n2) in itertools.combinations(list(ex), 2):
+            shared = any(
+                self.functional_superroles(a) & self.functional_superroles(b)
+                for a in r1
+                for b in r2
+            )
+            if shared:
+                ex.add((r1 | r2, n1 | n2))
+
+        for rr, nn in list(ex):
+            for ci in self.alls:
+                if ci.sub in cl and any(
+                    self.role_subsumes(r, ci.role) for r in rr
+                ):
+                    ex.add((rr, nn | {ci.sup}))
+
+        for rr, nn in list(ex):
+            if nn not in self.cl:
+                self.cl[nn] = set(nn)
+                self.ex[nn] = set()
+                todo.append(nn)
+            cl_n = self.cl[nn]
+            for ci in self.alls:
+                if ci.sub in cl_n and any(
+                    self.role_subsumes(r.inverse(), ci.role) for r in rr
+                ):
+                    cl.add(ci.sup)
+            for ci in self.exs:
+                if ci.sub not in cl_n:
+                    continue
+                for r in rr:
+                    back_funcs = self.functional_superroles(r.inverse())
+                    if any(
+                        self.role_subsumes(ci.role, f) for f in back_funcs
+                    ):
+                        cl.add(ci.sup)
+                        ex.add((rr | {ci.role.inverse()}, nn))
+            if BOT in cl_n:
+                cl.add(BOT)
+
+        if BOT in cl:
+            cl |= self.concept_universe
+
+        return (len(cl), len(ex)) != before
+
+
+def chase_by_scan(tbox: NormalTBox, abox: ABox) -> tuple:
+    """(types, consistent) of the chase with its edge rules as scans over
+    the axioms and the functional roles with ``role_subsumes``, applied
+    in place edge by edge, and the fork check likewise.  Reference for
+    ``reasoner.chase``, which reads ``pushes`` and the closed edge-role
+    sets."""
+    idx = index_for(tbox)
+    inds = sorted(abox.individuals())
+    tp = {a: {c for c, x in abox.concept_assertions if x == a} for a in inds}
+    edges: dict = {}
+    for s, a, b in abox.role_assertions:
+        for role in idx.superroles(Role(s)):
+            edges.setdefault((a, b), set()).add(role)
+            edges.setdefault((b, a), set()).add(role.inverse())
+
+    changed = True
+    while changed:
+        changed = False
+        for a in inds:
+            closed = set(idx.closure(tp[a]))
+            if closed - tp[a]:
+                tp[a] |= closed
+                changed = True
+        for (b, a), roles in edges.items():
+            for ci in idx.alls:
+                if ci.sub in tp[b] and any(
+                    idx.role_subsumes(r, ci.role) for r in roles
+                ):
+                    if ci.sup not in tp[a]:
+                        tp[a].add(ci.sup)
+                        changed = True
+            for ci in idx.exs:
+                if ci.sub not in tp[b]:
+                    continue
+                for f in idx.functional:
+                    if idx.role_subsumes(ci.role, f) and any(
+                        idx.role_subsumes(r, f) for r in roles
+                    ):
+                        if ci.sup not in tp[a]:
+                            tp[a].add(ci.sup)
+                            changed = True
+
+    consistent = not any(BOT in tp[a] for a in inds)
+    for f in idx.functional:
+        targets: dict = {}
+        for (a, b), roles in edges.items():
+            if any(idx.role_subsumes(r, f) for r in roles):
+                targets.setdefault(a, set()).add(b)
+        if any(len(bs) > 1 for bs in targets.values()):
+            consistent = False
+    return tp, consistent
 
 
 def closed_sets_by_subsets(tbox: NormalTBox, universe) -> list:
@@ -458,6 +599,54 @@ def random_tbox_text(rng, concepts, roles, max_axioms) -> str:
             else:
                 lines.append(f"some {rr} {c()} sub {c()}")
     return "\n".join(lines)
+
+
+def random_horn_tbox_text(rng, concepts, roles, max_axioms) -> str:
+    """Random Horn-ALCHIF-bot TBox text of 1..max_axioms axioms: the kinds
+    of ``random_tbox_text`` plus value restrictions, functionality and
+    bottom, with an inverse role in any role position, role inclusions
+    included.  The kinds the edge rules read (existentials, value
+    restrictions, functionality) are twice as likely as the others."""
+    kinds = ["cc", "exc", "conj", "ri", "bot"] + ["cex", "only", "func"] * 2
+    c = lambda: rng.choice(concepts)  # noqa: E731
+
+    def role():
+        r = rng.choice(roles)
+        return f"inv({r})" if rng.random() < 0.4 else r
+
+    lines = []
+    for _ in range(rng.randint(1, max_axioms)):
+        kind = rng.choice(kinds)
+        if kind == "cc":
+            lines.append(f"{c()} sub {c()}")
+        elif kind == "conj":
+            lines.append(f"{c()} and {c()} sub {c()}")
+        elif kind == "cex":
+            lines.append(f"{c()} sub some {role()} {c()}")
+        elif kind == "exc":
+            lines.append(f"some {role()} {c()} sub {c()}")
+        elif kind == "only":
+            lines.append(f"{c()} sub only {role()} {c()}")
+        elif kind == "ri":
+            lines.append(f"{rng.choice(roles)} subr {role()}")
+        elif kind == "func":
+            lines.append(f"func({role()})")
+        else:
+            lines.append(f"{c()} sub bot")
+    return "\n".join(lines)
+
+
+def random_abox(rng, concepts, roles, individuals) -> ABox:
+    """Random ABox of 0-3 concept and 1-3 role assertions over the names,
+    forks and self-loops included."""
+    a = ABox()
+    for _ in range(rng.randint(0, 3)):
+        a.concept_assertions.add((rng.choice(concepts),
+                                  rng.choice(individuals)))
+    for _ in range(rng.randint(1, 3)):
+        a.role_assertions.add((rng.choice(roles), rng.choice(individuals),
+                               rng.choice(individuals)))
+    return a
 
 
 def criterion6_problem(rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import problem, within
 from helpers import (
+    ScanIndex,
     chain_problem,
     closed_sets_by_subsets,
     criterion6_problem,
@@ -18,6 +19,7 @@ from helpers import (
     eval_formula,
     initial_classes_by_label,
     live_assignments_by_position,
+    random_horn_tbox_text,
     random_regular_tree,
     small_trees,
     solve_cobuchi_by_rescans,
@@ -1182,3 +1184,28 @@ def test_labels_sort_by_their_rendered_layers():
     for p in problems:
         labels = build_label_context(p.t1, p.t2, p.sigA, p.sigQ).labels
         assert labels == sorted(labels, key=_rendered_layers)
+
+
+def test_a3_guard_rows_match_the_pairs_by_scan():
+    """A3 reads its (premise, edge role) pairs off ``pushes``.  On 300
+    fixed draws with value restrictions, functionality, ⊥ and inverse
+    role inclusions as the second TBox (the first empty, ΣA = ΣQ = A, B,
+    r, s), every guard row of A3 is the one that A3 built over
+    ``ScanIndex``, whose ``pushes`` scans the axioms, gives."""
+    sig = parse_signature("concepts: A B\nroles: r s")
+    rng = random.Random(2502)
+    with warnings.catch_warnings(), within(60):
+        warnings.simplefilter("ignore", UserWarning)
+        for _ in range(300):
+            text = random_horn_tbox_text(rng, ["A", "B", "C"], ["r", "s"], 5)
+            dumps = []
+            for index in (index_for, ScanIndex):
+                t1, t2 = normalize(parse_tbox("")), normalize(parse_tbox(text))
+                t2._consequence_index = index(t2)
+                try:
+                    ctx = build_label_context(t1, t2, sig, sig)
+                except ResourceLimitError as exc:
+                    dumps.append(str(exc))
+                    continue
+                dumps.append(build_A3(t2, ctx).dump())
+            assert dumps[0] == dumps[1], text

@@ -361,8 +361,19 @@ def test_json_output_identical_across_hash_seeds(tmp_path):
         assert runs[0].stdout == runs[1].stdout, args[0]
 
 
-def test_dump_identical_across_hash_seeds():
-    args = ["automaton", "--dump", *ADVISOR]
-    runs = [_run_cli(args, seed) for seed in (0, 1, 7, 31337)]
-    assert all(r.returncode == 0 for r in runs)
-    assert all(r.stdout == runs[0].stdout for r in runs[1:])
+def test_dump_identical_across_hash_seeds(tmp_path):
+    """The product dump of the advisor fixture, and A3's and the
+    product's of a derivation set with two names, whose atoms are
+    printed in name order."""
+    t1, t2, sig = tmp_path / "t1.tbox", tmp_path / "t2.tbox", tmp_path / "s.sig"
+    t1.write_text("")
+    t2.write_text("B and C sub A\n")
+    sig.write_text("concepts: A B C\nroles: r\n")
+    derivation = ["--t1", str(t1), "--t2", str(t2), "--sigma-a", str(sig),
+                  "--sigma-q", str(sig)]
+    for args in (["automaton", "--dump", *ADVISOR],
+                 ["automaton", "--dump", *derivation],
+                 ["automaton", "--dump", "--which", "a3", *derivation]):
+        runs = [_run_cli(args, seed) for seed in (0, 1, 7, 31337)]
+        assert all(r.returncode == 0 for r in runs), args
+        assert all(r.stdout == runs[0].stdout for r in runs[1:]), args
