@@ -1,7 +1,8 @@
 """Command line front end.
 
-Four subcommands: ``check`` runs the automata-based decision procedures,
-``oracle`` runs the bounded brute-force witness search, ``materialize``
+Four subcommands: ``check`` runs the decision procedures (prechecks, a
+bounded witness-first search, then the automata pipeline), ``oracle``
+runs the bounded brute-force witness search, ``materialize``
 dumps a finite prefix of a universal model, and ``automaton`` prints the
 constructed automata.  Verdicts map to exit codes so shell pipelines can
 branch on them:
@@ -214,7 +215,8 @@ def main():
 @click.option("--mode", type=click.Choice(list(MODES)), default="cq",
               show_default=True)
 @click.option("--verify-witness", is_flag=True,
-              help="on non-entailment, search a small witness and replay it")
+              help="on non-entailment, replay the decision's witness, or "
+                   "search a small one and replay it")
 @click.option("--oracle-max-ind", type=click.IntRange(min=1), default=2,
               show_default=True,
               help="witness ABox size bound for --verify-witness")
@@ -234,10 +236,12 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
     if verify_witness and not decision.entails:
         if decision.stats.get("direction") == "backward":
             p = p.swapped()  # the verdict failed on (T2, T1)
-        witness = entailment.oracle_witness_search(
-            p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
-            mode="1tcq" if mode in ("1tcq", "deductive") else "cq",
-        )
+        witness = decision.witness
+        if witness is None:  # a pipeline or precheck verdict
+            witness = entailment.oracle_witness_search(
+                p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
+                mode="1tcq" if mode in ("1tcq", "deductive") else "cq",
+            )
         if witness is None:
             report["witness"] = None
             report["witness_verified"] = None

@@ -9,11 +9,33 @@ conjunctive queries, rooted tree queries with one answer variable
 quantifies over inconsistent ABoxes, conservative extensions, and
 mutual inseparability.
 
-Two independent routes exist on purpose: the automata pipeline (label
-context, four-way intersection, emptiness) decides the problem, and
-``oracle_witness_search`` enumerates small concrete counterexamples by
-brute force.  The oracle is sound for non-entailment and deliberately
-incomplete; the test suite keeps both routes honest against each other.
+Every decision runs its checks in one order, and the first that
+settles the problem ends it:
+
+1. the prechecks: in ``cq-incons`` universality first
+   (``decide_universal``, "entails"), then role inclusions
+   (``check_ri``), and in ``deductive`` functionality; a failed role or
+   functionality check is "does not entail";
+2. ``tbox_entails``: T1 ⊨ T2 is "entails" in every mode;
+3. the witness-first search: tree ABoxes of at most
+   ``SEARCH_BOUNDS[0]`` individuals and queries of at most
+   ``SEARCH_BOUNDS[1]`` variables, of the kind the mode's pipeline
+   refutes (CQs, or rooted tree queries for ``1tcq`` and
+   ``deductive``), and in ``cq-incons`` and ``deductive`` also ABoxes
+   consistent with T1 and inconsistent with T2.  It stops after
+   ``SEARCH_CAP`` ABoxes and questions, and ``Decision.stats`` records
+   ``{"asked": n, "capped": bool}`` under ``search``.  A witness it
+   finds is replayed, and the decision is "does not entail" with
+   ``"settled_by": "witness_search"``;
+4. the automata pipeline (label context, four-way intersection,
+   emptiness), and for ``cq-incons`` and ``deductive`` the bot-free
+   pipeline that compares inconsistent ABoxes, with ``"settled_by":
+   "pipeline"``.
+
+The search is the per-ABox loop of ``oracle_witness_search``, the
+unbounded brute-force route the ``oracle`` command runs.  Both are
+sound for non-entailment and deliberately incomplete; the test suite
+keeps them and the pipeline honest against each other.
 """
 
 from __future__ import annotations
@@ -85,11 +107,13 @@ def make_problem(
 @dataclass
 class Witness:
     """A concrete refutation of entailment: the query has the given
-    answer over the ABox under the second TBox but not under the first."""
+    answer over the ABox under the second TBox but not under the first.
+    An inconsistency witness has no query (and no answer): the ABox is
+    consistent with the first TBox and inconsistent with the second."""
 
     abox: ABox
-    query: CQ
-    answer: tuple
+    query: CQ | None
+    answer: tuple = ()
 
     def to_json_obj(self):
         return {
@@ -97,7 +121,7 @@ class Witness:
                 [f"{a}({x})" for a, x in self.abox.concept_assertions]
                 + [f"{r}({x},{y})" for r, x, y in self.abox.role_assertions]
             ),
-            "query": cq_to_text(self.query),
+            "query": None if self.query is None else cq_to_text(self.query),
             "answer": list(self.answer),
         }
 
@@ -108,6 +132,8 @@ def verify_witness(t1: NormalTBox, t2: NormalTBox, w: Witness) -> bool:
     if not m1.consistent:
         return False
     m2 = models.UniversalModel(t2, w.abox)
+    if w.query is None:
+        return not m2.consistent
     if not m2.consistent:
         return False
     if not is_certain_answer(m2, w.query, w.answer):
@@ -293,20 +319,45 @@ def _run_pipeline(t1, t2, sigA, sigQ, sim):
     return res.empty, res.certificate, stats
 
 
+#: the witness-first search's bounds: ABox individuals, query variables
+SEARCH_BOUNDS = (2, 2)
+#: the ABoxes and membership questions the search asks at most before
+#: it leaves the problem to the pipeline; a count, so that where the
+#: search stops does not depend on the machine's speed
+SEARCH_CAP = 20_000
+
+
 def _decide_queries(
-    p: Problem, mode: str, sim: bool, precheck: dict
+    p: Problem, mode: str, sim: bool, precheck: dict, incons: bool = False
 ) -> Decision:
     """The decision all query modes share, given their prechecks: CQs,
     or with ``sim`` rooted tree queries, whose A4 condition is a
-    simulation instead of a homomorphism."""
+    simulation instead of a homomorphism; with ``incons``, it also
+    compares the ABoxes inconsistent with the second TBox.  The checks
+    run in the order of the module docstring."""
     if not precheck["ri"]:
         return Decision(mode, False, precheck)
     if tbox_entails(p.t1, p.t2):
-        # certain answers are monotone in the TBox, so T1 ⊨ T2 settles
-        # the question
-        return Decision(mode, True, precheck, stats={"subset": True})
+        # certain answers and inconsistency are monotone in the TBox, so
+        # T1 ⊨ T2 settles the question
+        stats = {"subset": True}
+        if incons:
+            stats["incons"] = True
+        return Decision(mode, True, precheck, stats=stats)
+    w, asked, capped = _scan_witnesses(
+        p.t1, p.t2, p.sigA, p.sigQ, *SEARCH_BOUNDS,
+        mode="1tcq" if sim else "cq", incons=incons, cap=SEARCH_CAP,
+    )
+    search = {"asked": asked, "capped": capped}
+    if w is not None:
+        stats = {"search": search, "settled_by": "witness_search"}
+        if w.query is None:
+            stats["incons"] = False
+        return Decision(mode, False, precheck, witness=w, stats=stats)
     entails, cert, stats = _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim)
-    return Decision(mode, entails, precheck, certificate=cert, stats=stats)
+    d = Decision(mode, entails, precheck, certificate=cert,
+                 stats={**stats, "search": search, "settled_by": "pipeline"})
+    return _with_incons(p, d) if incons else d
 
 
 def decide_cq_entailment(p: Problem) -> Decision:
@@ -407,16 +458,13 @@ def decide_incons_entailment(t1: NormalTBox, t2: NormalTBox, sigA: Signature):
 
 
 def _with_incons(p: Problem, d: Decision) -> Decision:
-    """Strengthen an entailing decision of a mode that also compares
-    inconsistent ABoxes: it holds only if every ABox inconsistent with
-    the second TBox is inconsistent with the first.  T1 ⊨ T2 settles
-    that as it settled the query entailment.  The bot-free pipeline's
-    stats go under ``incons_pipeline``, and its certificate, when it
-    refutes, becomes the decision's."""
+    """Strengthen an entailing pipeline decision of a mode that also
+    compares inconsistent ABoxes: it holds only if every ABox
+    inconsistent with the second TBox is inconsistent with the first.
+    The bot-free pipeline's stats go under ``incons_pipeline``, and its
+    certificate, when it refutes, becomes the decision's."""
     if not d.entails:
         return d
-    if d.stats.get("subset", False):
-        return replace(d, stats={**d.stats, "incons": True})
     incons, cert, pipeline = decide_incons_entailment(p.t1, p.t2, p.sigA)
     stats = {**d.stats, "incons": incons}
     if pipeline:
@@ -427,7 +475,8 @@ def _with_incons(p: Problem, d: Decision) -> Decision:
 def decide_cq_entailment_incons(p: Problem) -> Decision:
     if decide_universal(p.t1, p.sigA, p.sigQ):
         return Decision("cq-incons", True, {"ri": None}, stats={"universal": True})
-    return _with_incons(p, replace(decide_cq_entailment(p), mode="cq-incons"))
+    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
+    return _decide_queries(p, "cq-incons", False, {"ri": ri}, incons=True)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +507,7 @@ def decide_deductive(p: Problem) -> Decision:
                     "deductive", False, precheck,
                     stats={"functionality": str(r)},
                 )
-    return _with_incons(p, _decide_queries(p, "deductive", True, precheck))
+    return _decide_queries(p, "deductive", True, precheck, incons=True)
 
 
 def _raw_subset(t1: TBox, t2: TBox) -> bool:
@@ -610,22 +659,42 @@ def oracle_witness_search(
     within the bounds, after an exhaustive search of them, or that
     ``tbox_entails`` proved T1 ⊨ T2, so no witness exists at any bound.
     A time limit is the caller's, and interrupts the search with an
-    exception (the command line raises ``ResourceLimitError``).  Each
-    ABox is chased once per TBox.  A candidate's answer holds under the
-    second TBox by construction (the identity map is a match), so each
-    candidate is one membership question (``is_certain_answer``) asked
-    of the first TBox's model, and ``verify_witness`` replays the one
-    returned.  Candidates come in an order fixed by ``stable_key``: the
-    roots of the window, and below each its connected substructures,
-    enumerated as the questions are asked."""
+    exception (the command line raises ``ResourceLimitError``)."""
     if tbox_entails(t1, t2):
         return None
+    return _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode)[0]
+
+
+def _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode,
+                    incons=False, cap=None):
+    """The per-ABox loop of both witness searches.  Each ABox of
+    ``enumerate_tree_aboxes`` is chased once per TBox.  One consistent
+    with T1 and inconsistent with T2 is, with ``incons``, a witness of
+    its own.  A candidate query's answer holds under the second TBox by
+    construction (the identity map is a match), so each candidate is
+    one membership question (``is_certain_answer``) asked of the first
+    TBox's model, and ``verify_witness`` replays the one returned.
+    Candidates come in an order fixed by ``stable_key``: the roots of
+    the window, and below each its connected substructures, enumerated
+    as the questions are asked.
+
+    Returns (witness or None, asked, capped): ``asked`` counts the
+    ABoxes chased and the questions asked, and the scan stops, capped,
+    before it would ask more than ``cap`` of them."""
+    asked = 0
     for abox in enumerate_tree_aboxes(sigA, max_ind):
+        if asked == cap:
+            return None, asked, True
+        asked += 1
         m1 = models.UniversalModel(t1, abox)
         if not m1.consistent:
             continue
         m2 = models.UniversalModel(t2, abox)
         if not m2.consistent:
+            if incons:
+                w = Witness(abox, None)
+                if verify_witness(t1, t2, w):
+                    return w, asked, False
             continue
         window = _sigma_reduct(m2.window(max_vars), sigQ)
         tried = set()
@@ -638,9 +707,12 @@ def oracle_witness_search(
                     if key in tried:
                         continue
                     tried.add(key)
+                    if asked == cap:
+                        return None, asked, True
+                    asked += 1
                     if is_certain_answer(m1, q, ans):
                         continue
                     w = Witness(abox, q, ans)
                     if verify_witness(t1, t2, w):
-                        return w
-    return None
+                        return w, asked, False
+    return None, asked, False

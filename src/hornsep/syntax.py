@@ -47,13 +47,53 @@ class ResourceLimitError(HornsepError):
 # roles and concepts
 
 
-@dataclass(frozen=True, order=True)
 class Role:
-    name: str
-    inverted: bool = False
+    """A role name, or its inverse.  Roles are interned: one immutable
+    object per (name, inverted), so equality is identity, and its hash,
+    the pair's, is computed once; every table keyed on roles pays no
+    Python-level comparison.  Roles sort by (name, inverted)."""
+
+    __slots__ = ("name", "inverted", "_key", "_hash")
+    _interned: dict = {}
+
+    def __new__(cls, name: str, inverted: bool = False):
+        role = cls._interned.get((name, inverted))
+        if role is None:
+            role = object.__new__(cls)
+            key = (name, inverted)
+            object.__setattr__(role, "name", name)
+            object.__setattr__(role, "inverted", inverted)
+            object.__setattr__(role, "_key", key)
+            object.__setattr__(role, "_hash", hash(key))
+            cls._interned[key] = role
+        return role
+
+    def __setattr__(self, _name, _value):
+        raise AttributeError("Role is immutable")
+
+    def __reduce__(self):
+        return Role, self._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Role") -> bool:
+        return self._key < other._key
+
+    def __le__(self, other: "Role") -> bool:
+        return self._key <= other._key
+
+    def __gt__(self, other: "Role") -> bool:
+        return self._key > other._key
+
+    def __ge__(self, other: "Role") -> bool:
+        return self._key >= other._key
 
     def inverse(self) -> "Role":
         return Role(self.name, not self.inverted)
+
+    def __repr__(self) -> str:
+        return f"Role(name={self.name!r}, inverted={self.inverted!r})"
 
     def __str__(self) -> str:
         return f"inv({self.name})" if self.inverted else self.name

@@ -172,17 +172,47 @@ def model_satisfies(m: FiniteModel, ntbox) -> bool:
     return True
 
 
+# One model list per (names, size), and for each raw axiom the set of
+# those models that satisfy it, as an int whose bit i stands for model
+# i.  A TBox's models are the AND of its axioms' sets, so an axiom that
+# many random TBoxes share is checked on every model once.
+_MODELS = {}
+_AXIOM_MODELS = {}
+
+
+def _raw_axioms(tbox):
+    """Each axiom of a parsed TBox as a one-axiom TBox."""
+    yield from (TBox(cis=[ci]) for ci in tbox.cis)
+    yield from (TBox(ris=[ri]) for ri in tbox.ris)
+    yield from (TBox(fas={f}) for f in sorted(tbox.fas))
+
+
+def satisfying_models(tbox, concepts, role_names, max_size):
+    """The models of ``finite_models(concepts, role_names, max_size)``, in
+    its order, that satisfy the parsed TBox (``model_satisfies_raw``)."""
+    key = (tuple(sorted(concepts)), tuple(sorted(role_names)), max_size)
+    if key not in _MODELS:
+        _MODELS[key] = list(finite_models(*key))
+    models = _MODELS[key]
+    bits = (1 << len(models)) - 1
+    for axiom in _raw_axioms(tbox):
+        akey = (key, tuple(axiom.cis), tuple(axiom.ris), tuple(axiom.fas))
+        if akey not in _AXIOM_MODELS:
+            held = "".join("1" if model_satisfies_raw(m, axiom) else "0"
+                           for m in reversed(models))
+            _AXIOM_MODELS[akey] = int(held, 2)
+        bits &= _AXIOM_MODELS[akey]
+    held = bin(bits)[2:].zfill(len(models))[::-1]
+    return [m for m, b in zip(models, held) if b == "1"]
+
+
 class BruteForceReasoner:
     """Subsumption by exhaustive search over bounded finite models of a
     parsed (unnormalized) TBox; fresh names never enter the picture, so
     this is a route fully independent of the normalizer."""
 
     def __init__(self, tbox, concepts, role_names, max_size=3):
-        self.models = [
-            m
-            for m in finite_models(concepts, role_names, max_size)
-            if model_satisfies_raw(m, tbox)
-        ]
+        self.models = satisfying_models(tbox, concepts, role_names, max_size)
 
     def subsumes(self, t, a: str) -> bool:
         t = frozenset(t)

@@ -59,9 +59,12 @@ from hornsep.automata import (
     _solve_cobuchi,
 )
 from hornsep.entailment import (
+    _run_pipeline,
     build_pipeline,
     decide_cq_entailment,
     oracle_witness_search,
+    tbox_entails,
+    verify_witness,
 )
 from hornsep.models import stable_key
 from hornsep.reasoner import index_for
@@ -72,6 +75,13 @@ from test_decision_golden import FIXTURES, GOLDEN, _certificates, _decide
 def toy(name, rules, init, pri, labels, root_labels=None):
     rr = {q: StateRule(lambda l: l, body) for q, body in rules.items()}
     return TwoWayAutomaton(name, init, pri, rr, labels, root_labels)
+
+
+def pipeline(p):
+    """The automata pipeline's (entails, certificate, stats) on the cq
+    problem p, which the decision's witness-first search may settle
+    before the pipeline runs."""
+    return _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, False)
 
 
 LABS = ["a", "b"]
@@ -392,7 +402,8 @@ def test_here_spawn_of_a_false_state_is_dead():
 def test_liveness_agrees_with_the_per_position_table(monkeypatch):
     """The liveness table shared by here-closure signature gives, on
     every call, what the per-position table gives: on the fixtures in
-    all modes, chain n=1..12 and criterion-6 draws 0-24."""
+    all modes, and on the pipelines of chain n=1..12 and of the
+    criterion-6 draws 0-24 that ``tbox_entails`` leaves open."""
     refs = weakref.WeakKeyDictionary()
     inner = _DemandSearch.live_assignments
     calls = 0
@@ -413,18 +424,20 @@ def test_liveness_agrees_with_the_per_position_table(monkeypatch):
         for case in GOLDEN:
             _decide(*case.split("/"))
         for n in range(1, 13):
-            decide_cq_entailment(chain_problem(n))
+            pipeline(chain_problem(n))
         for p in draws:
-            decide_cq_entailment(p)
+            if not tbox_entails(p.t1, p.t2):
+                pipeline(p)
     assert calls
 
 
 def test_eval_label_hands_its_liveness_lookups_to_close(monkeypatch):
     """``eval_label`` checks every copy with ``live_assignments`` and
     hands the results to ``_close`` as its starting ``asg_here``, so
-    ``_close`` looks none of them up again: on chain n=1..7 the lookups
-    fall from 5,357, with ``_close`` starting empty, to 4,370 or fewer,
-    and the decisions (their work included) stay the same."""
+    ``_close`` looks none of them up again: on the pipelines of chain
+    n=1..7 the lookups fall from 5,357, with ``_close`` starting empty,
+    to 4,370 or fewer, and the verdicts and stats (the work included)
+    stay the same."""
     inner_live = _DemandSearch.live_assignments
     inner_close = _DemandSearch._close
     calls = 0
@@ -442,8 +455,8 @@ def test_eval_label_hands_its_liveness_lookups_to_close(monkeypatch):
     def decide_chains():
         nonlocal calls
         calls = 0
-        return [decide_cq_entailment(chain_problem(n)).to_json()
-                for n in range(1, 8)], calls
+        runs = [pipeline(chain_problem(n)) for n in range(1, 8)]
+        return [(entails, stats) for entails, _cert, stats in runs], calls
 
     monkeypatch.setattr(_DemandSearch, "live_assignments", counted)
     handed, handed_calls = decide_chains()
@@ -993,11 +1006,11 @@ def test_chain_work_grows_at_most_two_and_a_half_times():
     """The emptiness work of the concept chain grows at most 2.5 times
     from length 7 to length 8, while the certificate stays at 2 nodes."""
     with within(30):
-        d7 = decide_cq_entailment(chain_problem(7))
-        d8 = decide_cq_entailment(chain_problem(8))
-    assert not d7.entails and not d8.entails
-    assert d8.stats["certificate_nodes"] == 2
-    assert d8.stats["work"] <= 2.5 * d7.stats["work"]
+        entails7, _cert, stats7 = pipeline(chain_problem(7))
+        entails8, _cert, stats8 = pipeline(chain_problem(8))
+    assert not entails7 and not entails8
+    assert stats8["certificate_nodes"] == 2
+    assert stats8["work"] <= 2.5 * stats7["work"]
 
 
 def test_chain_of_ten_decides():
@@ -1006,21 +1019,21 @@ def test_chain_of_ten_decides():
     the single names, and the emptiness search skips the label classes
     on which a copy is dead."""
     with within(30):
-        d = decide_cq_entailment(chain_problem(10))
-    assert not d.entails
-    assert d.stats["certificate_nodes"] == 2
+        entails, _cert, stats = pipeline(chain_problem(10))
+    assert not entails
+    assert stats["certificate_nodes"] == 2
 
 
 def test_chain_work_grows_at_most_two_point_one_times_up_to_twelve():
     """Chain n=10, 11 and 12 separate with a 2-node certificate, and the
     emptiness work grows at most 2.1 times per n."""
     with within(30):
-        ds = [decide_cq_entailment(chain_problem(n)) for n in (10, 11, 12)]
-    for d in ds:
-        assert not d.entails
-        assert d.stats["certificate_nodes"] == 2
-    for d, d_next in zip(ds, ds[1:]):
-        assert d_next.stats["work"] <= 2.1 * d.stats["work"]
+        ds = [pipeline(chain_problem(n)) for n in (10, 11, 12)]
+    for entails, _cert, stats in ds:
+        assert not entails
+        assert stats["certificate_nodes"] == 2
+    for (_e, _c, stats), (_e2, _c2, stats_next) in zip(ds, ds[1:]):
+        assert stats_next["work"] <= 2.1 * stats["work"]
 
 
 def _label_universes(p):
@@ -1066,21 +1079,21 @@ def test_thirteen_name_chain_separates_with_one_node():
     """13 concept names are no longer refused: the back axiom C12 sub C0
     is seen on a single C12 individual."""
     with within(10):
-        d = decide_cq_entailment(problem(
+        entails, _cert, stats = pipeline(problem(
             _CHAIN_12, _CHAIN_12 + "\nC12 sub C0",
             "concepts: C12\nroles:", "concepts: C0\nroles:",
         ))
-    assert not d.entails
-    assert d.stats["certificate_nodes"] == 1
+    assert not entails
+    assert stats["certificate_nodes"] == 1
 
 
 def test_thirteen_name_chain_entails_an_implied_axiom():
     with within(10):
-        d = decide_cq_entailment(problem(
+        entails, _cert, _stats = pipeline(problem(
             _CHAIN_12, _CHAIN_12 + "\nC11 sub C0",
             "concepts: C0\nroles:", "concepts: C12\nroles:",
         ))
-    assert d.entails
+    assert entails
 
 
 def test_chain_of_twelve_entails_without_query_roles():
@@ -1109,21 +1122,27 @@ def test_role_inclusion_chain_decides_at_once():
     p = problem(t1, t1 + "\nA sub some r0 B",
                 "concepts: A\nroles: r0", "concepts: B\nroles: r0")
     with within(2):
-        d = decide_cq_entailment(p)
-    assert not d.entails
-    assert d.stats["labels"] == 704
+        entails, _cert, stats = pipeline(p)
+    assert not entails
+    assert stats["labels"] == 704
 
 
 def test_too_many_closed_sets_are_refused_at_once():
     """Ten unrelated pairs ``Ai sub Bi`` have 3^10 closed sets; the
-    enumeration stops once they pass the label alphabet bound instead of
-    listing them."""
+    label context stops once they pass the label alphabet bound instead
+    of listing them.  The decision never builds it: the witness-first
+    search finds the ABox A00(a0), on which T2 has an anonymous B01
+    element and T1 none."""
     t1 = "\n".join(f"A{i} sub B{i}" for i in range(10))
     p = problem(t1, t1 + "\nA00 sub some r B01",
                 "concepts: A00\nroles: r", "concepts: B01\nroles: r")
     with within(2):
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            decide_cq_entailment(p)
+            build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
+    with within(2):
+        d = decide_cq_entailment(p)
+    assert not d.entails and d.stats["settled_by"] == "witness_search"
+    assert verify_witness(p.t1, p.t2, d.witness)
 
 
 def _check_label_constraints(p):

@@ -8,7 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from hornsep import cli
+from hornsep import cli, entailment
 from hornsep.syntax import HornsepError, ResourceLimitError
 from hornsep.cli import main
 
@@ -57,6 +57,8 @@ def test_check_json_output(runner):
 
 
 def test_check_verify_witness(runner):
+    """A verdict that carries a witness replays that witness; the
+    oracle's bounds play no part."""
     res = invoke(
         runner, "check", "--json", "--verify-witness",
         "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
@@ -65,11 +67,36 @@ def test_check_verify_witness(runner):
     obj = json.loads(res.output)
     assert obj["witness_verified"] is True
     assert "adv(a0,a1)" in obj["witness"]["abox"]
+    plain = json.loads(invoke(runner, "check", "--json", *ADVISOR).output)
+    assert obj["witness"] == plain["witness"]
+    assert obj["stats"]["settled_by"] == "witness_search"
+
+
+def test_check_verify_witness_searches_only_without_a_witness(runner,
+                                                              tmp_path):
+    """A verdict without a witness, here ``deductive``'s functionality
+    check, runs the oracle at the ``--oracle-max-*`` bounds.  ``func(r)``
+    changes no answer over a consistent ABox, so it finds none."""
+    t1 = tmp_path / "t1.tbox"
+    t1.write_text("")
+    t2 = tmp_path / "t2.tbox"
+    t2.write_text("func(r)\n")
+    sig = tmp_path / "sig"
+    sig.write_text("concepts: A\nroles: r\n")
+    res = invoke(
+        runner, "check", "--json", "--mode", "deductive", "--verify-witness",
+        "--t1", str(t1), "--t2", str(t2),
+        "--sigma-a", str(sig), "--sigma-q", str(sig),
+    )
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"] == {"functionality": "r"}
+    assert obj["witness"] is None and obj["witness_verified"] is None
 
 
 def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
-    """An inseparability verdict that fails backward is searched and
-    replayed on the swapped problem, where the witness lives."""
+    """An inseparability verdict that fails backward carries a witness
+    of the swapped problem, and it is replayed there."""
     t1 = tmp_path / "t1.tbox"
     t1.write_text("A sub some r B\n")
     t2 = tmp_path / "t2.tbox"
@@ -231,9 +258,13 @@ ORACLE = "hornsep.entailment.oracle_witness_search"
 ])
 def test_exceptions_map_to_exit_codes_in_every_command(
         runner, monkeypatch, target, exc, args, code):
+    """The witness-first search is capped at 0 questions, so ``check``
+    leaves the advisor fixture to the pipeline, whose verdict carries no
+    witness, and ``--verify-witness`` runs the oracle."""
     def fail(*_args, **_kwargs):
         raise exc
 
+    monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
     monkeypatch.setattr(target, fail)
     res = invoke(runner, *args, *ADVISOR)
     assert res.exit_code == code
@@ -270,7 +301,10 @@ def test_automaton_dump_matches_golden(runner):
 def test_check_resource_limit_exit_thirteen(runner, tmp_path):
     """Ten unrelated pairs ``Ai sub Bi`` give more closed concept sets
     than the label alphabet bound admits, which is a resource limit, not
-    an internal error."""
+    an internal error: ``automaton`` exits 13.  ``check`` never builds
+    the alphabet: its witness-first search finds the ABox A00(a0), on
+    which T2 has an anonymous B01 element and T1 none, so it exits 1
+    with that witness."""
     t1_text = "\n".join(f"A{i} sub B{i}" for i in range(10))
     t1 = tmp_path / "t1.tbox"
     t1.write_text(t1_text + "\n")
@@ -282,10 +316,16 @@ def test_check_resource_limit_exit_thirteen(runner, tmp_path):
     sq.write_text("concepts: B01\nroles: r\n")
     args = ["--t1", str(t1), "--t2", str(t2),
             "--sigma-a", str(sa), "--sigma-q", str(sq)]
-    for command in ("check", "automaton"):
-        res = invoke(runner, command, *args)
-        assert res.exit_code == 13, command
-        assert "label alphabet estimate exceeds cap 120000" in res.output
+    res = invoke(runner, "automaton", *args)
+    assert res.exit_code == 13
+    assert "label alphabet estimate exceeds cap 120000" in res.output
+    res = invoke(runner, "check", "--json", "--verify-witness", *args)
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"]["settled_by"] == "witness_search"
+    assert obj["witness_verified"] is True
+    assert obj["witness"]["abox"] == ["A00(a0)"]
+    assert obj["witness"]["query"] == "q() <- B01(x0)"
 
 
 def _run_cli(args, seed):
@@ -343,12 +383,21 @@ def test_oracle_time_limit_exit_thirteen(tmp_path):
 def test_json_output_identical_across_hash_seeds(tmp_path):
     """Identical inputs must give byte-identical JSON regardless of the
     interpreter's hash randomization, for every command that prints
-    JSON."""
+    JSON, and for ``check`` with a query witness (the advisor fixture)
+    and with an inconsistency witness (T2 ``some r A sub bot``)."""
     abox = tmp_path / "a.abox"
     abox.write_text("PhDStud(a0)\nadv(a0,a1)\nPhDStud(a1)\n")
+    t1, t2, sig = tmp_path / "t1.tbox", tmp_path / "t2.tbox", tmp_path / "s"
+    t1.write_text("")
+    t2.write_text("some r A sub bot\n")
+    sig.write_text("concepts: A B\nroles: r\n")
+    bot = ["--t1", str(t1), "--t2", str(t2), "--sigma-a", str(sig),
+           "--sigma-q", str(sig)]
     # (arguments, expected exit code)
     commands = [
         (["check", "--json", *ADVISOR], 1),
+        (["check", "--json", "--mode", "cq-incons", "--verify-witness", *bot],
+         1),
         (["oracle", "--json", "--max-abox", "2", "--max-cq", "1", *ADVISOR],
          1),
         (["materialize", "--tbox", str(DATA / "advisor_t2.tbox"),
@@ -357,8 +406,10 @@ def test_json_output_identical_across_hash_seeds(tmp_path):
     for args, code in commands:
         runs = [_run_cli(args, seed) for seed in (0, 4242)]
         assert all(r.returncode == code for r in runs), args[0]
-        json.loads(runs[0].stdout)
+        obj = json.loads(runs[0].stdout)
         assert runs[0].stdout == runs[1].stdout, args[0]
+        if args[0] == "check":  # both checks carry a witness
+            assert obj["witness"] is not None, args
 
 
 def test_dump_identical_across_hash_seeds(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import problem, within
 from helpers import (
     abox_tree_shaped,
+    chain_problem,
     criterion6_problem,
     finite_models,
     model_satisfies_raw,
@@ -39,14 +40,23 @@ from hornsep.entailment import (
 from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers, is_certain_answer
 from hornsep.syntax import ABox, ProfileError, Signature, cq_to_text
+from test_decision_golden import FIXTURES, MODES
 
 
 def test_advisor_cq_not_entailed(advisor_problem):
-    d = decide_cq_entailment(advisor_problem)
+    """The witness-first search settles the advisor fixture with a
+    witness that replays; the pipeline, run directly, refutes it too,
+    with a certificate."""
+    p = advisor_problem
+    d = decide_cq_entailment(p)
     assert d.mode == "cq"
     assert not d.entails
     assert d.precheck == {"ri": True}
-    assert d.certificate is not None
+    assert d.stats["settled_by"] == "witness_search"
+    assert verify_witness(p.t1, p.t2, d.witness)
+    entails, cert, _stats = entailment._run_pipeline(
+        p.t1, p.t2, p.sigA, p.sigQ, False)
+    assert not entails and cert is not None
 
 
 def test_advisor_oracle_finds_replayable_witness(advisor_problem):
@@ -76,20 +86,20 @@ def test_disjointness_entailed_but_not_under_incons(disjointness_problem):
 
 
 def test_incons_keeps_the_bot_free_pipeline_evidence(disjointness_problem):
-    """The bot-free pipeline that refutes leaves its stats under
-    ``incons_pipeline`` and its certificate, which the bot-free product
-    accepts, on the decision.  T1 ⊨ T2 runs no pipeline and adds no
-    key."""
+    """The bot-free pipeline that refutes returns its stats and its
+    certificate, which the bot-free product accepts.  T1 ⊨ T2 runs no
+    pipeline and adds no key to the decision."""
     p = disjointness_problem
-    d = decide_cq_entailment_incons(p)
-    assert not d.entails
-    assert d.stats["incons_pipeline"]["certificate_nodes"] == 1
+    entails, cert, stats = entailment.decide_incons_entailment(
+        p.t1, p.t2, p.sigA)
+    assert not entails
+    assert stats["certificate_nodes"] == 1
     fresh = entailment._fresh_concept(p.t1, p.t2)
     _ctx, prod = build_pipeline(
         entailment._bot_free(p.t1, fresh), entailment._bot_free(p.t2, fresh),
         p.sigA, Signature(concepts=frozenset([fresh])),
     )
-    assert run_on_regular_tree(prod, d.certificate)
+    assert run_on_regular_tree(prod, cert)
     same = problem("A1 and A2 sub bot", "A1 and A2 sub bot",
                    "concepts: A1 A2\nroles:", "concepts: A1 A2\nroles:")
     d = decide_cq_entailment_incons(same)
@@ -462,12 +472,13 @@ def test_budgeted_pass_certificate_replays(draw):
     rng = random.Random(601)
     for _ in range(draw + 1):
         _t1, _t2, p = criterion6_problem(rng)
-    d = decide_cq_entailment(p)
-    assert not d.entails
-    assert d.stats["spurious_relaxed_plan"]
-    assert d.stats["certificate_nodes"] == 4
+    entails, cert, stats = entailment._run_pipeline(
+        p.t1, p.t2, p.sigA, p.sigQ, False)
+    assert not entails
+    assert stats["spurious_relaxed_plan"]
+    assert stats["certificate_nodes"] == 4
     _ctx, prod = build_pipeline(p.t1, p.t2, p.sigA, p.sigQ)
-    assert run_on_regular_tree(prod, d.certificate)
+    assert run_on_regular_tree(prod, cert)
 
 
 def test_enumerate_tree_aboxes_bounds():
@@ -495,7 +506,114 @@ def test_canonical_abox_key_keeps_a_long_path_connected():
 
 
 def test_decision_json_shape(advisor_problem):
+    """A decision the witness-first search settles prints its witness
+    and the search's counts; one the pipeline settles prints no
+    witness, and the search's counts beside the pipeline's stats."""
     d = decide_cq_entailment(advisor_problem)
     obj = d.to_json_obj()
     assert set(obj) == {"mode", "entails", "precheck", "witness", "stats"}
-    assert obj["witness"] is None
+    assert set(obj["witness"]) == {"abox", "query", "answer"}
+    assert obj["stats"] == {"search": {"asked": 6, "capped": False},
+                            "settled_by": "witness_search"}
+    p = problem("", "A1 and A2 sub bot", "concepts: A1 A2\nroles:",
+                "concepts: A1 A2\nroles:")
+    obj = decide_cq_entailment(p).to_json_obj()
+    assert obj["entails"] and obj["witness"] is None
+    assert obj["stats"]["settled_by"] == "pipeline"
+    assert obj["stats"]["search"] == {"asked": 7, "capped": False}
+    assert obj["stats"]["work"] > 0
+
+
+def _witness_first_corpus():
+    """(case, problem, decision) for the fixtures in every mode that
+    accepts them, chain n=1..12 in ``cq`` and the seed-601 criterion-6
+    draws in ``cq``, ``1tcq`` and ``cq-incons``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for fixture, texts in FIXTURES.items():
+            for mode, name in MODES.items():
+                p = problem(*texts)
+                try:
+                    d = getattr(entailment, name)(p)
+                except PreconditionError:
+                    continue
+                yield f"{fixture}/{mode}", p, d
+    for n in range(1, 13):
+        p = chain_problem(n)
+        yield f"chain/{n}", p, decide_cq_entailment(p)
+    draws = _criterion6_draws()
+    for mode in ("cq", "1tcq", "cq-incons"):
+        for i, p in enumerate(draws):
+            yield f"c6/{i:03d}/{mode}", p, getattr(entailment, MODES[mode])(p)
+
+
+def test_every_witness_first_verdict_carries_a_replaying_witness():
+    """Every decision the witness-first search settles is "does not
+    entail" with a witness that ``verify_witness`` replays (on the
+    swapped problem for a backward ``inseparable`` verdict), and every
+    other decision has no witness.  The verdicts are the pipeline's:
+    the chains separate, and a criterion-6 draw entails in each mode
+    exactly when ``tbox_entails`` proves T1 ⊨ T2."""
+    settled = {}
+    with within(20):
+        for case, p, d in _witness_first_corpus():
+            kind = case.split("/")[0]
+            if kind == "chain":
+                assert not d.entails, case
+            if kind == "c6":
+                assert d.entails == entailment.tbox_entails(p.t1, p.t2), case
+            if d.stats.get("settled_by") != "witness_search":
+                assert d.witness is None, case
+                continue
+            settled[kind] = settled.get(kind, 0) + 1
+            assert not d.entails, case
+            assert d.stats["search"]["capped"] is False, case
+            if d.stats.get("direction") == "backward":
+                p = p.swapped()
+            assert verify_witness(p.t1, p.t2, d.witness), case
+    assert settled == {"advisor": 5, "deductive_bot": 2, "deductive_exists": 4,
+                       "disjointness": 2, "chain": 12, "c6": 251}
+
+
+@pytest.mark.parametrize("concepts", ["A", "A B"])
+@pytest.mark.parametrize("mode", ["cq-incons", "deductive"])
+def test_bot_axiom_decides_with_an_inconsistency_witness(concepts, mode):
+    """T2's ``some r A sub bot`` makes the ABox r(a0, a1), A(a1)
+    inconsistent, which T1 (empty) is not: the witness-first search
+    finds that ABox before any pipeline runs."""
+    sig = f"concepts: {concepts}\nroles: r"
+    p = problem("", "some r A sub bot", sig, sig)
+    with within(1):
+        d = getattr(entailment, MODES[mode])(p)
+    assert not d.entails
+    assert d.stats["settled_by"] == "witness_search"
+    assert d.stats["incons"] is False
+    assert d.witness.query is None
+    assert d.witness.to_json_obj() == {
+        "abox": ["A(a1)", "r(a0,a1)"], "query": None, "answer": []}
+    assert verify_witness(p.t1, p.t2, d.witness)
+    assert not verify_witness(p.t2, p.t1, d.witness)
+
+
+@pytest.mark.parametrize("fixture, mode", [
+    ("advisor", "cq"), ("disjointness", "cq"), ("disjointness", "cq-incons"),
+])
+def test_a_capped_search_keeps_the_pipeline_verdict(fixture, mode,
+                                                     monkeypatch):
+    """With the cap at 2, a search that asks more stops there, says so
+    in its stats, and leaves the verdict to the pipelines, which give
+    the same verdict as the uncapped decision, with no witness.  The
+    cap is lowered here because the fixtures' searches ask at most 7
+    questions, far below ``SEARCH_CAP``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = problem(*FIXTURES[fixture])
+    decide = getattr(entailment, MODES[mode])
+    want = decide(p).entails
+    monkeypatch.setattr(entailment, "SEARCH_CAP", 2)
+    d = decide(p)
+    assert d.stats["search"] == {"asked": 2, "capped": True}
+    assert d.stats["settled_by"] == "pipeline"
+    assert d.witness is None
+    assert d.entails == want
+    assert d.entails or d.certificate is not None

@@ -12,6 +12,8 @@ from helpers import (
     chain_problem,
     chase_by_scan,
     criterion6_problem,
+    finite_models,
+    model_satisfies_raw,
     random_abox,
     random_horn_tbox_text,
     random_tbox_text,
@@ -354,3 +356,43 @@ def test_saturation_matches_model_enumeration_with_func_and_inverses():
                         want = brute.subsumes(seed_set, goal)
                         assert got == want, (text, sorted(seed_set), goal)
     assert queries > 150, queries
+
+
+def _brute_force_texts():
+    """The TBox texts the ``BruteForceReasoner`` tests draw, with their
+    seeds and counts: ``test_subsumption_matches_model_enumeration``,
+    ``test_saturation_matches_model_enumeration_with_func_and_inverses``
+    and criterion 8, whose draws of seeds and goals are replayed."""
+    rng = random.Random(20)
+    texts = [random_tbox_text(rng, ["A", "B"], ["r"], 3) for _ in range(12)]
+    texts += [text for seed in (1, 2)
+              for text, _t in _horn_draws(seed, 30, ["A", "B"], ["r"], 4)]
+    rng = random.Random(801)
+    queries = 0
+    while queries < 500:
+        texts.append(random_tbox_text(rng, ["A", "B"], ["r"], 3))
+        for _ in range(10):
+            rng.sample(["A", "B"], rng.randint(1, 2))
+            rng.choice(["A", "B"])
+            queries += 1
+    return texts
+
+
+def test_cached_models_are_the_models_of_each_tbox():
+    """``BruteForceReasoner`` ANDs cached per-axiom model sets; the models
+    it keeps are exactly those of ``finite_models`` that satisfy the TBox
+    as a whole, in the same order.  Checked for every TBox the
+    brute-force tests draw over the models of at most 2 elements, and for
+    the three with the most axioms over those of at most 3."""
+    texts = _brute_force_texts()
+    assert len(texts) == 122
+    by_size = sorted(texts, key=lambda t: -len(parse_tbox(t).cis))
+    cases = [(t, 2) for t in texts] + [(t, 3) for t in by_size[:3]]
+    for text, size in cases:
+        raw = parse_tbox(text)
+        want = [m for m in finite_models({"A", "B"}, ["r"], size)
+                if model_satisfies_raw(m, raw)]
+        got = BruteForceReasoner(raw, {"A", "B"}, ["r"], size).models
+        assert [(m.size, m.labels, m.edges) for m in got] == [
+            (m.size, m.labels, m.edges) for m in want], (text, size)
+

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,26 @@ def test_role_inverse_involution():
     r = Role("adv")
     assert r.inverse().inverse() == r
     assert r.inverse() != r
+
+
+def test_roles_are_interned_and_keep_the_dataclass_behaviour():
+    """One object per (name, inverted): ``Role(...)``, ``inverse()``,
+    copies and pickles all return it.  Hash, order, ``str`` and ``repr``
+    are those of the frozen dataclass it replaced, so set orders and
+    printed output do not move."""
+    r = Role("adv")
+    assert Role("adv", False) is r and r.inverse().inverse() is r
+    assert copy.copy(r) is r and copy.deepcopy(r) is r
+    assert pickle.loads(pickle.dumps(r.inverse())) is r.inverse()
+    assert hash(r.inverse()) == hash(("adv", True))
+    assert sorted([Role("b"), Role("a", True), Role("a")]) == [
+        Role("a"), Role("a", True), Role("b")]
+    assert Role("a") <= Role("a") < Role("a", True) and Role("b") > Role("a")
+    assert str(r.inverse()) == "inv(adv)"
+    assert repr(r) == "Role(name='adv', inverted=False)"
+    assert r != "adv"
+    with pytest.raises(AttributeError):
+        r.name = "other"
 
 
 def test_functional_subrole_warning_follows_inclusion_chains():
