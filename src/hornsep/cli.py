@@ -237,7 +237,7 @@ def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
         if decision.stats.get("direction") == "backward":
             p = p.swapped()  # the verdict failed on (T2, T1)
         witness = decision.witness
-        if witness is None:  # a pipeline or precheck verdict
+        if witness is None:  # a pipeline verdict
             witness = entailment.oracle_witness_search(
                 p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
                 mode="1tcq" if mode in ("1tcq", "deductive") else "cq",

@@ -12,26 +12,28 @@ mutual inseparability.
 Every decision runs its checks in one order, and the first that
 settles the problem ends it:
 
-1. the prechecks: in ``cq-incons`` universality first
-   (``decide_universal``, "entails"), then role inclusions
-   (``check_ri``), and in ``deductive`` functionality; a failed role or
-   functionality check is "does not entail";
-2. ``tbox_entails``: T1 ⊨ T2 is "entails" in every mode;
-3. the witness-first search: tree ABoxes of at most
+1. in ``cq-incons``, universality (``decide_universal``, "entails");
+2. role inclusions (``check_ri``): a one-edge witness of T2 ⊨ R ⊑ S
+   and T1 ⊭ R ⊑ S, with ``"ri": false`` in the precheck;
+3. ``tbox_entails``: T1 ⊨ T2 is "entails" in every mode;
+4. the witness-first search: tree ABoxes of at most
    ``SEARCH_BOUNDS[0]`` individuals and queries of at most
    ``SEARCH_BOUNDS[1]`` variables, of the kind the mode's pipeline
    refutes (CQs, or rooted tree queries for ``1tcq`` and
    ``deductive``), and in ``cq-incons`` and ``deductive`` also ABoxes
    consistent with T1 and inconsistent with T2.  It stops after
    ``SEARCH_CAP`` ABoxes and questions, and ``Decision.stats`` records
-   ``{"asked": n, "capped": bool}`` under ``search``.  A witness it
-   finds is replayed, and the decision is "does not entail" with
-   ``"settled_by": "witness_search"``;
-4. the automata pipeline (label context, four-way intersection,
+   ``{"asked": n, "capped": bool}`` under ``search``, with
+   ``"settled_by": "witness_search"`` when it finds a witness;
+5. in ``cq-incons`` and ``deductive``, the forks (``_fork_witness``),
+   which the search's two individuals cannot hold;
+6. the automata pipeline (label context, four-way intersection,
    emptiness), and for ``cq-incons`` and ``deductive`` the bot-free
    pipeline that compares inconsistent ABoxes, with ``"settled_by":
    "pipeline"``.
 
+Steps 2, 4 and 5 say "does not entail" only with a witness that
+``verify_witness`` replayed, and name themselves in ``"settled_by"``.
 The search is the per-ABox loop of ``oracle_witness_search``, the
 unbounded brute-force route the ``oracle`` command runs.  Both are
 sound for non-entailment and deliberately incomplete; the test suite
@@ -168,17 +170,25 @@ class Decision:
 
 def check_ri(
     t1: NormalTBox, t2: NormalTBox, sigA: Signature, sigQ: Signature
-) -> bool:
-    """No role inclusion over the signatures separates the TBoxes: any
-    ABox-role into query-role inclusion the second TBox entails, the
-    first entails too."""
+) -> Witness | None:
+    """The witness of a role inclusion from an ABox role R into a query
+    role S that separates the TBoxes, or None: the ABox R(a0, a1), the
+    query ``q(x0, x1) <- S(x0, x1)`` and the answer (a0, a1).  Horn-ALCHIF
+    derives role assertions between individuals only through role
+    inclusions, so a pair separates exactly when this one edge does; an
+    edge inconsistent with either TBox leaves every ABox with an R-edge
+    out of the comparison.  ``role_subsumes`` filters the pairs first."""
     idx1 = index_for(t1)
     idx2 = index_for(t2)
     for r in sorted(sigA.role_objects()):
         for s in sorted(sigQ.role_objects()):
             if idx2.role_subsumes(r, s) and not idx1.role_subsumes(r, s):
-                return False
-    return True
+                q = CQ(("x0", "x1"))
+                _tree_query(Exists(s, Top()), "x0", q)
+                w = Witness(_successors(r), q, ("a0", "a1"))
+                if verify_witness(t1, t2, w):
+                    return w
+    return None
 
 
 def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
@@ -188,10 +198,12 @@ def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
     An axiom the first TBox holds verbatim is entailed.  Otherwise the
     left side becomes a tree ABox, chased under T1, and the right side
     is read off that universal model (``_holds``).  Role inclusions go
-    through ``role_subsumes``, and ``func(R)`` holds when R has a
-    functional superrole.  Any other shape answers False, which means
-    "unknown".  The chases run on a private copy of T1, so that the
-    names they bring in do not reach the index the pipeline reads."""
+    through ``role_subsumes``.  ``func(R)`` holds exactly when R's fork
+    R(a0, a1), R(a0, a2) is inconsistent with T1 under standard names,
+    since a model with two R-successors of one element unravels into a
+    model of the fork.  Any other shape answers False, "unknown".  The
+    chases run on a private copy of T1, so that the names they bring in
+    do not reach the index the pipeline reads."""
     raw = t2.source
     if raw is None or raw.concept_names() & set(t1.fresh):
         return False
@@ -199,7 +211,7 @@ def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
     idx = index_for(t1)
     if not all(idx.role_subsumes(r, s) for r, s in raw.ris):
         return False
-    if not all(idx.functional_superroles(f) for f in raw.fas):
+    if any(reasoner.chase(t1, _successors(f, f)).consistent for f in raw.fas):
         return False
     held = set(t1.source.cis) if t1.source is not None else set()
     fresh = _fresh_concept(t1, raw)
@@ -224,6 +236,15 @@ def _new_successor(abox: ABox, a: str, role: Role) -> str:
         (role.name, b, a) if role.inverted else (role.name, a, b)
     )
     return b
+
+
+def _successors(*roles: Role) -> ABox:
+    """One edge out of a0 per role, each to a new individual: a0 ... an.
+    The same role twice is its fork."""
+    abox = ABox()
+    for role in roles:
+        _new_successor(abox, "a0", role)
+    return abox
 
 
 def _assert_tree(c, a: str, abox: ABox) -> bool:
@@ -328,15 +349,19 @@ SEARCH_CAP = 20_000
 
 
 def _decide_queries(
-    p: Problem, mode: str, sim: bool, precheck: dict, incons: bool = False
+    p: Problem, mode: str, sim: bool, incons: bool = False, **precheck
 ) -> Decision:
-    """The decision all query modes share, given their prechecks: CQs,
-    or with ``sim`` rooted tree queries, whose A4 condition is a
-    simulation instead of a homomorphism; with ``incons``, it also
-    compares the ABoxes inconsistent with the second TBox.  The checks
-    run in the order of the module docstring."""
-    if not precheck["ri"]:
-        return Decision(mode, False, precheck)
+    """The decision all query modes share: CQs, or with ``sim`` rooted
+    tree queries, whose A4 condition is a simulation instead of a
+    homomorphism; with ``incons``, it also compares the ABoxes
+    inconsistent with the second TBox.  The checks run in the order of
+    the module docstring; ``precheck`` holds the mode's own, which
+    passed."""
+    w = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
+    precheck = {"ri": w is None, **precheck}
+    if w is not None:
+        return Decision(mode, False, precheck, witness=w,
+                        stats={"settled_by": "role_inclusion"})
     if tbox_entails(p.t1, p.t2):
         # certain answers and inconsistency are monotone in the TBox, so
         # T1 ⊨ T2 settles the question
@@ -348,26 +373,34 @@ def _decide_queries(
         p.t1, p.t2, p.sigA, p.sigQ, *SEARCH_BOUNDS,
         mode="1tcq" if sim else "cq", incons=incons, cap=SEARCH_CAP,
     )
-    search = {"asked": asked, "capped": capped}
+    stats = {"search": {"asked": asked, "capped": capped},
+             "settled_by": "witness_search"}
+    if w is None and incons:
+        w = _fork_witness(p.t1, p.t2, p.sigA)
+        stats["settled_by"] = "fork"
     if w is not None:
-        stats = {"search": search, "settled_by": "witness_search"}
         if w.query is None:
             stats["incons"] = False
         return Decision(mode, False, precheck, witness=w, stats=stats)
-    entails, cert, stats = _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim)
-    d = Decision(mode, entails, precheck, certificate=cert,
-                 stats={**stats, "search": search, "settled_by": "pipeline"})
-    return _with_incons(p, d) if incons else d
+    entails, cert, pipeline = _run_pipeline(p.t1, p.t2, p.sigA, p.sigQ, sim)
+    stats = {**pipeline, **stats, "settled_by": "pipeline"}
+    if incons and entails:
+        # it holds only if every ABox inconsistent with T2 is
+        # inconsistent with T1; no fork separated, so the bot-free
+        # pipeline decides
+        entails, cert, pipeline = decide_incons_entailment(p.t1, p.t2, p.sigA)
+        stats["incons"] = entails
+        if pipeline:
+            stats["incons_pipeline"] = pipeline
+    return Decision(mode, entails, precheck, certificate=cert, stats=stats)
 
 
 def decide_cq_entailment(p: Problem) -> Decision:
-    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
-    return _decide_queries(p, "cq", False, {"ri": ri})
+    return _decide_queries(p, "cq", False)
 
 
 def decide_1tcq_entailment(p: Problem) -> Decision:
-    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
-    return _decide_queries(p, "1tcq", True, {"ri": ri})
+    return _decide_queries(p, "1tcq", True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +416,9 @@ def decide_universal(t1: NormalTBox, sigA: Signature, sigQ: Signature) -> bool:
     qconcepts = sorted(sigQ.concepts)
     if not qconcepts:
         return True
-    singles = []
-    for c in sorted(sigA.concepts):
-        singles.append(ABox(concept_assertions={(c, "a")}))
-    for r in sorted(sigA.roles):
-        singles.append(ABox(role_assertions={(r, "a", "b")}))
+    singles = [ABox({(c, "a")}) for c in sorted(sigA.concepts)]
+    singles += [ABox(role_assertions={(r, "a", "b")})
+                for r in sorted(sigA.roles)]
     for abox in singles:
         state = reasoner.chase(t1, abox)
         if not state.consistent:
@@ -400,9 +431,7 @@ def decide_universal(t1: NormalTBox, sigA: Signature, sigQ: Signature) -> bool:
 
 
 def _fresh_concept(*tboxes) -> str:
-    used = set()
-    for t in tboxes:
-        used |= t.concept_names()
+    used = set().union(*(t.concept_names() for t in tboxes))
     name = "_Unsat"
     while name in used:
         name += "_"
@@ -413,70 +442,47 @@ def _bot_free(t: NormalTBox, fresh: str) -> NormalTBox:
     """Replace unsatisfiability by membership in a fresh concept that
     spreads over every role of the TBox, so that ABox inconsistency
     becomes a certain answer to the fresh concept."""
-    cis = []
-    for ci in t.cis:
-        if isinstance(ci, SubBot):
-            cis.append(ConjSub(ci.sub, ci.sub, fresh))
-        else:
-            cis.append(ci)
-    names = sorted({r.name for r in t.roles()})
-    for n in names:
+    cis = [ConjSub(ci.sub, ci.sub, fresh) if isinstance(ci, SubBot) else ci
+           for ci in t.cis]
+    for n in sorted({r.name for r in t.roles()}):
         cis.append(SubAll(fresh, Role(n), fresh))
         cis.append(SubAll(fresh, Role(n, True), fresh))
     return NormalTBox(cis=cis, ris=list(t.ris), fas=set(t.fas), fresh=dict(t.fresh))
 
 
 def decide_incons_entailment(t1: NormalTBox, t2: NormalTBox, sigA: Signature):
-    """Every ABox-signature ABox inconsistent with the second TBox is
-    inconsistent with the first.  Returns (entails, certificate, stats)
-    of the bot-free pipeline, as ``_run_pipeline`` does; with no
-    pipeline run, the certificate is None and the stats are empty."""
-    cert, stats = None, {}
-    # without a bot axiom the bot-free second TBox never derives the
-    # fresh concept, so only the forks below can be inconsistent
-    if any(isinstance(ci, SubBot) for ci in t2.cis):
-        fresh = _fresh_concept(t1, t2)
-        sigF = Signature(concepts=frozenset([fresh]))
-        entails, cert, stats = _run_pipeline(
-            _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
-        )
-        if not entails:
-            return False, cert, stats
-    # two-successor functionality forks are invisible to the reduction
-    for n in sorted(sigA.roles):
-        forks = (
-            ABox(role_assertions={(n, "a", "b"), (n, "a", "c")}),
-            ABox(role_assertions={(n, "b", "a"), (n, "c", "a")}),
-        )
-        for abox in forks:
-            if (
-                not reasoner.chase(t2, abox).consistent
-                and reasoner.chase(t1, abox).consistent
-            ):
-                return False, cert, stats
-    return True, cert, stats
+    """Every ABox-signature ABox that the second TBox makes inconsistent
+    by deriving bot is inconsistent with the first.  Returns (entails,
+    certificate, stats) of the bot-free pipeline, as ``_run_pipeline``
+    does, or (True, None, {}) without a bot axiom in T2.  It misses
+    functionality: an ABox a fork makes inconsistent holds a fork that
+    is on its own, which ``_fork_witness``, asked first, finds."""
+    if not any(isinstance(ci, SubBot) for ci in t2.cis):
+        return True, None, {}
+    fresh = _fresh_concept(t1, t2)
+    sigF = Signature(concepts=frozenset([fresh]))
+    return _run_pipeline(
+        _bot_free(t1, fresh), _bot_free(t2, fresh), sigA, sigF, False
+    )
 
 
-def _with_incons(p: Problem, d: Decision) -> Decision:
-    """Strengthen an entailing pipeline decision of a mode that also
-    compares inconsistent ABoxes: it holds only if every ABox
-    inconsistent with the second TBox is inconsistent with the first.
-    The bot-free pipeline's stats go under ``incons_pipeline``, and its
-    certificate, when it refutes, becomes the decision's."""
-    if not d.entails:
-        return d
-    incons, cert, pipeline = decide_incons_entailment(p.t1, p.t2, p.sigA)
-    stats = {**d.stats, "incons": incons}
-    if pipeline:
-        stats["incons_pipeline"] = pipeline
-    return replace(d, entails=incons, certificate=cert, stats=stats)
+def _fork_witness(t1: NormalTBox, t2: NormalTBox, sigA: Signature):
+    """The first fork R1(a0, a1), R2(a0, a2) over the ABox signature's
+    roles that is consistent with the first TBox and inconsistent with
+    the second, as a replayed inconsistency witness, or None.  R's own
+    fork is inconsistent exactly when the TBox entails ``func(R)``."""
+    roles = sorted(sigA.role_objects())
+    for r1, r2 in itertools.combinations_with_replacement(roles, 2):
+        w = Witness(_successors(r1, r2), None)
+        if verify_witness(t1, t2, w):
+            return w
+    return None
 
 
 def decide_cq_entailment_incons(p: Problem) -> Decision:
     if decide_universal(p.t1, p.sigA, p.sigQ):
         return Decision("cq-incons", True, {"ri": None}, stats={"universal": True})
-    ri = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
-    return _decide_queries(p, "cq-incons", False, {"ri": ri}, incons=True)
+    return _decide_queries(p, "cq-incons", False, incons=True)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +491,11 @@ def decide_cq_entailment_incons(p: Problem) -> Decision:
 def decide_deductive(p: Problem) -> Decision:
     """Axiom-level entailment over a single signature: every concept or
     role inclusion and functionality assertion over the signature that
-    follows from the second TBox follows from the first."""
+    follows from the second TBox follows from the first: ``1tcq``
+    entailment that also compares inconsistent ABoxes.  A separating
+    R ⊑ S is ``check_ri``'s witness, a separating ``func(R)`` R's fork
+    (``_fork_witness``), and a separating C ⊑ D a tree ABox with a rooted
+    tree query, or with none for D = bot."""
     if p.sigA != p.sigQ:
         raise PreconditionError("deductive mode uses one shared signature")
     if not is_elhifbot(p.t1.source) or not is_elhifbot(p.t2.source):
@@ -494,20 +504,7 @@ def decide_deductive(p: Problem) -> Decision:
             "printed axioms avoid value restrictions and conjunctions on "
             "the right of existentials"
         )
-    sig = p.sigA
-    precheck = {"ri": check_ri(p.t1, p.t2, sig, sig), "profile": True}
-    if not precheck["ri"]:
-        return Decision("deductive", False, precheck)
-    idx1 = index_for(p.t1)
-    idx2 = index_for(p.t2)
-    for n in sorted(sig.roles):
-        for r in (Role(n), Role(n, True)):
-            if idx2.functional_superroles(r) and not idx1.functional_superroles(r):
-                return Decision(
-                    "deductive", False, precheck,
-                    stats={"functionality": str(r)},
-                )
-    return _decide_queries(p, "deductive", True, precheck, incons=True)
+    return _decide_queries(p, "deductive", True, incons=True, profile=True)
 
 
 def _raw_subset(t1: TBox, t2: TBox) -> bool:

@@ -72,26 +72,31 @@ def test_check_verify_witness(runner):
     assert obj["stats"]["settled_by"] == "witness_search"
 
 
-def test_check_verify_witness_searches_only_without_a_witness(runner,
-                                                              tmp_path):
-    """A verdict without a witness, here ``deductive``'s functionality
-    check, runs the oracle at the ``--oracle-max-*`` bounds.  ``func(r)``
-    changes no answer over a consistent ABox, so it finds none."""
-    t1 = tmp_path / "t1.tbox"
-    t1.write_text("")
-    t2 = tmp_path / "t2.tbox"
-    t2.write_text("func(r)\n")
-    sig = tmp_path / "sig"
-    sig.write_text("concepts: A\nroles: r\n")
+def test_check_verify_witness_searches_only_without_a_witness(
+        runner, monkeypatch):
+    """A verdict without a witness, here the pipeline's on the advisor
+    fixture with the witness-first search capped at 0 questions, runs
+    the oracle at the ``--oracle-max-*`` bounds, and its witness
+    replays."""
+    searched = []
+    search = entailment.oracle_witness_search
+
+    def oracle(*args, **kwargs):
+        searched.append(args[4:])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
+    monkeypatch.setattr(entailment, "oracle_witness_search", oracle)
     res = invoke(
-        runner, "check", "--json", "--mode", "deductive", "--verify-witness",
-        "--t1", str(t1), "--t2", str(t2),
-        "--sigma-a", str(sig), "--sigma-q", str(sig),
+        runner, "check", "--json", "--verify-witness",
+        "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
     )
     assert res.exit_code == 1
     obj = json.loads(res.output)
-    assert obj["stats"] == {"functionality": "r"}
-    assert obj["witness"] is None and obj["witness_verified"] is None
+    assert obj["stats"]["settled_by"] == "pipeline"
+    assert searched == [(2, 1)]
+    assert obj["witness_verified"] is True
+    assert "adv(a0,a1)" in obj["witness"]["abox"]
 
 
 def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
@@ -124,10 +129,65 @@ def test_check_ri_precheck_exit_two(runner, tmp_path):
     sig = tmp_path / "sig"
     sig.write_text("concepts:\nroles: r s\n")
     res = invoke(
-        runner, "check", "--t1", str(t1), "--t2", str(t2),
+        runner, "check", "--json", "--t1", str(t1), "--t2", str(t2),
         "--sigma-a", str(sig), "--sigma-q", str(sig),
     )
     assert res.exit_code == 2
+    obj = json.loads(res.output)
+    assert obj["precheck"] == {"ri": False}
+    assert obj["witness"] == {"abox": ["r(a0,a1)"],
+                              "query": "q(x0,x1) <- s(x0,x1)",
+                              "answer": ["a0", "a1"]}
+
+
+def _problem_files(tmp_path, t1, t2, sigma_a, sigma_q):
+    """The ``--t1 --t2 --sigma-a --sigma-q`` arguments of a problem
+    whose four files hold the given texts."""
+    args = []
+    for option, text in (("--t1", t1), ("--t2", t2),
+                         ("--sigma-a", sigma_a), ("--sigma-q", sigma_q)):
+        path = tmp_path / option.strip("-")
+        path.write_text(text)
+        args += [option, str(path)]
+    return args
+
+
+def test_check_verify_witness_replays_a_role_inclusion_witness(
+        runner, monkeypatch, tmp_path):
+    """A role-inclusion refutation carries its one-edge witness, so
+    ``--verify-witness`` replays it and never searches: the oracle is
+    patched to raise.  The exit code stays the precheck's."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(entailment, "oracle_witness_search", fail)
+    sig = "concepts: A\nroles: r s\n"
+    res = invoke(
+        runner, "check", "--verify-witness",
+        *_problem_files(tmp_path, "", "r subr s\n", sig, sig),
+    )
+    assert res.exit_code == 2
+    assert "witness_verified: true" in res.output
+    assert '"settled_by": "role_inclusion"' in res.output
+
+
+def test_check_incons_edge_bot_exits_one_with_the_edge(runner, tmp_path):
+    """T2's ``some r top sub bot`` makes every r-edge inconsistent, so
+    its ``r subr s`` separates nothing and the role-inclusion precheck
+    passes; in ``cq-incons`` the edge r(a0, a1) itself separates, as an
+    inconsistency witness: exit 1, not the precheck's 2."""
+    res = invoke(
+        runner, "check", "--json", "--mode", "cq-incons", "--verify-witness",
+        *_problem_files(tmp_path, "", "r subr s\nsome r top sub bot\n",
+                        "concepts: A\nroles: r\n",
+                        "concepts: A\nroles: s\n"),
+    )
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["precheck"] == {"ri": True}
+    assert obj["witness"] == {"abox": ["r(a0,a1)"], "query": None,
+                              "answer": []}
+    assert obj["witness_verified"] is True
 
 
 def test_check_deductive_precondition_exit_two(runner):

@@ -1,7 +1,7 @@
 """Pinned decisions: the full ``Decision`` JSON of the paper fixtures in
 every mode, recorded in ``data/fixture_decisions.json``, plus the
-functionality and universality short cuts, whose stats no other test
-reads, and the first witness of the brute-force oracle on the random
+fork refutation and the universality short cut, whose stats no other
+test reads, and the first witness of the brute-force oracle on the random
 problems of acceptance criterion 6, recorded in
 ``data/oracle_witnesses.json``.  A refactor of the decision paths or
 the oracle must leave all of them byte-identical."""
@@ -87,14 +87,19 @@ def test_fixture_decision_matches_golden(case):
 
 
 def test_deductive_functionality_separation_stats():
+    """``func(r)`` separates as r's fork, an inconsistency witness that
+    the witness-first search, whose ABoxes have two individuals, cannot
+    hold."""
     p = problem("", "func(r)", "concepts: A\nroles: r",
                 "concepts: A\nroles: r")
     assert entailment.decide_deductive(p).to_json_obj() == {
         "mode": "deductive",
         "entails": False,
         "precheck": {"ri": True, "profile": True},
-        "witness": None,
-        "stats": {"functionality": "r"},
+        "witness": {"abox": ["r(a0,a1)", "r(a0,a2)"], "query": None,
+                    "answer": []},
+        "stats": {"search": {"asked": 38, "capped": False},
+                  "settled_by": "fork", "incons": False},
     }
 
 

@@ -11,6 +11,8 @@ from helpers import (
     finite_models,
     model_satisfies_raw,
     oracle_candidates_by_whole_window,
+    random_horn_tbox_text,
+    satisfying_models,
 )
 from hornsep import (
     entailment,
@@ -39,7 +41,7 @@ from hornsep.entailment import (
 )
 from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers, is_certain_answer
-from hornsep.syntax import ABox, ProfileError, Signature, cq_to_text
+from hornsep.syntax import ABox, ProfileError, Role, Signature, cq_to_text
 from test_decision_golden import FIXTURES, MODES
 
 
@@ -268,6 +270,175 @@ def test_role_inclusion_precheck_fails():
     d = decide_cq_entailment(p)
     assert not d.entails
     assert d.precheck == {"ri": False}
+
+
+_SIG_AR = "concepts: A\nroles: r"
+_SIG_AS = "concepts: A\nroles: s"
+
+# (T1, T2, ΣA, ΣQ, mode, entails): a role inclusion or functionality
+# assertion of T2 that T1 lacks, over roles whose edges, or forks, one
+# of the TBoxes makes inconsistent.  Every ABox with such an edge is
+# left out of the comparison, so it separates nothing, except in
+# ``cq-incons``, where an edge inconsistent with T2 alone separates.
+EDGE_INCONSISTENT = [
+    *[("some r top sub bot", "r subr s", _SIG_AR, _SIG_AS, mode, True)
+      for mode in ("cq", "1tcq", "cq-incons")],
+    *[("A sub bot\ntop sub A", "r subr s", _SIG_AR, _SIG_AS, mode, True)
+      for mode in ("cq", "1tcq", "cq-incons")],
+    *[("", "r subr s\nsome r top sub bot", _SIG_AR, _SIG_AS, mode, True)
+      for mode in ("cq", "1tcq")],
+    ("", "r subr s\nsome r top sub bot", _SIG_AR, _SIG_AS, "cq-incons",
+     False),
+    ("some r top sub bot", "func(r)", _SIG_AR, _SIG_AR, "deductive", True),
+    ("some inv(r) top sub bot", "func(r)", _SIG_AR, _SIG_AR, "deductive",
+     True),
+]
+
+
+@pytest.mark.parametrize("t1, t2, sig_a, sig_q, mode, want",
+                         EDGE_INCONSISTENT)
+def test_a_role_axiom_over_inconsistent_edges_separates_nothing(
+        t1, t2, sig_a, sig_q, mode, want):
+    """The decision agrees with the pipeline, joined in the modes that
+    compare inconsistent ABoxes with the bot-free one; an entailing
+    verdict has no witness at bounds (3, 3), and a refuting one carries
+    the inconsistency witness r(a0, a1)."""
+    p = problem(t1, t2, sig_a, sig_q)
+    d = getattr(entailment, MODES[mode])(p)
+    assert d.entails is want
+    sim = mode in ("1tcq", "deductive")
+    entails, _cert, _stats = entailment._run_pipeline(
+        p.t1, p.t2, p.sigA, p.sigQ, sim)
+    if mode in ("cq-incons", "deductive"):
+        entails = entails and entailment.decide_incons_entailment(
+            p.t1, p.t2, p.sigA)[0]
+    assert entails is want
+    if want:
+        assert oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 3, 3,
+                                     "1tcq" if sim else "cq") is None
+    else:
+        assert d.precheck["ri"] is True
+        assert d.witness.to_json_obj() == {
+            "abox": ["r(a0,a1)"], "query": None, "answer": []}
+        assert verify_witness(p.t1, p.t2, d.witness)
+
+
+_EDGE_WITNESS = {"abox": ["r(a0,a1)"], "query": "q(x0,x1) <- s(x0,x1)",
+                 "answer": ["a0", "a1"]}
+_FORK = {"abox": ["r(a0,a1)", "r(a0,a2)"], "query": None, "answer": []}
+_INV_FORK = {"abox": ["r(a1,a0)", "r(a2,a0)"], "query": None, "answer": []}
+# T2 -> {mode: (settled_by, witness)} of the modes that refute T1 empty
+# over ΣA = ΣQ = {A, r, s}; the other modes entail
+REFUTATIONS = {
+    "r subr s": {mode: ("role_inclusion", _EDGE_WITNESS) for mode in MODES},
+    "func(r)": {mode: ("fork", _FORK) for mode in ("cq-incons", "deductive")},
+    "func(inv(r))": {mode: ("fork", _INV_FORK)
+                     for mode in ("cq-incons", "deductive")},
+    "r subr s\nfunc(s)": {mode: ("role_inclusion", _EDGE_WITNESS)
+                          for mode in MODES},
+}
+
+
+@pytest.mark.filterwarnings("ignore:functional role:UserWarning")
+@pytest.mark.parametrize("t2", sorted(REFUTATIONS))
+def test_every_refutation_outside_the_pipeline_replays(t2):
+    """Role inclusions and functionality separate in every mode that
+    they separate in by a witness that ``verify_witness`` replays: the
+    one-edge witness of the role-inclusion precheck, and a fork of two
+    edges out of one individual.  The witnesses are pinned JSON, which
+    CI checks under two hash seeds."""
+    sig = "concepts: A\nroles: r s"
+    p = problem("", t2, sig, sig)
+    for mode, name in MODES.items():
+        d = getattr(entailment, name)(p)
+        if mode not in REFUTATIONS[t2]:
+            assert d.entails and d.witness is None, mode
+            continue
+        by, witness = REFUTATIONS[t2][mode]
+        assert not d.entails, mode
+        assert d.stats["settled_by"] == by, mode
+        assert d.precheck["ri"] is (by != "role_inclusion"), mode
+        assert d.witness.to_json_obj() == witness, mode
+        assert verify_witness(p.t1, p.t2, d.witness), mode
+
+
+@pytest.mark.parametrize("mode", ["cq-incons", "deductive"])
+def test_a_capped_search_still_refutes_by_the_fork(mode, monkeypatch):
+    """The forks come after the witness-first search whether or not it
+    was capped: with the cap at 0, ``func(r)`` still separates by r's
+    fork, before any pipeline runs."""
+    monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
+    p = problem("", "func(r)", _SIG_AR, _SIG_AR)
+    d = getattr(entailment, MODES[mode])(p)
+    assert not d.entails
+    assert d.stats == {"search": {"asked": 0, "capped": True},
+                       "settled_by": "fork", "incons": False}
+    assert d.witness.to_json_obj() == _FORK
+    assert verify_witness(p.t1, p.t2, d.witness)
+
+
+@pytest.mark.filterwarnings("ignore:functional role:UserWarning")
+@pytest.mark.parametrize("mode", ["cq-incons", "deductive"])
+def test_a_fork_of_two_roles_under_one_functional_superrole_separates(mode):
+    """r1(a0, a1), r2(a0, a2) is inconsistent with T2, where r1 and r2
+    share the functional superrole f, and consistent with T1, where each
+    is functional on its own.  No fork of one role separates, the
+    search's two individuals cannot hold it, and the bot-free pipeline
+    does not see functionality."""
+    sig = "concepts: A\nroles: r1 r2"
+    p = problem("func(r1)\nfunc(r2)", "r1 subr f\nr2 subr f\nfunc(f)",
+                sig, sig)
+    d = getattr(entailment, MODES[mode])(p)
+    assert not d.entails
+    assert d.stats["settled_by"] == "fork"
+    assert d.witness.to_json_obj() == {
+        "abox": ["r1(a0,a1)", "r2(a0,a2)"], "query": None, "answer": []}
+    assert verify_witness(p.t1, p.t2, d.witness)
+
+
+def test_forks_and_edges_match_model_enumeration():
+    """The fork and edge ABoxes against exhaustive search over the <= 3
+    element models of the 60 fixed draws over A, B and r that the
+    saturation's reference test reads (its per-axiom model sets are
+    cached), and three TBoxes that make every fork inconsistent without
+    functionality.  A model with an element that has two distinct
+    R-successors makes R's fork consistent, a model with an r-edge makes
+    the edge consistent, and a functional superrole of R makes R's fork
+    inconsistent.  ``tbox_entails`` decides ``func(R)`` by the fork."""
+    texts = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        texts += [random_horn_tbox_text(rng, ["A", "B"], ["r"], 4)
+                  for _ in range(30)]
+    # no draw makes a fork inconsistent without functionality
+    texts += ["some r top sub bot", "some inv(r) top sub bot",
+              "A sub bot\ntop sub A"]
+    counts = {"fork": 0, "edge": 0, "functional": 0, "vacuous": 0}
+    with within(60):
+        for text in texts:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                t = normalize(parse_tbox(text))
+            found = satisfying_models(parse_tbox(text), {"A", "B"}, ["r"], 3)
+            if any(m.edges["r"] for m in found):
+                counts["edge"] += 1
+                edge = entailment._successors(Role("r"))
+                assert reasoner.chase(t, edge).consistent, text
+            for r in (Role("r"), Role("r", True)):
+                fork = reasoner.chase(t, entailment._successors(r, r))
+                func = normalize(parse_tbox(f"func({r})"))
+                assert entailment.tbox_entails(t, func) is (
+                    not fork.consistent), (text, r)
+                if any(len(set(m.succ(x, r))) > 1
+                       for m in found for x in range(m.size)):
+                    counts["fork"] += 1
+                    assert fork.consistent, (text, r)
+                if reasoner.index_for(t).functional_superroles(r):
+                    counts["functional"] += 1
+                    assert not fork.consistent, (text, r)
+                elif not fork.consistent:
+                    counts["vacuous"] += 1
+    assert counts == {"edge": 60, "fork": 95, "functional": 25, "vacuous": 6}
 
 
 def test_deductive_requires_matching_signatures(advisor_problem):
@@ -548,12 +719,15 @@ def _witness_first_corpus():
 
 
 def test_every_witness_first_verdict_carries_a_replaying_witness():
-    """Every decision the witness-first search settles is "does not
-    entail" with a witness that ``verify_witness`` replays (on the
-    swapped problem for a backward ``inseparable`` verdict), and every
-    other decision has no witness.  The verdicts are the pipeline's:
-    the chains separate, and a criterion-6 draw entails in each mode
-    exactly when ``tbox_entails`` proves T1 ⊨ T2."""
+    """Every "does not entail" that the pipeline did not give carries a
+    witness that ``verify_witness`` replays (on the swapped problem for
+    a backward ``inseparable`` verdict): the role-inclusion precheck's
+    one-edge witness, the search's and the forks'.  Every other
+    decision has no witness.  The verdicts are the pipeline's: the
+    chains separate, and a criterion-6 draw entails in each mode
+    exactly when ``tbox_entails`` proves T1 ⊨ T2.  The 30 draws whose
+    T2 has a role inclusion that T1 lacks over the signatures separate
+    by it in every mode."""
     settled = {}
     with within(20):
         for case, p, d in _witness_first_corpus():
@@ -562,17 +736,24 @@ def test_every_witness_first_verdict_carries_a_replaying_witness():
                 assert not d.entails, case
             if kind == "c6":
                 assert d.entails == entailment.tbox_entails(p.t1, p.t2), case
-            if d.stats.get("settled_by") != "witness_search":
+            by = d.stats.get("settled_by")
+            if d.entails or by == "pipeline":
                 assert d.witness is None, case
                 continue
-            settled[kind] = settled.get(kind, 0) + 1
-            assert not d.entails, case
-            assert d.stats["search"]["capped"] is False, case
+            settled[kind, by] = settled.get((kind, by), 0) + 1
+            assert (by == "role_inclusion") == (d.precheck["ri"] is False)
+            if by != "role_inclusion":
+                assert d.stats["search"]["capped"] is False, case
             if d.stats.get("direction") == "backward":
                 p = p.swapped()
             assert verify_witness(p.t1, p.t2, d.witness), case
-    assert settled == {"advisor": 5, "deductive_bot": 2, "deductive_exists": 4,
-                       "disjointness": 2, "chain": 12, "c6": 251}
+    assert settled == {
+        ("advisor", "witness_search"): 5, ("chain", "witness_search"): 12,
+        ("deductive_bot", "witness_search"): 2,
+        ("deductive_exists", "witness_search"): 4,
+        ("disjointness", "witness_search"): 2,
+        ("c6", "witness_search"): 251, ("c6", "role_inclusion"): 90,
+    }
 
 
 @pytest.mark.parametrize("concepts", ["A", "A B"])
