@@ -622,7 +622,10 @@ def _sigma_reduct(interp: models.Interpretation, sig: Signature):
 
 def _queries_from_sub(sub: models.Interpretation, individuals, mode):
     """Candidate queries read off one connected substructure of the
-    materialized second-TBox model: each element becomes a variable."""
+    materialized second-TBox model: each element becomes a variable.  A
+    rooted tree query (``1tcq``) takes one role atom per pair of
+    variables (an edge under ``r subr inv(r)`` holds two), one body per
+    choice, in sorted atom order."""
     elems = sorted(sub.elements, key=models.stable_key)
     var = {e: f"x{i}" for i, e in enumerate(elems)}
     concept_atoms = {
@@ -633,12 +636,19 @@ def _queries_from_sub(sub: models.Interpretation, individuals, mode):
         return
     if mode != "1tcq":
         yield CQ((), set(concept_atoms), set(role_atoms)), ()
+        bodies = [role_atoms]
+    else:
+        pairs: dict = {}
+        for atom in sorted(role_atoms):
+            pairs.setdefault(frozenset(atom[1:]), []).append(atom)
+        bodies = list(itertools.product(*pairs.values()))
     for e in elems:
         if e in individuals:
-            q = CQ((var[e],), set(concept_atoms), set(role_atoms))
-            if mode == "1tcq" and not cq_is_1tcq(q):
-                continue
-            yield q, (e,)
+            for body in bodies:
+                q = CQ((var[e],), set(concept_atoms), set(body))
+                if mode == "1tcq" and not cq_is_1tcq(q):
+                    continue
+                yield q, (e,)
 
 
 def oracle_witness_search(

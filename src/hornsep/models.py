@@ -10,12 +10,22 @@ presents the anonymous tree below a single type as a finite graph whose
 unfolding is the model; all homomorphism questions against universal
 models are asked against such graphs.
 
-Below the individuals, every anonymous child is read off one table, the
-TBox's ``ConsequenceIndex.children``, filled once per (type, incoming
-role) and shared by every model, window, type graph and prefix of that
-TBox.  Windows and prefixes grow through one level walk, and their
-anonymous elements are path tuples (parent, role, type); the other
-elements are individual names (strings) or a prefix's root (start,).
+Every anonymous child, at an individual or below one, is read off one
+table, the TBox's ``ConsequenceIndex.children``, filled once per (type,
+incoming role) and shared by every model, window, type graph and prefix
+of that TBox (at an individual, see ``UniversalModel.children``).
+Windows and prefixes grow through one level walk, and their anonymous
+elements are path tuples (parent, role, type); the other elements are
+individual names (strings) or a prefix's root (start,).
+
+A named successor b of a along r gets no anonymous "twin", an r-child of
+a with b's type that no axiom asks for, and certain answers do not move.
+A twin's subtree maps onto b and b's anonymous subtree: the twin has b's
+type, its edge roles are among the superroles of the asserted edge, and
+a child along a functional role lands on b's named successor, as the
+functionality proviso already assumes.  The model without twins is a
+substructure of the one with them (a child whose type a twin's strictly
+contains, which the twins' maximality dropped, maps onto that twin).
 """
 
 from __future__ import annotations
@@ -109,17 +119,16 @@ class UniversalModel:
     """The universal model of one TBox and ABox, chased once.
 
     Holds the chase state (with the asserted edge roles) and, each built
-    on first use, the ABox successor types per (individual, role), the
-    materialized window per depth and the reachable anonymous classes.
-    One object serves every query asked of the same TBox and ABox.  The
-    windows are shared, so a caller that changes one must copy it first.
+    on first use, the materialized window per depth and the reachable
+    anonymous classes.  One object serves every query asked of the same
+    TBox and ABox.  The windows are shared, so a caller that changes one
+    must copy it first.
     """
 
     def __init__(self, tbox: NormalTBox, abox: ABox):
         self.tbox = tbox
         self.abox = abox
         self.state = reasoner.chase(tbox, abox)
-        self._succ: dict = {}
         self._windows: dict = {}
         self._anon = None
 
@@ -127,25 +136,16 @@ class UniversalModel:
     def consistent(self) -> bool:
         return self.state.consistent
 
-    def succ(self, a, r: Role) -> set:
-        """The maximal successor types of individual a along r: those of
-        its type's anonymous r-children and of its named r-successors.
-        None at all when r is functional and a has a named r-successor,
-        which is then the only one (the functionality proviso)."""
-        key = (a, r)
-        if key not in self._succ:
-            if not self.consistent:
-                raise reasoner.InconsistentABoxError(
-                    "ABox is inconsistent with the TBox")
-            tp = self.state.tp
-            named = {b for (x, b), roles in self.state.edges.items()
-                     if x == a and r in roles}
-            types = set()
-            if not (r in index_for(self.tbox).functional and named):
-                types = reasoner.succ_rel(self.tbox, tp[a] - {BOT}, r) | {
-                    frozenset(tp[b]) - {BOT} for b in named}
-            self._succ[key] = reasoner.maximal(types)
-        return self._succ[key]
+    def children(self, a) -> list:
+        """Individual a's anonymous children: the children table's
+        entries (r, superroles of r, t') for its type, in the table's
+        order, but none along a functional r on which a has a named
+        successor, its only r-successor then (the functionality proviso)."""
+        idx = index_for(self.tbox)
+        named = set().union(
+            *(roles for (x, _b), roles in self.state.edges.items() if x == a))
+        return [c for c in idx.children(self.state.tp[a] - {BOT})
+                if not (c[0] in idx.functional and c[0] in named)]
 
     def window(self, depth: int) -> Interpretation:
         if depth not in self._windows:
@@ -175,16 +175,10 @@ def materialize(model: UniversalModel, depth: int) -> Interpretation:
     for (a, b), roles in state.edges.items():
         for r in roles:
             interp.add_role_edge(a, r, b)
-    roles = sorted(idx.roles, key=str)
-
-    def children(e, node):
-        if node is not None:
-            return idx.children(node.type, node.rin)
-        return [(r, idx.superroles(r), t2) for r in roles
-                for t2 in sorted(model.succ(e, r), key=sorted)]
-
     level = [(a, None) for a in sorted(abox.individuals())]
-    return _unfold_levels(interp, level, depth, children)
+    return _unfold_levels(
+        interp, level, depth, lambda e, node: model.children(e)
+        if node is None else idx.children(node.type, node.rin))
 
 
 def _unfold_levels(interp, level, depth: int, children) -> Interpretation:
@@ -267,8 +261,7 @@ def reachable_anon_classes(model: UniversalModel) -> TypeGraph:
     starts = [
         TGNode(t, r)
         for a in sorted(model.abox.individuals())
-        for r in sorted(index_for(model.tbox).roles, key=str)
-        for t in model.succ(a, r)
+        for r, _rho, t in model.children(a)
     ]
     return _unfold(model.tbox, None, starts)
 

@@ -277,11 +277,6 @@ def maximal(sets) -> set:
     }
 
 
-def succ_rel(tbox: NormalTBox, t, r: Role) -> set:
-    """The maximal types t' with T |= (and t) sub some r.(and t')."""
-    return {t2 for r0, _rho, t2 in index_for(tbox).children(t) if r0 == r}
-
-
 # ---------------------------------------------------------------------------
 # ABox chase
 

@@ -11,8 +11,10 @@ label by label are the references for the automata code's faster
 forms, and the whole-window substructure enumeration is the one for
 the witness oracle's bounded form.  The edge rules written as scans
 over the axioms (``ScanIndex``, ``chase_by_scan``) are the references
-for ``ConsequenceIndex.pushes``.  The printers turn parsed inputs back
-into the surface syntax for round-trip tests.
+for ``ConsequenceIndex.pushes``.  ``TwinModel`` gives each named
+successor an anonymous twin, the reference whose certain answers the
+universal model without twins must give.  The printers turn parsed
+inputs back into the surface syntax for round-trip tests.
 """
 
 import itertools
@@ -22,12 +24,13 @@ from hornsep.entailment import make_problem
 from hornsep.models import (
     Interpretation,
     TypeGraph,
+    UniversalModel,
     enumerate_connected_substructures,
     prefix_interpretation,
     stable_key,
     type_graph,
 )
-from hornsep.reasoner import BOT, ConsequenceIndex, index_for
+from hornsep.reasoner import BOT, ConsequenceIndex, index_for, maximal
 from hornsep.syntax import (
     ABox,
     ConjSub,
@@ -381,6 +384,30 @@ def chase_by_scan(tbox: NormalTBox, abox: ABox) -> tuple:
         if any(len(bs) > 1 for bs in targets.values()):
             consistent = False
     return tp, consistent
+
+
+class TwinModel(UniversalModel):
+    """The universal model with anonymous twins of named successors: an
+    individual's anonymous r-children take the maximal types among the
+    children table's r-entries for its type and the types of its named
+    r-successors, per role in ``str`` order, and none along a functional
+    r on which it has a named successor.  Reference for
+    ``UniversalModel.children``, which reads the table alone."""
+
+    def children(self, a) -> list:
+        idx = index_for(self.tbox)
+        tp = self.state.tp
+        out = []
+        for r in sorted(idx.roles, key=str):
+            named = {b for (x, b), roles in self.state.edges.items()
+                     if x == a and r in roles}
+            if r in idx.functional and named:
+                continue
+            types = {t for r0, _rho, t in idx.children(tp[a] - {BOT})
+                     if r0 == r} | {frozenset(tp[b]) - {BOT} for b in named}
+            out += [(r, idx.superroles(r), t)
+                    for t in sorted(maximal(types), key=sorted)]
+        return out
 
 
 def closed_sets_by_subsets(tbox: NormalTBox, universe) -> list:

@@ -279,6 +279,30 @@ def test_materialize_outputs_model(runner, tmp_path):
     assert ["a", "s", "b"] in obj["edges"]
 
 
+def test_materialize_gives_a_named_successor_no_anonymous_twin(
+        runner, tmp_path):
+    """Under ``A sub some r B`` and ``func(r)``, b is a's one r-successor
+    and takes B; no axiom asks for an anonymous inv(r)-child of b with
+    a's type, so the depth-1 window holds a and b only."""
+    t = tmp_path / "t.tbox"
+    t.write_text("A sub some r B\nfunc(r)\n")
+    a = tmp_path / "a.abox"
+    a.write_text("A(a)\nr(a,b)\n")
+    res = invoke(
+        runner, "materialize", "--tbox", str(t), "--abox", str(a),
+        "--depth", "1",
+    )
+    assert res.exit_code == 0
+    obj = json.loads(res.output)
+    assert obj == {
+        "elements": [
+            {"id": "a", "individual": True, "concepts": ["A"]},
+            {"id": "b", "individual": True, "concepts": ["B"]},
+        ],
+        "edges": [["a", "r", "b"]],
+    }
+
+
 def test_materialize_profile_error_exit_ten(runner, tmp_path):
     """A TBox the normalizer rejects is bad input in every command."""
     t = tmp_path / "t.tbox"

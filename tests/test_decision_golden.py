@@ -98,7 +98,7 @@ def test_deductive_functionality_separation_stats():
         "precheck": {"ri": True, "profile": True},
         "witness": {"abox": ["r(a0,a1)", "r(a0,a2)"], "query": None,
                     "answer": []},
-        "stats": {"search": {"asked": 38, "capped": False},
+        "stats": {"search": {"asked": 34, "capped": False},
                   "settled_by": "fork", "incons": False},
     }
 

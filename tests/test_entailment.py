@@ -41,7 +41,14 @@ from hornsep.entailment import (
 )
 from hornsep.automata import run_on_regular_tree
 from hornsep.reasoner import certain_answers, is_certain_answer
-from hornsep.syntax import ABox, ProfileError, Role, Signature, cq_to_text
+from hornsep.syntax import (
+    ABox,
+    ProfileError,
+    Role,
+    Signature,
+    cq_is_1tcq,
+    cq_to_text,
+)
 from test_decision_golden import FIXTURES, MODES
 
 
@@ -752,8 +759,31 @@ def test_every_witness_first_verdict_carries_a_replaying_witness():
         ("deductive_bot", "witness_search"): 2,
         ("deductive_exists", "witness_search"): 4,
         ("disjointness", "witness_search"): 2,
-        ("c6", "witness_search"): 251, ("c6", "role_inclusion"): 90,
+        ("c6", "witness_search"): 252, ("c6", "role_inclusion"): 90,
     }
+
+
+@pytest.mark.parametrize("mode", ["1tcq", "deductive"])
+def test_rooted_tree_candidates_take_one_atom_per_pair(mode):
+    """Seed-601 criterion-6 draw 187: under ``r subr inv(r)`` every edge
+    of a window holds an atom in each direction on one pair of
+    variables.  A rooted tree query takes one of them, so the search
+    finds a rooted tree witness on its second question, where a
+    candidate with both atoms, not a tree, left the problem to the
+    pipeline."""
+    sig = "concepts: A\nroles: r"
+    p = problem("A sub A\nA sub A\nr subr inv(r)",
+                "A sub some inv(r) A\nA sub some r A\nr subr inv(r)",
+                sig, sig)
+    d = getattr(entailment, MODES[mode])(p)
+    assert not d.entails
+    assert d.stats == {"search": {"asked": 2, "capped": False},
+                       "settled_by": "witness_search"}
+    assert d.witness.to_json_obj() == {
+        "abox": ["A(a0)"], "query": "q(x1) <- A(x0), A(x1), r(x0,x1)",
+        "answer": ["a0"]}
+    assert cq_is_1tcq(d.witness.query)
+    assert verify_witness(p.t1, p.t2, d.witness)
 
 
 @pytest.mark.parametrize("concepts", ["A", "A B"])

@@ -1,14 +1,18 @@
 import json
 import random
+import warnings
 
 import pytest
 
 from helpers import (
+    TwinModel,
     con_sigma_view,
     criterion6_problem,
     fin_hom_reference,
     hom_into_regular,
     n_bounded_hom_oracle,
+    random_abox,
+    random_horn_tbox_text,
     substructures_by_whole_window,
 )
 from hornsep import (
@@ -28,8 +32,8 @@ from hornsep.models import (
     stable_key,
     type_graph,
 )
-from hornsep.reasoner import InconsistentABoxError
-from hornsep.syntax import Role
+from hornsep.reasoner import InconsistentABoxError, certain_answers
+from hornsep.syntax import Role, cq_to_text
 
 
 def nt(text):
@@ -73,6 +77,19 @@ def test_named_successor_along_a_functional_role_has_no_anonymous_twin():
     assert not [e for e in window.elements
                 if isinstance(e, tuple) and e[:2] == ("a", "r")]
     assert ("a", "r", "b") in window.edges
+
+
+def test_a_named_successor_has_no_anonymous_twin():
+    """Along a non-functional role too, a named successor gets no
+    anonymous copy: a's B-child is the one its existential asks for, and
+    b has no inv(r)-child with a's type.  The depth-2 window holds
+    exactly these three elements."""
+    t = nt("A sub some r B")
+    window = UniversalModel(t, parse_abox("A(a)\nr(a,b)")).window(2)
+    assert sorted(map(stable_key, window.elements)) == [
+        "(a,r,{B})", "a", "b"]
+    child = ("a", "r", frozenset({"B"}))
+    assert window.edges == {("a", "r", "b"), ("a", "r", child)}
 
 
 def test_materialize_inconsistent_raises():
@@ -133,6 +150,66 @@ def _criterion6_models(draws):
                     yield p, m
 
 
+def _answers_with_and_without_twins(tboxes, abox, sig, count):
+    """Ask each distinct cq candidate read off the depth-3 window of the
+    last TBox's twin model (its ``sig`` reduct, unless sig is None), of
+    substructures of at most three elements, of every consistent model
+    of the TBoxes with and without twins; count the windows that twins
+    change and the answer sets compared."""
+    tm = TwinModel(tboxes[-1], abox)
+    if not tm.consistent:
+        return
+    window = tm.window(3)
+    if window.to_json() != UniversalModel(tm.tbox, abox).window(3).to_json():
+        count["twinned"] += 1
+    if sig is not None:
+        window = entailment._sigma_reduct(window, sig)
+    pairs = [(UniversalModel(t, abox), TwinModel(t, abox)) for t in tboxes]
+    pairs = [(m, twin) for m, twin in pairs if m.consistent]
+    asked = set()
+    for top in sorted(window.elements, key=stable_key):
+        for sub in enumerate_connected_substructures(window, top, 3):
+            for q, _ans in entailment._queries_from_sub(
+                    sub, window.individuals, "cq"):
+                if cq_to_text(q) in asked:
+                    continue
+                asked.add(cq_to_text(q))
+                for m, twin in pairs:
+                    assert certain_answers(m, q) == certain_answers(
+                        twin, q), (cq_to_text(q), m.abox)
+                    count["compared"] += 1
+
+
+def test_certain_answers_do_not_depend_on_twins():
+    """A universal model without anonymous twins of named successors
+    gives the certain answers of the one with them (``TwinModel``) to
+    every candidate query read off the twin model's depth-3 windows:
+    the oracle's candidates under T2, asked under T1 and T2, on seed-601
+    criterion-6 draws 0-29 with tree ABoxes of up to two individuals,
+    and on 40 seed-16 ``random_horn_tbox_text`` draws over A, B, r and s
+    (functionality, value restrictions, bot, inverses) with two
+    ``random_abox`` ABoxes each over a, b and c, forks and self-loops
+    included."""
+    c6 = {"compared": 0, "twinned": 0}
+    rng = random.Random(601)
+    for _ in range(30):
+        _t1, _t2, p = criterion6_problem(rng)
+        for abox in enumerate_tree_aboxes(p.sigA, 2):
+            _answers_with_and_without_twins((p.t1, p.t2), abox, p.sigQ, c6)
+    horn = {"compared": 0, "twinned": 0}
+    rng = random.Random(16)
+    for _ in range(40):
+        text = random_horn_tbox_text(rng, ["A", "B"], ["r", "s"], 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            t = nt(text)
+        for _ in range(2):
+            abox = random_abox(rng, ["A", "B"], ["r", "s"], ["a", "b", "c"])
+            _answers_with_and_without_twins((t,), abox, None, horn)
+    assert c6["compared"] > 15000 and c6["twinned"] > 300
+    assert horn["compared"] > 1000 and horn["twinned"] > 40
+
+
 def test_bounded_enumeration_equals_the_whole_window_one():
     """Exploring only max_size - 1 steps from the root, with each
     element's neighbours read off the window's index, yields the list
@@ -141,7 +218,7 @@ def test_bounded_enumeration_equals_the_whole_window_one():
     query-signature reducts (forests when a role is dropped), for every
     root and sizes 1-4."""
     compared = 0
-    for p, m in _criterion6_models(5):
+    for p, m in _criterion6_models(10):
         window = m.window(3)
         for interp in (window, entailment._sigma_reduct(window, p.sigQ)):
             for root in sorted(interp.elements, key=stable_key):
