@@ -32,7 +32,7 @@ import sys
 
 import click
 
-from . import automata, entailment, models
+from . import entailment, models
 from .entailment import PreconditionError, make_problem
 from .reasoner import InconsistentABoxError
 from .syntax import (
@@ -309,6 +309,8 @@ def materialize(tbox, abox, depth, time_limit, memory_mb):
 def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
               which, do_dump):
     """Build the pipeline automata and print a summary or full dump."""
+    from . import automata  # deferred: no other command needs it
+
     _apply_limits(time_limit, memory_mb)
     p = _problem(t1, t2, sigma_a, sigma_q)
     ctx = automata.build_label_context(p.t1, p.t2, p.sigA, p.sigQ)

@@ -14,7 +14,8 @@ settles the problem ends it:
 
 1. in ``cq-incons``, universality (``decide_universal``, "entails");
 2. role inclusions (``check_ri``): a one-edge witness of T2 ⊨ R ⊑ S
-   and T1 ⊭ R ⊑ S, with ``"ri": false`` in the precheck;
+   and T1 ⊭ R ⊑ S, whose query in ``1tcq`` is rooted, with ``"ri":
+   false`` in the precheck;
 3. ``tbox_entails``: T1 ⊨ T2 is "entails" in every mode;
 4. the witness-first search: tree ABoxes of at most
    ``SEARCH_BOUNDS[0]`` individuals and queries of at most
@@ -30,7 +31,9 @@ settles the problem ends it:
 6. the automata pipeline (label context, four-way intersection,
    emptiness), and for ``cq-incons`` and ``deductive`` the bot-free
    pipeline that compares inconsistent ABoxes, with ``"settled_by":
-   "pipeline"``.
+   "pipeline"``.  Its modules, ``automata`` and the ``mosaics`` it
+   uses, are imported by the first decision that gets this far, so a
+   process whose problems the earlier checks settle never loads them.
 
 Steps 2, 4 and 5 say "does not entail" only with a witness that
 ``verify_witness`` replayed, and name themselves in ``"settled_by"``.
@@ -46,7 +49,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 
-from . import automata, models, reasoner
+from . import models, reasoner
 from .reasoner import BOT, index_for, is_certain_answer
 from .syntax import (
     ABox,
@@ -168,24 +171,28 @@ class Decision:
 # ---------------------------------------------------------------------------
 # prechecks
 
-def check_ri(
-    t1: NormalTBox, t2: NormalTBox, sigA: Signature, sigQ: Signature
-) -> Witness | None:
+def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
+             sigQ: Signature, rooted: bool = False) -> Witness | None:
     """The witness of a role inclusion from an ABox role R into a query
     role S that separates the TBoxes, or None: the ABox R(a0, a1), the
     query ``q(x0, x1) <- S(x0, x1)`` and the answer (a0, a1).  Horn-ALCHIF
     derives role assertions between individuals only through role
     inclusions, so a pair separates exactly when this one edge does; an
     edge inconsistent with either TBox leaves every ABox with an R-edge
-    out of the comparison.  ``role_subsumes`` filters the pairs first."""
+    out of the comparison.  ``role_subsumes`` filters the pairs first.
+    With ``rooted`` the query is ``q(x0) <- S(x0, x1)`` and the answer
+    (a0), which an S-successor T1 derives anyway answers too; a pair
+    that only a larger rooted tree query separates is then missed, as
+    the pipeline compares no role edges between individuals."""
     idx1 = index_for(t1)
     idx2 = index_for(t2)
+    head = ("x0",) if rooted else ("x0", "x1")
     for r in sorted(sigA.role_objects()):
         for s in sorted(sigQ.role_objects()):
             if idx2.role_subsumes(r, s) and not idx1.role_subsumes(r, s):
-                q = CQ(("x0", "x1"))
+                q = CQ(head)
                 _tree_query(Exists(s, Top()), "x0", q)
-                w = Witness(_successors(r), q, ("a0", "a1"))
+                w = Witness(_successors(r), q, ("a0", "a1")[:len(head)])
                 if verify_witness(t1, t2, w):
                     return w
     return None
@@ -315,6 +322,8 @@ def build_pipeline(
     sigQ: Signature,
     sim: bool = False,
 ):
+    from . import automata  # deferred: see step 6 of the module docstring
+
     ctx = automata.build_label_context(t1, t2, sigA, sigQ)
     a4 = (
         automata.build_A4_sim(t1, t2, ctx)
@@ -332,6 +341,8 @@ def build_pipeline(
 
 
 def _run_pipeline(t1, t2, sigA, sigQ, sim):
+    from . import automata
+
     ctx, product = build_pipeline(t1, t2, sigA, sigQ, sim=sim)
     res = automata.is_empty(product)
     stats = dict(res.stats)
@@ -357,7 +368,7 @@ def _decide_queries(
     inconsistent with the second TBox.  The checks run in the order of
     the module docstring; ``precheck`` holds the mode's own, which
     passed."""
-    w = check_ri(p.t1, p.t2, p.sigA, p.sigQ)
+    w = check_ri(p.t1, p.t2, p.sigA, p.sigQ, rooted=mode == "1tcq")
     precheck = {"ri": w is None, **precheck}
     if w is not None:
         return Decision(mode, False, precheck, witness=w,

@@ -17,7 +17,6 @@ Parentheses around concepts are accepted for grouping.  ``some`` and
 
 from __future__ import annotations
 
-import hashlib
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -301,6 +300,8 @@ class _Normalizer:
             self.out.append(ci)
 
     def fresh_name(self, source: Concept) -> str:
+        import hashlib  # deferred: most TBoxes mint no fresh name
+
         key = str(source)
         digest = hashlib.sha1(key.encode()).hexdigest()
         for k in range(8, len(digest) + 1):

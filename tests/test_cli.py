@@ -4,6 +4,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,9 @@ from click.testing import CliRunner
 from hornsep import cli, entailment
 from hornsep.syntax import HornsepError, ResourceLimitError
 from hornsep.cli import main
+
+from conftest import problem
+from test_decision_golden import FIXTURES
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -150,6 +154,45 @@ def _problem_files(tmp_path, t1, t2, sigma_a, sigma_q):
         path.write_text(text)
         args += [option, str(path)]
     return args
+
+
+# T1 gives every element an s-successor and an s-predecessor, so the
+# edge T2 derives from r(a0, a1) answers no rooted tree query over {s}
+# that T1 does not answer too
+_EVERY_S = "top sub some s top\ntop sub some inv(s) top\n"
+
+
+@pytest.mark.parametrize("mode, sig_a, sig_q, code, witness", [
+    ("1tcq", "roles: r\n", "roles: s\n", 0, None),
+    ("deductive", "roles: r s\n", "roles: r s\n", 2,
+     {"abox": ["r(a0,a1)"], "query": "q(x0,x1) <- s(x0,x1)",
+      "answer": ["a0", "a1"]}),
+], ids=["1tcq", "deductive"])
+def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
+        runner, tmp_path, mode, sig_a, sig_q, code, witness):
+    """T2's ``r subr s`` and T1's s-edges everywhere: in ``1tcq`` the
+    precheck's rooted witness ``q(x0) <- s(x0,x1)`` does not replay and
+    the pipeline settles "entails", as the rooted tree pipeline and the
+    oracle at bounds (3, 3), asked directly, agree.  In ``deductive``
+    r ⊑ s is itself a separating axiom, so the two-variable witness
+    refutes, exit 2."""
+    res = invoke(runner, "check", "--json", "--mode", mode,
+                 *_problem_files(tmp_path, _EVERY_S, "r subr s\n",
+                                 sig_a, sig_q))
+    assert res.exit_code == code
+    obj = json.loads(res.output)
+    assert obj["precheck"]["ri"] is (witness is None)
+    assert obj["witness"] == witness
+    p = problem(_EVERY_S, "r subr s", sig_a, sig_q)
+    if witness is None:
+        assert obj["stats"]["settled_by"] == "pipeline"
+        assert entailment._run_pipeline(p.t1, p.t2, p.sigA, p.sigQ,
+                                        True)[0] is True
+        assert entailment.oracle_witness_search(
+            p.t1, p.t2, p.sigA, p.sigQ, 3, 3, "1tcq") is None
+    else:
+        w = entailment.decide_deductive(p).witness
+        assert entailment.verify_witness(p.t1, p.t2, w)
 
 
 def test_check_verify_witness_replays_a_role_inclusion_witness(
@@ -512,3 +555,60 @@ def test_dump_identical_across_hash_seeds(tmp_path):
         runs = [_run_cli(args, seed) for seed in (0, 1, 7, 31337)]
         assert all(r.returncode == 0 for r in runs), args
         assert all(r.stdout == runs[0].stdout for r in runs[1:]), args
+
+
+_COLD_PATH = """
+import json, sys, warnings
+
+import hornsep.cli
+from hornsep import entailment, models, parse_signature, parse_tbox
+
+def loaded():
+    return sorted(m for m in ("hornsep.automata", "hornsep.mosaics")
+                  if m in sys.modules)
+
+def problem(t1, t2, sig_a, sig_q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return entailment.make_problem(parse_tbox(t1), parse_tbox(t2),
+                                       parse_signature(sig_a),
+                                       parse_signature(sig_q))
+
+advisor, bot = (problem(*texts) for texts in json.loads(sys.argv[1]))
+out = {"import": loaded()}
+d = entailment.decide_cq_entailment(advisor)
+out["search"] = [d.stats["settled_by"], loaded()]
+entailment.oracle_witness_search(advisor.t1, advisor.t2, advisor.sigA,
+                                 advisor.sigQ, 2, 2)
+models.materialize(models.UniversalModel(advisor.t2, d.witness.abox), 2)
+out["oracle"] = loaded()
+d = entailment.decide_cq_entailment(bot)
+out["pipeline"] = [d.stats["settled_by"], loaded(), d.to_json_obj()]
+print(json.dumps(out))
+"""
+
+
+def test_the_pipeline_modules_load_with_the_first_pipeline_decision():
+    """A fresh interpreter imports the command line and settles the
+    advisor fixture's ``cq`` decision by the witness-first search, runs
+    the oracle and materializes a window without loading the automata
+    or the mosaics; the ``deductive_bot`` fixture's ``cq`` decision,
+    which the pipeline settles, loads both and decides as in this
+    process."""
+    texts = [FIXTURES["advisor"], FIXTURES["deductive_bot"]]
+    env = dict(os.environ, PYTHONPATH=str(DATA.parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-c", _COLD_PATH, json.dumps(texts)],
+                       capture_output=True, env=env, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["import"] == []
+    assert out["search"] == ["witness_search", []]
+    assert out["oracle"] == []
+    by, loaded, decision = out["pipeline"]
+    assert by == "pipeline"
+    assert loaded == ["hornsep.automata", "hornsep.mosaics"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = problem(*FIXTURES["deductive_bot"])
+    here = entailment.decide_cq_entailment(p).to_json_obj()
+    assert decision == json.loads(json.dumps(here))

@@ -332,17 +332,22 @@ def test_a_role_axiom_over_inconsistent_edges_separates_nothing(
 
 _EDGE_WITNESS = {"abox": ["r(a0,a1)"], "query": "q(x0,x1) <- s(x0,x1)",
                  "answer": ["a0", "a1"]}
+# in 1tcq the witness is a rooted tree query, answered at the edge's source
+_ROOTED_EDGE_WITNESS = {"abox": ["r(a0,a1)"], "query": "q(x0) <- s(x0,x1)",
+                        "answer": ["a0"]}
 _FORK = {"abox": ["r(a0,a1)", "r(a0,a2)"], "query": None, "answer": []}
 _INV_FORK = {"abox": ["r(a1,a0)", "r(a2,a0)"], "query": None, "answer": []}
 # T2 -> {mode: (settled_by, witness)} of the modes that refute T1 empty
 # over ΣA = ΣQ = {A, r, s}; the other modes entail
+_RI = {mode: ("role_inclusion",
+              _ROOTED_EDGE_WITNESS if mode == "1tcq" else _EDGE_WITNESS)
+       for mode in MODES}
 REFUTATIONS = {
-    "r subr s": {mode: ("role_inclusion", _EDGE_WITNESS) for mode in MODES},
+    "r subr s": _RI,
     "func(r)": {mode: ("fork", _FORK) for mode in ("cq-incons", "deductive")},
     "func(inv(r))": {mode: ("fork", _INV_FORK)
                      for mode in ("cq-incons", "deductive")},
-    "r subr s\nfunc(s)": {mode: ("role_inclusion", _EDGE_WITNESS)
-                          for mode in MODES},
+    "r subr s\nfunc(s)": _RI,
 }
 
 
