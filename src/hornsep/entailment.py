@@ -14,7 +14,8 @@ settles the problem ends it:
 
 1. in ``cq-incons``, universality (``decide_universal``, "entails");
 2. role inclusions (``check_ri``): a one-edge witness of T2 ⊨ R ⊑ S
-   and T1 ⊭ R ⊑ S, whose query in ``1tcq`` is rooted, with ``"ri":
+   and T1 ⊭ R ⊑ S, whose query in ``1tcq`` is rooted, there failing
+   that a rooted witness on an ABox with an R-edge, with ``"ri":
    false`` in the precheck;
 3. ``tbox_entails``: T1 ⊨ T2 is "entails" in every mode;
 4. the witness-first search: tree ABoxes of at most
@@ -172,7 +173,7 @@ class Decision:
 # prechecks
 
 def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
-             sigQ: Signature, rooted: bool = False) -> Witness | None:
+             sigQ: Signature, mode: str) -> Witness | None:
     """The witness of a role inclusion from an ABox role R into a query
     role S that separates the TBoxes, or None: the ABox R(a0, a1), the
     query ``q(x0, x1) <- S(x0, x1)`` and the answer (a0, a1).  Horn-ALCHIF
@@ -180,13 +181,18 @@ def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
     inclusions, so a pair separates exactly when this one edge does; an
     edge inconsistent with either TBox leaves every ABox with an R-edge
     out of the comparison.  ``role_subsumes`` filters the pairs first.
-    With ``rooted`` the query is ``q(x0) <- S(x0, x1)`` and the answer
-    (a0), which an S-successor T1 derives anyway answers too; a pair
-    that only a larger rooted tree query separates is then missed, as
-    the pipeline compares no role edges between individuals."""
+
+    In ``1tcq`` the query is rooted, ``q(x0) <- S(x0, x1)`` with the
+    answer (a0), which T1 answers too wherever it gives a0 an
+    S-successor of its own.  If no pair's edge replays so, the oracle's
+    scan at ``RI_SEARCH_BOUNDS``, over the ABoxes that hold an edge of a
+    separating R, looks for a larger rooted witness, such as
+    ``q(x1) <- S(x0, x1), R(x0, x2)`` over R(a0, a1), R(a0, a2).  A pair
+    that neither separates is left to the later checks."""
     idx1 = index_for(t1)
     idx2 = index_for(t2)
-    head = ("x0",) if rooted else ("x0", "x1")
+    head = ("x0",) if mode == "1tcq" else ("x0", "x1")
+    missed = set()
     for r in sorted(sigA.role_objects()):
         for s in sorted(sigQ.role_objects()):
             if idx2.role_subsumes(r, s) and not idx1.role_subsumes(r, s):
@@ -195,7 +201,11 @@ def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
                 w = Witness(_successors(r), q, ("a0", "a1")[:len(head)])
                 if verify_witness(t1, t2, w):
                     return w
-    return None
+                missed.add(r.name)
+    if mode != "1tcq" or not missed:
+        return None
+    return _scan_witnesses(t1, t2, sigA, sigQ, *RI_SEARCH_BOUNDS, mode,
+                           cap=SEARCH_CAP, roles=missed)[0]
 
 
 def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
@@ -357,6 +367,8 @@ SEARCH_BOUNDS = (2, 2)
 #: it leaves the problem to the pipeline; a count, so that where the
 #: search stops does not depend on the machine's speed
 SEARCH_CAP = 20_000
+#: the bounds of ``check_ri``'s search for a rooted role-inclusion witness
+RI_SEARCH_BOUNDS = (3, 3)
 
 
 def _decide_queries(
@@ -368,7 +380,7 @@ def _decide_queries(
     inconsistent with the second TBox.  The checks run in the order of
     the module docstring; ``precheck`` holds the mode's own, which
     passed."""
-    w = check_ri(p.t1, p.t2, p.sigA, p.sigQ, rooted=mode == "1tcq")
+    w = check_ri(p.t1, p.t2, p.sigA, p.sigQ, mode)
     precheck = {"ri": w is None, **precheck}
     if w is not None:
         return Decision(mode, False, precheck, witness=w,
@@ -684,7 +696,7 @@ def oracle_witness_search(
 
 
 def _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode,
-                    incons=False, cap=None):
+                    incons=False, cap=None, roles=None):
     """The per-ABox loop of both witness searches.  Each ABox of
     ``enumerate_tree_aboxes`` is chased once per TBox.  One consistent
     with T1 and inconsistent with T2 is, with ``incons``, a witness of
@@ -696,11 +708,17 @@ def _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode,
     the window, and below each its connected substructures, enumerated
     as the questions are asked.
 
+    With ``roles``, a set of role names, only the ABoxes that assert an
+    edge of one of them are chased.
+
     Returns (witness or None, asked, capped): ``asked`` counts the
     ABoxes chased and the questions asked, and the scan stops, capped,
     before it would ask more than ``cap`` of them."""
     asked = 0
     for abox in enumerate_tree_aboxes(sigA, max_ind):
+        if roles is not None and roles.isdisjoint(
+                r for r, _, _ in abox.role_assertions):
+            continue
         if asked == cap:
             return None, asked, True
         asked += 1

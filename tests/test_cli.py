@@ -156,43 +156,52 @@ def _problem_files(tmp_path, t1, t2, sigma_a, sigma_q):
     return args
 
 
-# T1 gives every element an s-successor and an s-predecessor, so the
-# edge T2 derives from r(a0, a1) answers no rooted tree query over {s}
-# that T1 does not answer too
+# T1 gives every element an s-successor and an s-predecessor, so over
+# ΣQ = {s} the edge T2 derives from r(a0, a1) answers no rooted tree
+# query that T1 does not answer too; with r in ΣQ, a1's s-predecessor
+# a0 has an r-successor, which T1's anonymous s-predecessors lack
 _EVERY_S = "top sub some s top\ntop sub some inv(s) top\n"
 
 
-@pytest.mark.parametrize("mode, sig_a, sig_q, code, witness", [
-    ("1tcq", "roles: r\n", "roles: s\n", 0, None),
-    ("deductive", "roles: r s\n", "roles: r s\n", 2,
+@pytest.mark.parametrize("mode, sig, code, witness", [
+    ("1tcq", ("roles: r\n", "roles: s\n"), 0, None),
+    ("1tcq", ("roles: r s\n", "roles: r s\n"), 2,
+     {"abox": ["r(a0,a1)", "r(a0,a2)"],
+      "query": "q(x1) <- r(x0,x2), s(x0,x1)", "answer": ["a1"]}),
+    ("deductive", ("roles: r s\n", "roles: r s\n"), 2,
      {"abox": ["r(a0,a1)"], "query": "q(x0,x1) <- s(x0,x1)",
       "answer": ["a0", "a1"]}),
-], ids=["1tcq", "deductive"])
+], ids=["1tcq-s", "1tcq-rs", "deductive"])
 def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
-        runner, tmp_path, mode, sig_a, sig_q, code, witness):
-    """T2's ``r subr s`` and T1's s-edges everywhere: in ``1tcq`` the
-    precheck's rooted witness ``q(x0) <- s(x0,x1)`` does not replay and
-    the pipeline settles "entails", as the rooted tree pipeline and the
-    oracle at bounds (3, 3), asked directly, agree.  In ``deductive``
-    r ⊑ s is itself a separating axiom, so the two-variable witness
-    refutes, exit 2."""
+        runner, tmp_path, mode, sig, code, witness):
+    """T2's ``r subr s`` and T1's s-edges everywhere.  In ``1tcq`` the
+    precheck's rooted edge ``q(x0) <- s(x0,x1)`` does not replay, and
+    its search over ABoxes with an r-edge at bounds (3, 3) decides: over
+    ΣQ = {s} it finds nothing and the pipeline settles "entails", as the
+    rooted tree pipeline and the oracle, asked directly, agree; over
+    ΣQ = {r, s} it refutes, exit 2, with the oracle's own witness.  In
+    ``deductive`` r ⊑ s is itself a separating axiom, so the
+    two-variable edge refutes, exit 2."""
     res = invoke(runner, "check", "--json", "--mode", mode,
-                 *_problem_files(tmp_path, _EVERY_S, "r subr s\n",
-                                 sig_a, sig_q))
+                 *_problem_files(tmp_path, _EVERY_S, "r subr s\n", *sig))
     assert res.exit_code == code
     obj = json.loads(res.output)
     assert obj["precheck"]["ri"] is (witness is None)
     assert obj["witness"] == witness
-    p = problem(_EVERY_S, "r subr s", sig_a, sig_q)
+    p = problem(_EVERY_S, "r subr s", *sig)
     if witness is None:
         assert obj["stats"]["settled_by"] == "pipeline"
         assert entailment._run_pipeline(p.t1, p.t2, p.sigA, p.sigQ,
                                         True)[0] is True
-        assert entailment.oracle_witness_search(
-            p.t1, p.t2, p.sigA, p.sigQ, 3, 3, "1tcq") is None
     else:
-        w = entailment.decide_deductive(p).witness
-        assert entailment.verify_witness(p.t1, p.t2, w)
+        assert obj["stats"]["settled_by"] == "role_inclusion"
+        decide = {"1tcq": entailment.decide_1tcq_entailment,
+                  "deductive": entailment.decide_deductive}[mode]
+        assert entailment.verify_witness(p.t1, p.t2, decide(p).witness)
+    if mode == "1tcq":
+        oracle = entailment.oracle_witness_search(
+            p.t1, p.t2, p.sigA, p.sigQ, 3, 3, "1tcq")
+        assert (oracle and oracle.to_json_obj()) == witness
 
 
 def test_check_verify_witness_replays_a_role_inclusion_witness(
