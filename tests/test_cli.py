@@ -266,13 +266,66 @@ def test_parse_error_exit_ten(runner, tmp_path):
     assert res.exit_code == 10
 
 
+def _error_line(output: str) -> str:
+    """The one ``error:`` line of a command's output."""
+    (line,) = [s for s in output.splitlines() if s.startswith("error:")]
+    return line
+
+
 def test_usage_error_exit_ten(runner):
     res = invoke(runner, "check", "--t1", "t1.tbox")
     assert res.exit_code == 10
-    assert "error: Missing option" in res.output
+    assert "--sigma-q" in _error_line(res.output)
     res = invoke(runner, "check", "--mode", "bogus", *ADVISOR)
     assert res.exit_code == 10
-    assert "error: Invalid value for '--mode'" in res.output
+    assert "--mode" in _error_line(res.output)
+
+
+_MATERIALIZE = ["--tbox", str(DATA / "advisor_t2.tbox"),
+                "--abox", str(DATA / "advisor_t2.tbox")]
+
+# (subcommand, its valid arguments, a required option, an option
+# abbreviated, the options with a floor and a value below it)
+_USAGE = [
+    ("check", ADVISOR, "--sigma-q", "--verify",
+     [("--oracle-max-ind", "0"), ("--oracle-max-vars", "0")]),
+    ("oracle", ADVISOR, "--sigma-q", "--max-ab",
+     [("--max-abox", "0"), ("--max-cq", "0")]),
+    ("materialize", _MATERIALIZE, "--abox", "--dep", [("--depth", "-1")]),
+    ("automaton", ADVISOR, "--sigma-q", "--whi", []),
+]
+
+
+def _usage_cases():
+    for command, valid, required, abbrev, floors in _USAGE:
+        i = valid.index(required)
+        yield command, valid[:i] + valid[i + 2:], required
+        yield command, [*valid, "--bogus"], "--bogus"
+        yield command, [*valid, abbrev, "1"], abbrev
+        if command in ("check", "oracle"):
+            yield command, [*valid, "--mode", "bogus"], "--mode"
+        for option, value in floors:
+            yield command, [*valid, option, value], option
+        yield command, [*valid, "--time-limit", "abc"], "--time-limit"
+
+
+@pytest.mark.parametrize("command, args, option", list(_usage_cases()))
+def test_usage_errors_exit_ten_naming_the_option(runner, command, args,
+                                                 option):
+    """Bad command lines exit 10, not the precheck's 2, with an
+    ``error:`` line that names the offending option: a missing required
+    option, an unknown or abbreviated one, a value outside its choices
+    or below its floor, and a malformed time limit."""
+    res = invoke(runner, command, *args)
+    assert res.exit_code == 10
+    assert option in _error_line(res.output)
+
+
+@pytest.mark.parametrize("command", [u[0] for u in _USAGE])
+def test_subcommand_help_exits_zero(runner, command):
+    res = invoke(runner, command, "--help")
+    assert res.exit_code == 0
+    assert "--time-limit" in res.output and "error:" not in res.output
 
 
 def test_bare_invocation_prints_help(runner):
