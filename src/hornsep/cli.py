@@ -16,21 +16,21 @@ branch on them:
 * 13 resource limit hit (time, memory, or a construction or search cap)
 
 Input files are checked where they are read; every other exception a
-command raises reaches one table in ``_Main``, which maps it to its
-code.  ``--time-limit`` (fractional seconds, 0 for none) arms one
+command raises reaches one table, ``_EXIT_CODES``, which ``main`` maps
+to its code.  ``--time-limit`` (fractional seconds, 0 for none) arms one
 interval timer for the length of the command, whose handler raises
 ``ResourceLimitError``, so a limit exits 13 wherever it fires.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import json
 import math
 import os
 import signal
 import sys
-
-import click
 
 from . import entailment, models
 from .entailment import PreconditionError, make_problem
@@ -65,31 +65,36 @@ MODES = {
     "inseparable": "inseparable",
 }
 
+#: the exit code of each exception a command raises; the first row wins
+_EXIT_CODES = (
+    ((PreconditionError, ProfileError, InconsistentABoxError), EXIT_PRECHECK),
+    ((MemoryError, ResourceLimitError), EXIT_RESOURCE),
+    (HornsepError, EXIT_INTERNAL),
+)
+
 
 def _emit(obj, as_json: bool):
     if as_json:
-        click.echo(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj, indent=2, sort_keys=True))
         return
     for key in sorted(obj):
-        click.echo(f"{key}: {json.dumps(obj[key], sort_keys=True)}")
+        print(f"{key}: {json.dumps(obj[key], sort_keys=True)}")
 
 
 def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
+    sys.stdout.flush()  # a report printed before the error comes first
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        _fail(str(exc), EXIT_USAGE)
 
 
 def _parse(parser, path: str):
     try:
-        return parser(_read(path))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        _fail(str(exc), EXIT_USAGE)
+    try:
+        return parser(text)
     except (ParseError, ProfileError) as exc:
         _fail(f"{path}: {exc}", EXIT_USAGE)
 
@@ -109,7 +114,9 @@ def _limit(value, option: str, env: str, kind):
     return value
 
 
-def _apply_limits(time_limit: float | None, memory_mb: int | None):
+@contextlib.contextmanager
+def _limits(time_limit: float | None, memory_mb: int | None):
+    """Apply the limits; the time limit lasts as long as the block."""
     time_limit = _limit(time_limit, "--time-limit", "HORNSEP_TIME_LIMIT",
                         float)
     memory_mb = _limit(memory_mb, "--memory-mb", "HORNSEP_MEMORY_MB", int)
@@ -120,30 +127,31 @@ def _apply_limits(time_limit: float | None, memory_mb: int | None):
             limit = memory_mb << 20
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):
-            click.echo("warning: memory limit not supported here", err=True)
-    if time_limit and hasattr(signal, "SIGALRM"):
+            print("warning: memory limit not supported here", file=sys.stderr)
+    if not (time_limit and hasattr(signal, "SIGALRM")):
+        yield
+        return
 
-        def on_alarm(_signum, _frame):
-            raise ResourceLimitError("time limit exceeded")
+    def on_alarm(_signum, _frame):
+        raise ResourceLimitError("time limit exceeded")
 
-        previous = signal.signal(signal.SIGALRM, on_alarm)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
         signal.setitimer(signal.ITIMER_REAL, time_limit)
-
-        def disarm():
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-
+        yield
+    finally:
         # the limit ends with the command, also when it runs in-process
-        click.get_current_context().call_on_close(disarm)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-def _problem(t1, t2, sigma_a, sigma_q):
+def _problem(args):
     try:
         return make_problem(
-            _parse(parse_tbox, t1),
-            _parse(parse_tbox, t2),
-            _parse(parse_signature, sigma_a),
-            _parse(parse_signature, sigma_q),
+            _parse(parse_tbox, args.t1),
+            _parse(parse_tbox, args.t2),
+            _parse(parse_signature, args.sigma_a),
+            _parse(parse_signature, args.sigma_q),
         )
     except ResourceLimitError:
         raise  # the time limit, which covers reading the inputs too
@@ -151,168 +159,67 @@ def _problem(t1, t2, sigma_a, sigma_q):
         _fail(str(exc), EXIT_USAGE)
 
 
-def _shared_options(fn):
-    for opt in (
-        click.option("--t1", required=True, help="first TBox file"),
-        click.option("--t2", required=True, help="second TBox file"),
-        click.option("--sigma-a", required=True, help="ABox signature file"),
-        click.option("--sigma-q", required=True, help="query signature file"),
-        click.option("--json", "as_json", is_flag=True, help="JSON output"),
-        click.option("--time-limit", type=float, default=None,
-                     help="wall-clock limit in seconds, 0 for none"),
-        click.option("--memory-mb", type=int, default=None,
-                     help="address-space limit in MiB"),
-    ):
-        fn = opt(fn)
-    return fn
-
-
-class _Main(click.Group):
-    """The command group, which maps every exception of a command to its
-    exit code.  A usage error exits ``EXIT_USAGE`` with an ``error:``
-    line, as other bad input does, not with click's 2, which is the
-    precheck-failure code here."""
-
-    def make_context(self, info_name, args, *rest, **kwargs):
-        if not args:
-            # a bare ``hornsep`` prints the help, as click does
-            return super().make_context(info_name, args, *rest, **kwargs)
-        return _exit_coded(super().make_context, info_name, args, *rest,
-                           **kwargs)
-
-    def invoke(self, ctx):
-        return _exit_coded(super().invoke, ctx)
-
-
-def _exit_coded(call, *args, **kwargs):
-    """Call ``call``; exit with the code of the first row below that an
-    exception it raises matches.  Errors in the input files already
-    exited ``EXIT_USAGE`` where they were read."""
-    try:
-        return call(*args, **kwargs)
-    except click.UsageError as exc:
-        if exc.ctx is not None:
-            click.echo(exc.ctx.get_usage(), err=True)
-        _fail(exc.format_message(), EXIT_USAGE)
-    except (PreconditionError, ProfileError, InconsistentABoxError) as exc:
-        _fail(str(exc), EXIT_PRECHECK)
-    except MemoryError:
-        _fail("memory limit exceeded", EXIT_RESOURCE)
-    except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
-    except HornsepError as exc:
-        _fail(str(exc), EXIT_INTERNAL)
-
-
-@click.group(cls=_Main)
-def main():
-    """Decide entailment, inseparability, and conservative extensions
-    between Horn description logic TBoxes."""
-
-
-@main.command()
-@_shared_options
-@click.option("--mode", type=click.Choice(list(MODES)), default="cq",
-              show_default=True)
-@click.option("--verify-witness", is_flag=True,
-              help="on non-entailment, replay the decision's witness, or "
-                   "search a small one and replay it")
-@click.option("--oracle-max-ind", type=click.IntRange(min=1), default=2,
-              show_default=True,
-              help="witness ABox size bound for --verify-witness")
-@click.option("--oracle-max-vars", type=click.IntRange(min=1), default=2,
-              show_default=True,
-              help="witness query size bound for --verify-witness")
-def check(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
-          verify_witness, oracle_max_ind, oracle_max_vars):
+def check(args) -> int:
     """Decide the selected entailment mode for two TBox files."""
-    _apply_limits(time_limit, memory_mb)
-    p = _problem(t1, t2, sigma_a, sigma_q)
-    decision = getattr(entailment, MODES[mode])(p)
+    p = _problem(args)
+    decision = getattr(entailment, MODES[args.mode])(p)
     report = decision.to_json_obj()
     code = EXIT_ENTAILS if decision.entails else EXIT_NON_ENTAILS
     if not decision.entails and decision.precheck.get("ri") is False:
         code = EXIT_PRECHECK
-    if verify_witness and not decision.entails:
+    if args.verify_witness and not decision.entails:
         if decision.stats.get("direction") == "backward":
             p = p.swapped()  # the verdict failed on (T2, T1)
         witness = decision.witness
         if witness is None:  # a pipeline verdict
             witness = entailment.oracle_witness_search(
-                p.t1, p.t2, p.sigA, p.sigQ, oracle_max_ind, oracle_max_vars,
-                mode="1tcq" if mode in ("1tcq", "deductive") else "cq",
+                p.t1, p.t2, p.sigA, p.sigQ, args.oracle_max_ind,
+                args.oracle_max_vars,
+                mode="1tcq" if args.mode in ("1tcq", "deductive") else "cq",
             )
         if witness is None:
-            report["witness"] = None
-            report["witness_verified"] = None
+            report["witness"] = report["witness_verified"] = None
         else:
             report["witness"] = witness.to_json_obj()
             verified = entailment.verify_witness(p.t1, p.t2, witness)
             report["witness_verified"] = verified
             if not verified:
-                _emit(report, as_json)
+                _emit(report, args.as_json)
                 _fail("witness failed replay", EXIT_AUDIT)
-    _emit(report, as_json)
-    sys.exit(code)
+    _emit(report, args.as_json)
+    return code
 
 
-@main.command()
-@_shared_options
-@click.option("--mode", type=click.Choice(("cq", "1tcq")), default="cq",
-              show_default=True)
-@click.option("--max-abox", type=click.IntRange(min=1), default=2,
-              show_default=True, help="maximum ABox individuals")
-@click.option("--max-cq", type=click.IntRange(min=1), default=2,
-              show_default=True, help="maximum query variables")
-def oracle(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb, mode,
-           max_abox, max_cq):
+def oracle(args) -> int:
     """Brute-force search for a small (ABox, query, answer) witness of
     non-entailment; exit 1 when one is found."""
-    _apply_limits(time_limit, memory_mb)
-    p = _problem(t1, t2, sigma_a, sigma_q)
+    p = _problem(args)
     witness = entailment.oracle_witness_search(
-        p.t1, p.t2, p.sigA, p.sigQ, max_abox, max_cq, mode=mode
+        p.t1, p.t2, p.sigA, p.sigQ, args.max_abox, args.max_cq, mode=args.mode
     )
     if witness is None:
-        _emit({"mode": mode, "witness": None}, as_json)
-        sys.exit(EXIT_ENTAILS)
+        _emit({"mode": args.mode, "witness": None}, args.as_json)
+        return EXIT_ENTAILS
     if not entailment.verify_witness(p.t1, p.t2, witness):
         _fail("witness failed replay", EXIT_AUDIT)
-    _emit({"mode": mode, "witness": witness.to_json_obj()}, as_json)
-    sys.exit(EXIT_NON_ENTAILS)
+    _emit({"mode": args.mode, "witness": witness.to_json_obj()}, args.as_json)
+    return EXIT_NON_ENTAILS
 
 
-@main.command()
-@click.option("--tbox", required=True, help="TBox file")
-@click.option("--abox", required=True, help="ABox file")
-@click.option("--depth", type=click.IntRange(min=0), default=0,
-              show_default=True, help="anonymous-tree depth")
-@click.option("--time-limit", type=float, default=None)
-@click.option("--memory-mb", type=int, default=None)
-def materialize(tbox, abox, depth, time_limit, memory_mb):
+def materialize(args) -> int:
     """Dump a finite prefix of the universal model as JSON."""
-    _apply_limits(time_limit, memory_mb)
-    t = _parse(lambda text: normalize(parse_tbox(text)), tbox)
-    a = _parse(parse_abox, abox)
-    interp = models.materialize(models.UniversalModel(t, a), depth)
-    click.echo(interp.to_json())
-    sys.exit(EXIT_ENTAILS)
+    t = _parse(lambda text: normalize(parse_tbox(text)), args.tbox)
+    a = _parse(parse_abox, args.abox)
+    interp = models.materialize(models.UniversalModel(t, a), args.depth)
+    print(interp.to_json())
+    return EXIT_ENTAILS
 
 
-@main.command()
-@_shared_options
-@click.option("--which",
-              type=click.Choice(("a1", "a2", "a3", "a4", "a4sim", "product")),
-              default="product", show_default=True)
-@click.option("--dump", "do_dump", is_flag=True,
-              help="print states, priorities, and guarded transitions")
-def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
-              which, do_dump):
+def automaton(args) -> int:
     """Build the pipeline automata and print a summary or full dump."""
     from . import automata  # deferred: no other command needs it
 
-    _apply_limits(time_limit, memory_mb)
-    p = _problem(t1, t2, sigma_a, sigma_q)
+    p = _problem(args)
     ctx = automata.build_label_context(p.t1, p.t2, p.sigA, p.sigQ)
     built = {
         "a1": lambda: automata.build_A1(ctx),
@@ -321,25 +228,118 @@ def automaton(t1, t2, sigma_a, sigma_q, as_json, time_limit, memory_mb,
         "a4": lambda: automata.build_A4(p.t1, p.t2, ctx),
         "a4sim": lambda: automata.build_A4_sim(p.t1, p.t2, ctx),
     }
-    if which == "product":
+    if args.which == "product":
         aut = automata.intersect([built[k]() for k in ("a1", "a2", "a3", "a4")])
     else:
-        aut = built[which]()
-    if do_dump:
-        click.echo(aut.dump(), nl=False)
+        aut = built[args.which]()
+    if args.dump:
+        sys.stdout.write(aut.dump())
     else:
-        _emit(
-            {
-                "name": aut.name,
-                "states": len(aut.rules),
-                "labels": len(ctx.labels),
-                "root_labels": len(ctx.root_labels),
-                "max_priority": aut.max_priority(),
-            },
-            as_json,
-        )
-    sys.exit(EXIT_ENTAILS)
+        _emit({"name": aut.name, "states": len(aut.rules),
+               "labels": len(ctx.labels), "root_labels": len(ctx.root_labels),
+               "max_priority": aut.max_priority()}, args.as_json)
+    return EXIT_ENTAILS
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit ``EXIT_USAGE`` with an ``error:`` line, not with
+    argparse's 2, the precheck-failure code here.  Options are never
+    abbreviated, and ``--help`` is the one help option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this help")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _fail(message, EXIT_USAGE)
+
+
+def _at_least(floor: int):
+    """The type of an integer option no smaller than ``floor``."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < floor:
+            raise argparse.ArgumentTypeError(
+                f"{value} is not in the range x>={floor}")
+        return value
+
+    parse.__name__ = "int"  # what argparse names in "invalid int value"
+    return parse
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="hornsep",
+        description="Decide entailment, inseparability, and conservative "
+                    "extensions between Horn description logic TBoxes.")
+    commands = parser.add_subparsers(title="Commands", metavar="COMMAND")
+    problem = (("--t1", "first TBox file"), ("--t2", "second TBox file"),
+               ("--sigma-a", "ABox signature file"),
+               ("--sigma-q", "query signature file"))
+
+    def command(run, files):
+        sub = commands.add_parser(run.__name__, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        for option, text in files:
+            sub.add_argument(option, required=True, help=text)
+        if files is problem:
+            sub.add_argument("--json", dest="as_json", action="store_true",
+                             help="JSON output")
+        sub.add_argument("--time-limit", type=float,
+                         help="wall-clock limit in seconds, 0 for none")
+        sub.add_argument("--memory-mb", type=int,
+                         help="address-space limit in MiB")
+        return sub
+
+    sub = command(check, problem)
+    sub.add_argument("--mode", choices=list(MODES), default="cq",
+                     help="entailment mode (default: %(default)s)")
+    sub.add_argument("--verify-witness", action="store_true",
+                     help="on non-entailment, replay the decision's witness, "
+                          "or search a small one and replay it")
+    sub.add_argument("--oracle-max-ind", type=_at_least(1), default=2,
+                     help="witness ABox size bound (default: %(default)s)")
+    sub.add_argument("--oracle-max-vars", type=_at_least(1), default=2,
+                     help="witness query size bound (default: %(default)s)")
+    sub = command(oracle, problem)
+    sub.add_argument("--mode", choices=("cq", "1tcq"), default="cq",
+                     help="query class (default: %(default)s)")
+    sub.add_argument("--max-abox", type=_at_least(1), default=2,
+                     help="maximum ABox individuals (default: %(default)s)")
+    sub.add_argument("--max-cq", type=_at_least(1), default=2,
+                     help="maximum query variables (default: %(default)s)")
+    sub = command(materialize, (("--tbox", "TBox file"),
+                                ("--abox", "ABox file")))
+    sub.add_argument("--depth", type=_at_least(0), default=0,
+                     help="anonymous-tree depth (default: %(default)s)")
+    sub = command(automaton, problem)
+    sub.add_argument("--which", default="product",
+                     choices=("a1", "a2", "a3", "a4", "a4sim", "product"),
+                     help="automaton to build (default: %(default)s)")
+    sub.add_argument("--dump", action="store_true",
+                     help="print states, priorities, and guarded transitions")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the ``hornsep`` command line on ``argv`` (the process's
+    arguments by default); return its exit code.  A bare ``hornsep``
+    prints the help and exits 0."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if "run" not in args:
+        parser.print_help()
+        return EXIT_ENTAILS
+    try:
+        with _limits(args.time_limit, args.memory_mb):
+            return args.run(args)
+    except (MemoryError, HornsepError) as exc:
+        code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+        _fail("memory limit exceeded" if isinstance(exc, MemoryError)
+              else str(exc), code)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

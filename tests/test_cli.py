@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,9 +7,9 @@ import resource
 import subprocess
 import sys
 import warnings
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from hornsep import cli, entailment
 from hornsep.syntax import HornsepError, ResourceLimitError
@@ -26,58 +28,65 @@ ADVISOR = [
 ]
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved
 
 
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+def invoke(*args) -> Result:
+    """Run the command line in this process on ``args``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue())
 
 
-def test_check_non_entailment_exit_code(runner):
-    res = invoke(runner, "check", *ADVISOR)
+def test_check_non_entailment_exit_code():
+    res = invoke("check", *ADVISOR)
     assert res.exit_code == 1
     assert "entails: false" in res.output
 
 
-def test_check_entailment_exit_code(runner, tmp_path):
+def test_check_entailment_exit_code(tmp_path):
     t = tmp_path / "t.tbox"
     t.write_text("A sub B\n")
     res = invoke(
-        runner, "check", "--t1", str(t), "--t2", str(t),
+        "check", "--t1", str(t), "--t2", str(t),
         "--sigma-a", str(DATA / "advisor_abox.sig"),
         "--sigma-q", str(DATA / "advisor_query.sig"),
     )
     assert res.exit_code == 0
 
 
-def test_check_json_output(runner):
-    res = invoke(runner, "check", "--json", *ADVISOR)
+def test_check_json_output():
+    res = invoke("check", "--json", *ADVISOR)
     assert res.exit_code == 1
     obj = json.loads(res.output)
     assert obj["entails"] is False
     assert obj["precheck"] == {"ri": True}
 
 
-def test_check_verify_witness(runner):
+def test_check_verify_witness():
     """A verdict that carries a witness replays that witness; the
     oracle's bounds play no part."""
     res = invoke(
-        runner, "check", "--json", "--verify-witness",
+        "check", "--json", "--verify-witness",
         "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
     )
     assert res.exit_code == 1
     obj = json.loads(res.output)
     assert obj["witness_verified"] is True
     assert "adv(a0,a1)" in obj["witness"]["abox"]
-    plain = json.loads(invoke(runner, "check", "--json", *ADVISOR).output)
+    plain = json.loads(invoke("check", "--json", *ADVISOR).output)
     assert obj["witness"] == plain["witness"]
     assert obj["stats"]["settled_by"] == "witness_search"
 
 
 def test_check_verify_witness_searches_only_without_a_witness(
-        runner, monkeypatch):
+        monkeypatch):
     """A verdict without a witness, here the pipeline's on the advisor
     fixture with the witness-first search capped at 0 questions, runs
     the oracle at the ``--oracle-max-*`` bounds, and its witness
@@ -92,7 +101,7 @@ def test_check_verify_witness_searches_only_without_a_witness(
     monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
     monkeypatch.setattr(entailment, "oracle_witness_search", oracle)
     res = invoke(
-        runner, "check", "--json", "--verify-witness",
+        "check", "--json", "--verify-witness",
         "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
     )
     assert res.exit_code == 1
@@ -103,7 +112,7 @@ def test_check_verify_witness_searches_only_without_a_witness(
     assert "adv(a0,a1)" in obj["witness"]["abox"]
 
 
-def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
+def test_check_verify_witness_follows_a_backward_verdict(tmp_path):
     """An inseparability verdict that fails backward carries a witness
     of the swapped problem, and it is replayed there."""
     t1 = tmp_path / "t1.tbox"
@@ -113,7 +122,7 @@ def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
     sig = tmp_path / "sig"
     sig.write_text("concepts: A B\nroles: r\n")
     res = invoke(
-        runner, "check", "--json", "--mode", "inseparable", "--verify-witness",
+        "check", "--json", "--mode", "inseparable", "--verify-witness",
         "--t1", str(t1), "--t2", str(t2),
         "--sigma-a", str(sig), "--sigma-q", str(sig),
     )
@@ -125,7 +134,7 @@ def test_check_verify_witness_follows_a_backward_verdict(runner, tmp_path):
     assert obj["witness"]["query"] == "q() <- B(x0)"
 
 
-def test_check_ri_precheck_exit_two(runner, tmp_path):
+def test_check_ri_precheck_exit_two(tmp_path):
     t1 = tmp_path / "t1.tbox"
     t1.write_text("")
     t2 = tmp_path / "t2.tbox"
@@ -133,7 +142,7 @@ def test_check_ri_precheck_exit_two(runner, tmp_path):
     sig = tmp_path / "sig"
     sig.write_text("concepts:\nroles: r s\n")
     res = invoke(
-        runner, "check", "--json", "--t1", str(t1), "--t2", str(t2),
+        "check", "--json", "--t1", str(t1), "--t2", str(t2),
         "--sigma-a", str(sig), "--sigma-q", str(sig),
     )
     assert res.exit_code == 2
@@ -173,7 +182,7 @@ _EVERY_S = "top sub some s top\ntop sub some inv(s) top\n"
       "answer": ["a0", "a1"]}),
 ], ids=["1tcq-s", "1tcq-rs", "deductive"])
 def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
-        runner, tmp_path, mode, sig, code, witness):
+        tmp_path, mode, sig, code, witness):
     """T2's ``r subr s`` and T1's s-edges everywhere.  In ``1tcq`` the
     precheck's rooted edge ``q(x0) <- s(x0,x1)`` does not replay, and
     its search over ABoxes with an r-edge at bounds (3, 3) decides: over
@@ -182,7 +191,7 @@ def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
     ΣQ = {r, s} it refutes, exit 2, with the oracle's own witness.  In
     ``deductive`` r ⊑ s is itself a separating axiom, so the
     two-variable edge refutes, exit 2."""
-    res = invoke(runner, "check", "--json", "--mode", mode,
+    res = invoke("check", "--json", "--mode", mode,
                  *_problem_files(tmp_path, _EVERY_S, "r subr s\n", *sig))
     assert res.exit_code == code
     obj = json.loads(res.output)
@@ -205,7 +214,7 @@ def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
 
 
 def test_check_verify_witness_replays_a_role_inclusion_witness(
-        runner, monkeypatch, tmp_path):
+        monkeypatch, tmp_path):
     """A role-inclusion refutation carries its one-edge witness, so
     ``--verify-witness`` replays it and never searches: the oracle is
     patched to raise.  The exit code stays the precheck's."""
@@ -215,7 +224,7 @@ def test_check_verify_witness_replays_a_role_inclusion_witness(
     monkeypatch.setattr(entailment, "oracle_witness_search", fail)
     sig = "concepts: A\nroles: r s\n"
     res = invoke(
-        runner, "check", "--verify-witness",
+        "check", "--verify-witness",
         *_problem_files(tmp_path, "", "r subr s\n", sig, sig),
     )
     assert res.exit_code == 2
@@ -223,13 +232,13 @@ def test_check_verify_witness_replays_a_role_inclusion_witness(
     assert '"settled_by": "role_inclusion"' in res.output
 
 
-def test_check_incons_edge_bot_exits_one_with_the_edge(runner, tmp_path):
+def test_check_incons_edge_bot_exits_one_with_the_edge(tmp_path):
     """T2's ``some r top sub bot`` makes every r-edge inconsistent, so
     its ``r subr s`` separates nothing and the role-inclusion precheck
     passes; in ``cq-incons`` the edge r(a0, a1) itself separates, as an
     inconsistency witness: exit 1, not the precheck's 2."""
     res = invoke(
-        runner, "check", "--json", "--mode", "cq-incons", "--verify-witness",
+        "check", "--json", "--mode", "cq-incons", "--verify-witness",
         *_problem_files(tmp_path, "", "r subr s\nsome r top sub bot\n",
                         "concepts: A\nroles: r\n",
                         "concepts: A\nroles: s\n"),
@@ -242,25 +251,25 @@ def test_check_incons_edge_bot_exits_one_with_the_edge(runner, tmp_path):
     assert obj["witness_verified"] is True
 
 
-def test_check_deductive_precondition_exit_two(runner):
-    res = invoke(runner, "check", "--mode", "deductive", *ADVISOR)
+def test_check_deductive_precondition_exit_two():
+    res = invoke("check", "--mode", "deductive", *ADVISOR)
     assert res.exit_code == 2
     assert "error:" in res.output
 
 
-def test_missing_file_exit_ten(runner):
+def test_missing_file_exit_ten():
     res = invoke(
-        runner, "check", "--t1", "/nonexistent", "--t2", "/nonexistent",
+        "check", "--t1", "/nonexistent", "--t2", "/nonexistent",
         "--sigma-a", "/nonexistent", "--sigma-q", "/nonexistent",
     )
     assert res.exit_code == 10
 
 
-def test_parse_error_exit_ten(runner, tmp_path):
+def test_parse_error_exit_ten(tmp_path):
     bad = tmp_path / "bad.tbox"
     bad.write_text("A sub\n")
     res = invoke(
-        runner, "check", "--t1", str(bad), "--t2", str(bad),
+        "check", "--t1", str(bad), "--t2", str(bad),
         "--sigma-a", str(bad), "--sigma-q", str(bad),
     )
     assert res.exit_code == 10
@@ -272,11 +281,11 @@ def _error_line(output: str) -> str:
     return line
 
 
-def test_usage_error_exit_ten(runner):
-    res = invoke(runner, "check", "--t1", "t1.tbox")
+def test_usage_error_exit_ten():
+    res = invoke("check", "--t1", "t1.tbox")
     assert res.exit_code == 10
     assert "--sigma-q" in _error_line(res.output)
-    res = invoke(runner, "check", "--mode", "bogus", *ADVISOR)
+    res = invoke("check", "--mode", "bogus", *ADVISOR)
     assert res.exit_code == 10
     assert "--mode" in _error_line(res.output)
 
@@ -310,57 +319,57 @@ def _usage_cases():
 
 
 @pytest.mark.parametrize("command, args, option", list(_usage_cases()))
-def test_usage_errors_exit_ten_naming_the_option(runner, command, args,
-                                                 option):
+def test_usage_errors_exit_ten_naming_the_option(command, args, option):
     """Bad command lines exit 10, not the precheck's 2, with an
     ``error:`` line that names the offending option: a missing required
     option, an unknown or abbreviated one, a value outside its choices
     or below its floor, and a malformed time limit."""
-    res = invoke(runner, command, *args)
+    res = invoke(command, *args)
     assert res.exit_code == 10
     assert option in _error_line(res.output)
 
 
 @pytest.mark.parametrize("command", [u[0] for u in _USAGE])
-def test_subcommand_help_exits_zero(runner, command):
-    res = invoke(runner, command, "--help")
+def test_subcommand_help_exits_zero(command):
+    res = invoke(command, "--help")
     assert res.exit_code == 0
     assert "--time-limit" in res.output and "error:" not in res.output
 
 
-def test_bare_invocation_prints_help(runner):
-    res = runner.invoke(main, [])
-    assert res.exit_code != 10
+def test_bare_invocation_prints_help():
+    res = invoke()
+    assert res.exit_code == 0
     assert "Commands:" in res.output and "error:" not in res.output
 
 
-def test_malformed_limit_variable_exit_ten(runner):
-    for env in ({"HORNSEP_TIME_LIMIT": "abc"}, {"HORNSEP_MEMORY_MB": "1.5"}):
-        res = runner.invoke(main, ["check", *ADVISOR], env=env,
-                            catch_exceptions=False)
+def test_malformed_limit_variable_exit_ten(monkeypatch):
+    for env in (("HORNSEP_TIME_LIMIT", "abc"), ("HORNSEP_MEMORY_MB", "1.5")):
+        with monkeypatch.context() as patch:
+            patch.setenv(*env)
+            res = invoke("check", *ADVISOR)
         assert res.exit_code == 10, env
         assert "error: HORNSEP_" in res.output
 
 
-def test_negative_time_limit_exit_ten(runner):
-    res = invoke(runner, "check", "--time-limit", "-3", *ADVISOR)
+def test_negative_time_limit_exit_ten():
+    res = invoke("check", "--time-limit", "-3", *ADVISOR)
     assert res.exit_code == 10
     assert "error: --time-limit" in res.output
 
 
-def test_oracle_finds_witness(runner):
+def test_oracle_finds_witness():
     res = invoke(
-        runner, "oracle", "--max-abox", "2", "--max-cq", "1", *ADVISOR
+        "oracle", "--max-abox", "2", "--max-cq", "1", *ADVISOR
     )
     assert res.exit_code == 1
     assert "Prof" in res.output
 
 
-def test_oracle_none_within_bounds(runner, tmp_path):
+def test_oracle_none_within_bounds(tmp_path):
     t = tmp_path / "t.tbox"
     t.write_text("")
     res = invoke(
-        runner, "oracle", "--json", "--max-abox", "1", "--max-cq", "1",
+        "oracle", "--json", "--max-abox", "1", "--max-cq", "1",
         "--t1", str(t), "--t2", str(t),
         "--sigma-a", str(DATA / "advisor_abox.sig"),
         "--sigma-q", str(DATA / "advisor_query.sig"),
@@ -369,13 +378,13 @@ def test_oracle_none_within_bounds(runner, tmp_path):
     assert json.loads(res.output)["witness"] is None
 
 
-def test_materialize_outputs_model(runner, tmp_path):
+def test_materialize_outputs_model(tmp_path):
     t = tmp_path / "t.tbox"
     t.write_text("r subr s\n")
     a = tmp_path / "a.abox"
     a.write_text("r(a,b)\n")
     res = invoke(
-        runner, "materialize", "--tbox", str(t), "--abox", str(a),
+        "materialize", "--tbox", str(t), "--abox", str(a),
         "--depth", "0",
     )
     assert res.exit_code == 0
@@ -385,7 +394,7 @@ def test_materialize_outputs_model(runner, tmp_path):
 
 
 def test_materialize_gives_a_named_successor_no_anonymous_twin(
-        runner, tmp_path):
+        tmp_path):
     """Under ``A sub some r B`` and ``func(r)``, b is a's one r-successor
     and takes B; no axiom asks for an anonymous inv(r)-child of b with
     a's type, so the depth-1 window holds a and b only."""
@@ -394,7 +403,7 @@ def test_materialize_gives_a_named_successor_no_anonymous_twin(
     a = tmp_path / "a.abox"
     a.write_text("A(a)\nr(a,b)\n")
     res = invoke(
-        runner, "materialize", "--tbox", str(t), "--abox", str(a),
+        "materialize", "--tbox", str(t), "--abox", str(a),
         "--depth", "1",
     )
     assert res.exit_code == 0
@@ -408,13 +417,13 @@ def test_materialize_gives_a_named_successor_no_anonymous_twin(
     }
 
 
-def test_materialize_profile_error_exit_ten(runner, tmp_path):
+def test_materialize_profile_error_exit_ten(tmp_path):
     """A TBox the normalizer rejects is bad input in every command."""
     t = tmp_path / "t.tbox"
     t.write_text("only r A sub B\n")
     a = tmp_path / "a.abox"
     a.write_text("A(x)\n")
-    res = invoke(runner, "materialize", "--tbox", str(t), "--abox", str(a))
+    res = invoke("materialize", "--tbox", str(t), "--abox", str(a))
     assert res.exit_code == 10
     assert "error: " in res.output and "only r A" in res.output
 
@@ -427,8 +436,8 @@ def test_materialize_profile_error_exit_ten(runner, tmp_path):
     ["check", "--verify-witness", "--oracle-max-vars", "0", *ADVISOR],
     ["materialize", "--tbox", "t.tbox", "--abox", "a.abox", "--depth", "-1"],
 ])
-def test_bounds_out_of_range_exit_ten(runner, args):
-    res = invoke(runner, *args)
+def test_bounds_out_of_range_exit_ten(args):
+    res = invoke(*args)
     assert res.exit_code == 10
     assert "is not in the range x>=" in res.output
 
@@ -446,7 +455,7 @@ ORACLE = "hornsep.entailment.oracle_witness_search"
      ["check"], 13),
 ])
 def test_exceptions_map_to_exit_codes_in_every_command(
-        runner, monkeypatch, target, exc, args, code):
+        monkeypatch, target, exc, args, code):
     """The witness-first search is capped at 0 questions, so ``check``
     leaves the advisor fixture to the pipeline, whose verdict carries no
     witness, and ``--verify-witness`` runs the oracle."""
@@ -455,39 +464,39 @@ def test_exceptions_map_to_exit_codes_in_every_command(
 
     monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
     monkeypatch.setattr(target, fail)
-    res = invoke(runner, *args, *ADVISOR)
+    res = invoke(*args, *ADVISOR)
     assert res.exit_code == code
     assert "error: " in res.output and "Traceback" not in res.output
 
 
-def test_materialize_inconsistent_exit_two(runner, tmp_path):
+def test_materialize_inconsistent_exit_two(tmp_path):
     t = tmp_path / "t.tbox"
     t.write_text("A sub bot\n")
     a = tmp_path / "a.abox"
     a.write_text("A(x)\n")
     res = invoke(
-        runner, "materialize", "--tbox", str(t), "--abox", str(a)
+        "materialize", "--tbox", str(t), "--abox", str(a)
     )
     assert res.exit_code == 2
 
 
-def test_automaton_summary(runner):
-    res = invoke(runner, "automaton", "--json", *ADVISOR)
+def test_automaton_summary():
+    res = invoke("automaton", "--json", *ADVISOR)
     assert res.exit_code == 0
     obj = json.loads(res.output)
     assert obj["states"] > 0 and obj["labels"] > 0
     assert obj["max_priority"] == 1
 
 
-def test_automaton_dump_matches_golden(runner):
+def test_automaton_dump_matches_golden():
     for which in ("a1", "a4", "a4sim"):
-        res = invoke(runner, "automaton", "--which", which, "--dump", *ADVISOR)
+        res = invoke("automaton", "--which", which, "--dump", *ADVISOR)
         assert res.exit_code == 0
         golden = (DATA / f"advisor_{which}_dump.txt").read_text()
         assert res.output == golden, which
 
 
-def test_check_resource_limit_exit_thirteen(runner, tmp_path):
+def test_check_resource_limit_exit_thirteen(tmp_path):
     """Ten unrelated pairs ``Ai sub Bi`` give more closed concept sets
     than the label alphabet bound admits, which is a resource limit, not
     an internal error: ``automaton`` exits 13.  ``check`` never builds
@@ -505,10 +514,10 @@ def test_check_resource_limit_exit_thirteen(runner, tmp_path):
     sq.write_text("concepts: B01\nroles: r\n")
     args = ["--t1", str(t1), "--t2", str(t2),
             "--sigma-a", str(sa), "--sigma-q", str(sq)]
-    res = invoke(runner, "automaton", *args)
+    res = invoke("automaton", *args)
     assert res.exit_code == 13
     assert "label alphabet estimate exceeds cap 120000" in res.output
-    res = invoke(runner, "check", "--json", "--verify-witness", *args)
+    res = invoke("check", "--json", "--verify-witness", *args)
     assert res.exit_code == 1
     obj = json.loads(res.output)
     assert obj["stats"]["settled_by"] == "witness_search"
@@ -525,7 +534,7 @@ def _run_cli(args, seed):
     )
 
 
-def test_time_limit_ends_with_the_command(runner, monkeypatch):
+def test_time_limit_ends_with_the_command(monkeypatch):
     """A command run in-process leaves no timer and no alarm handler
     behind.  The signal calls are recorded instead of made, so no timer
     is armed in the test process."""
@@ -536,7 +545,7 @@ def test_time_limit_ends_with_the_command(runner, monkeypatch):
     monkeypatch.setattr(cli.signal, "signal",
                         lambda _num, handler: handlers.append(handler)
                         or "previous")
-    res = invoke(runner, "check", "--time-limit", "2.5", *ADVISOR)
+    res = invoke("check", "--time-limit", "2.5", *ADVISOR)
     assert res.exit_code == 1
     assert timers == [2.5, 0]
     assert handlers[-1] == "previous"
@@ -567,6 +576,15 @@ def test_oracle_time_limit_exit_thirteen(tmp_path):
     assert b"error: time limit exceeded" in r.stderr
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     assert cpu < 0.9
+
+
+def test_a_time_limit_that_fires_at_once_exits_thirteen():
+    """A timer that expires as soon as it is armed, before the command
+    reads its inputs, still exits 13 with an ``error:`` line."""
+    r = _run_cli(["check", "--time-limit", "0.000001", *ADVISOR], 0)
+    assert r.returncode == 13
+    assert r.stdout == b""
+    assert r.stderr.endswith(b"error: time limit exceeded\n")
 
 
 def test_json_output_identical_across_hash_seeds(tmp_path):
@@ -622,8 +640,11 @@ def test_dump_identical_across_hash_seeds(tmp_path):
 _COLD_PATH = """
 import json, sys, warnings
 
+before = set(sys.modules)
 import hornsep.cli
 from hornsep import entailment, models, parse_signature, parse_tbox
+
+added = {m.partition(".")[0] for m in set(sys.modules) - before}
 
 def loaded():
     return sorted(m for m in ("hornsep.automata", "hornsep.mosaics")
@@ -637,7 +658,8 @@ def problem(t1, t2, sig_a, sig_q):
                                        parse_signature(sig_q))
 
 advisor, bot = (problem(*texts) for texts in json.loads(sys.argv[1]))
-out = {"import": loaded()}
+out = {"import": loaded(),
+       "third_party": sorted(added - sys.stdlib_module_names - {"hornsep"})}
 d = entailment.decide_cq_entailment(advisor)
 out["search"] = [d.stats["settled_by"], loaded()]
 entailment.oracle_witness_search(advisor.t1, advisor.t2, advisor.sigA,
@@ -651,12 +673,14 @@ print(json.dumps(out))
 
 
 def test_the_pipeline_modules_load_with_the_first_pipeline_decision():
-    """A fresh interpreter imports the command line and settles the
-    advisor fixture's ``cq`` decision by the witness-first search, runs
-    the oracle and materializes a window without loading the automata
-    or the mosaics; the ``deductive_bot`` fixture's ``cq`` decision,
-    which the pipeline settles, loads both and decides as in this
-    process."""
+    """A fresh interpreter imports the command line, which loads no
+    module from outside the standard library and the package, and
+    settles the advisor fixture's ``cq`` decision by the witness-first
+    search, runs the oracle and materializes a window without loading
+    the automata or the mosaics; the ``deductive_bot`` fixture's ``cq``
+    decision, which the pipeline settles, loads both and decides as in
+    this process.  Modules loaded before the import, as ``site`` may
+    load some, do not count."""
     texts = [FIXTURES["advisor"], FIXTURES["deductive_bot"]]
     env = dict(os.environ, PYTHONPATH=str(DATA.parents[1] / "src"))
     r = subprocess.run([sys.executable, "-c", _COLD_PATH, json.dumps(texts)],
@@ -664,6 +688,7 @@ def test_the_pipeline_modules_load_with_the_first_pipeline_decision():
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)
     assert out["import"] == []
+    assert out["third_party"] == []
     assert out["search"] == ["witness_search", []]
     assert out["oracle"] == []
     by, loaded, decision = out["pipeline"]
