@@ -170,22 +170,13 @@ def check(args) -> int:
     if args.verify_witness and not decision.entails:
         if decision.stats.get("direction") == "backward":
             p = p.swapped()  # the verdict failed on (T2, T1)
-        witness = decision.witness
-        if witness is None:  # a pipeline verdict
-            witness = entailment.oracle_witness_search(
-                p.t1, p.t2, p.sigA, p.sigQ, args.oracle_max_ind,
-                args.oracle_max_vars,
-                mode="1tcq" if args.mode in ("1tcq", "deductive") else "cq",
-            )
-        if witness is None:
-            report["witness"] = report["witness_verified"] = None
-        else:
-            report["witness"] = witness.to_json_obj()
-            verified = entailment.verify_witness(p.t1, p.t2, witness)
-            report["witness_verified"] = verified
-            if not verified:
-                _emit(report, args.as_json)
-                _fail("witness failed replay", EXIT_AUDIT)
+        w = decision.witness
+        verified = None if w is None else entailment.verify_witness(
+            p.t1, p.t2, w)
+        report["witness_verified"] = verified
+        if verified is False:
+            _emit(report, args.as_json)
+            _fail("witness failed replay", EXIT_AUDIT)
     _emit(report, args.as_json)
     return code
 
@@ -297,12 +288,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=list(MODES), default="cq",
                      help="entailment mode (default: %(default)s)")
     sub.add_argument("--verify-witness", action="store_true",
-                     help="on non-entailment, replay the decision's witness, "
-                          "or search a small one and replay it")
-    sub.add_argument("--oracle-max-ind", type=_at_least(1), default=2,
-                     help="witness ABox size bound (default: %(default)s)")
-    sub.add_argument("--oracle-max-vars", type=_at_least(1), default=2,
-                     help="witness query size bound (default: %(default)s)")
+                     help="on non-entailment, replay the decision's witness")
     sub = command(oracle, problem)
     sub.add_argument("--mode", choices=("cq", "1tcq"), default="cq",
                      help="query class (default: %(default)s)")

@@ -32,16 +32,21 @@ settles the problem ends it:
 6. the automata pipeline (label context, four-way intersection,
    emptiness), and for ``cq-incons`` and ``deductive`` the bot-free
    pipeline that compares inconsistent ABoxes, with ``"settled_by":
-   "pipeline"``.  Its modules, ``automata`` and the ``mosaics`` it
-   uses, are imported by the first decision that gets this far, so a
-   process whose problems the earlier checks settle never loads them.
+   "pipeline"``.  A refutation's certificate spells out an ABox
+   (``certificate_abox``), which the search's loop asks queries of at
+   most ``TARGETED_BOUNDS[1]`` variables, under ``SEARCH_CAP``, with
+   its counts under ``decoded``; if none replays, there is no witness.
+   Its modules, ``automata`` and the ``mosaics`` it uses, are imported
+   by the first decision that gets this far, so a process whose
+   problems the earlier checks settle never loads them.
 
-Steps 2, 4 and 5 say "does not entail" only with a witness that
-``verify_witness`` replayed, and name themselves in ``"settled_by"``.
-The search is the per-ABox loop of ``oracle_witness_search``, the
-unbounded brute-force route the ``oracle`` command runs.  Both are
-sound for non-entailment and deliberately incomplete; the test suite
-keeps them and the pipeline honest against each other.
+Steps 2 and 4-6 carry only a witness that ``verify_witness`` replayed,
+and 2, 4 and 5 refute only with one and name themselves in
+``"settled_by"``.  Each search is the per-ABox loop of
+``oracle_witness_search``, the unbounded brute-force route the
+``oracle`` command runs.  Both are sound for non-entailment and
+deliberately incomplete; the test suite keeps them and the pipeline
+honest against each other.
 """
 
 from __future__ import annotations
@@ -185,7 +190,7 @@ def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
     In ``1tcq`` the query is rooted, ``q(x0) <- S(x0, x1)`` with the
     answer (a0), which T1 answers too wherever it gives a0 an
     S-successor of its own.  If no pair's edge replays so, the oracle's
-    scan at ``RI_SEARCH_BOUNDS``, over the ABoxes that hold an edge of a
+    scan at ``TARGETED_BOUNDS``, over the ABoxes that hold an edge of a
     separating R, looks for a larger rooted witness, such as
     ``q(x1) <- S(x0, x1), R(x0, x2)`` over R(a0, a1), R(a0, a2).  A pair
     that neither separates is left to the later checks."""
@@ -204,8 +209,10 @@ def check_ri(t1: NormalTBox, t2: NormalTBox, sigA: Signature,
                 missed.add(r.name)
     if mode != "1tcq" or not missed:
         return None
-    return _scan_witnesses(t1, t2, sigA, sigQ, *RI_SEARCH_BOUNDS, mode,
-                           cap=SEARCH_CAP, roles=missed)[0]
+    aboxes = (abox for abox in enumerate_tree_aboxes(sigA, TARGETED_BOUNDS[0])
+              if not missed.isdisjoint(r for r, _, _ in abox.role_assertions))
+    return _scan_witnesses(t1, t2, sigQ, aboxes, TARGETED_BOUNDS[1], mode,
+                           cap=SEARCH_CAP)[0]
 
 
 def tbox_entails(t1: NormalTBox, t2: NormalTBox) -> bool:
@@ -367,8 +374,9 @@ SEARCH_BOUNDS = (2, 2)
 #: it leaves the problem to the pipeline; a count, so that where the
 #: search stops does not depend on the machine's speed
 SEARCH_CAP = 20_000
-#: the bounds of ``check_ri``'s search for a rooted role-inclusion witness
-RI_SEARCH_BOUNDS = (3, 3)
+#: the bounds of ``check_ri``'s search for a rooted role-inclusion
+#: witness; the second also bounds the queries on a certificate's ABox
+TARGETED_BOUNDS = (3, 3)
 
 
 def _decide_queries(
@@ -392,10 +400,10 @@ def _decide_queries(
         if incons:
             stats["incons"] = True
         return Decision(mode, True, precheck, stats=stats)
+    kind = "1tcq" if sim else "cq"
     w, asked, capped = _scan_witnesses(
-        p.t1, p.t2, p.sigA, p.sigQ, *SEARCH_BOUNDS,
-        mode="1tcq" if sim else "cq", incons=incons, cap=SEARCH_CAP,
-    )
+        p.t1, p.t2, p.sigQ, enumerate_tree_aboxes(p.sigA, SEARCH_BOUNDS[0]),
+        SEARCH_BOUNDS[1], kind, incons, SEARCH_CAP)
     stats = {"search": {"asked": asked, "capped": capped},
              "settled_by": "witness_search"}
     if w is None and incons:
@@ -415,7 +423,34 @@ def _decide_queries(
         stats["incons"] = entails
         if pipeline:
             stats["incons_pipeline"] = pipeline
-    return Decision(mode, entails, precheck, certificate=cert, stats=stats)
+    if not entails:
+        w, asked, capped = _scan_witnesses(
+            p.t1, p.t2, p.sigQ, [certificate_abox(cert)], TARGETED_BOUNDS[1],
+            kind, incons, SEARCH_CAP)
+        stats["decoded"] = {"asked": asked, "capped": capped}
+    return Decision(mode, entails, precheck, witness=w, certificate=cert,
+                    stats=stats)
+
+
+def certificate_abox(cert) -> ABox:
+    """The tree ABox that a pipeline certificate's L0 layer spells out
+    (A1): c0 holds a node's concepts, and a role R in r0 asserts
+    R(parent, node), so inv(R) asserts R(node, parent).  Individuals are
+    a0 (the root), a1, ... in the breadth-first order of
+    ``RegularTreeRep.parents``; nodes off the ABox add nothing."""
+    parents = cert.parents()
+    abox, names = ABox(), {}
+    for node in (cert.root, *parents):
+        label = cert.labels[node]
+        if label.l0_empty():
+            continue
+        a = names[node] = f"a{len(names)}"
+        abox.concept_assertions.update((c, a) for c in label.c0)
+        for r in label.r0:
+            b = names[parents[node]]
+            abox.role_assertions.add(
+                (r.name, a, b) if r.inverted else (r.name, b, a))
+    return abox
 
 
 def decide_cq_entailment(p: Problem) -> Decision:
@@ -692,13 +727,14 @@ def oracle_witness_search(
     exception (the command line raises ``ResourceLimitError``)."""
     if tbox_entails(t1, t2):
         return None
-    return _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode)[0]
+    return _scan_witnesses(t1, t2, sigQ, enumerate_tree_aboxes(sigA, max_ind),
+                           max_vars, mode)[0]
 
 
-def _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode,
-                    incons=False, cap=None, roles=None):
-    """The per-ABox loop of both witness searches.  Each ABox of
-    ``enumerate_tree_aboxes`` is chased once per TBox.  One consistent
+def _scan_witnesses(t1, t2, sigQ, aboxes, max_vars, mode, incons=False,
+                    cap=None):
+    """The per-ABox loop of every witness search.  Each of the given
+    ABoxes is chased once per TBox.  One consistent
     with T1 and inconsistent with T2 is, with ``incons``, a witness of
     its own.  A candidate query's answer holds under the second TBox by
     construction (the identity map is a match), so each candidate is
@@ -708,17 +744,11 @@ def _scan_witnesses(t1, t2, sigA, sigQ, max_ind, max_vars, mode,
     the window, and below each its connected substructures, enumerated
     as the questions are asked.
 
-    With ``roles``, a set of role names, only the ABoxes that assert an
-    edge of one of them are chased.
-
     Returns (witness or None, asked, capped): ``asked`` counts the
     ABoxes chased and the questions asked, and the scan stops, capped,
     before it would ask more than ``cap`` of them."""
     asked = 0
-    for abox in enumerate_tree_aboxes(sigA, max_ind):
-        if roles is not None and roles.isdisjoint(
-                r for r, _, _ in abox.role_assertions):
-            continue
+    for abox in aboxes:
         if asked == cap:
             return None, asked, True
         asked += 1

@@ -19,6 +19,7 @@ inputs back into the surface syntax for round-trip tests.
 
 import itertools
 
+from hornsep import entailment
 from hornsep.automata import FALSE, TRUE, RegularTreeRep, f_and, is_atom
 from hornsep.entailment import make_problem
 from hornsep.models import (
@@ -718,6 +719,15 @@ def criterion6_problem(rng):
         "concepts: " + " ".join(concepts) + "\nroles: " + " ".join(roles)
     )
     return t1, t2, make_problem(parse_tbox(t1), parse_tbox(t2), sig, sig)
+
+
+def decoded_witness(p, cert, sim=False):
+    """The witness that a ``cq`` decision (with ``sim``, a ``1tcq`` one)
+    finds on the ABox a pipeline certificate spells out, or None: the
+    search ``_decide_queries`` runs after the pipeline refutes."""
+    return entailment._scan_witnesses(
+        p.t1, p.t2, p.sigQ, [entailment.certificate_abox(cert)],
+        entailment.TARGETED_BOUNDS[1], "1tcq" if sim else "cq")[0]
 
 
 def chain_problem(n):

@@ -11,6 +11,7 @@ from conftest import problem, within
 from helpers import (
     BruteForceReasoner,
     criterion6_problem,
+    decoded_witness,
     fin_hom_reference,
     random_regular_tree,
     random_tbox_text,
@@ -110,7 +111,9 @@ def test_criterion_6_pipeline_oracle_agreement():
     within the oracle's bounds.  The pipeline runs on every draw that
     ``tbox_entails`` leaves open, as the decision did before its
     witness-first search, and the entailing draws are exactly those
-    where ``tbox_entails`` proves T1 ⊨ T2."""
+    where ``tbox_entails`` proves T1 ⊨ T2.  Every pipeline refutation's
+    certificate spells out an ABox on which the decision's own search
+    finds a witness that replays."""
     rng = random.Random(601)
     done = 0
     entailed = []
@@ -119,8 +122,14 @@ def test_criterion_6_pipeline_oracle_agreement():
             t1, t2, p = criterion6_problem(rng)
             done += 1
             subset = tbox_entails(p.t1, p.t2)
-            entails = subset or _run_pipeline(
-                p.t1, p.t2, p.sigA, p.sigQ, False)[0]
+            entails, cert = subset, None
+            if not subset:
+                entails, cert, _stats = _run_pipeline(
+                    p.t1, p.t2, p.sigA, p.sigQ, False)
+            if not entails:
+                decoded = decoded_witness(p, cert)
+                assert decoded is not None, (t1, t2)
+                assert verify_witness(p.t1, p.t2, decoded), (t1, t2)
             w = oracle_witness_search(p.t1, p.t2, p.sigA, p.sigQ, 3, 3)
             if w is not None:
                 assert verify_witness(p.t1, p.t2, w)

@@ -70,12 +70,8 @@ def test_check_json_output():
 
 
 def test_check_verify_witness():
-    """A verdict that carries a witness replays that witness; the
-    oracle's bounds play no part."""
-    res = invoke(
-        "check", "--json", "--verify-witness",
-        "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
-    )
+    """A verdict that carries a witness replays that witness."""
+    res = invoke("check", "--json", "--verify-witness", *ADVISOR)
     assert res.exit_code == 1
     obj = json.loads(res.output)
     assert obj["witness_verified"] is True
@@ -83,33 +79,6 @@ def test_check_verify_witness():
     plain = json.loads(invoke("check", "--json", *ADVISOR).output)
     assert obj["witness"] == plain["witness"]
     assert obj["stats"]["settled_by"] == "witness_search"
-
-
-def test_check_verify_witness_searches_only_without_a_witness(
-        monkeypatch):
-    """A verdict without a witness, here the pipeline's on the advisor
-    fixture with the witness-first search capped at 0 questions, runs
-    the oracle at the ``--oracle-max-*`` bounds, and its witness
-    replays."""
-    searched = []
-    search = entailment.oracle_witness_search
-
-    def oracle(*args, **kwargs):
-        searched.append(args[4:])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
-    monkeypatch.setattr(entailment, "oracle_witness_search", oracle)
-    res = invoke(
-        "check", "--json", "--verify-witness",
-        "--oracle-max-ind", "2", "--oracle-max-vars", "1", *ADVISOR
-    )
-    assert res.exit_code == 1
-    obj = json.loads(res.output)
-    assert obj["stats"]["settled_by"] == "pipeline"
-    assert searched == [(2, 1)]
-    assert obj["witness_verified"] is True
-    assert "adv(a0,a1)" in obj["witness"]["abox"]
 
 
 def test_check_verify_witness_follows_a_backward_verdict(tmp_path):
@@ -213,15 +182,21 @@ def test_a_role_inclusion_refutes_1tcq_only_by_a_rooted_query(
         assert (oracle and oracle.to_json_obj()) == witness
 
 
+def _no_oracle(monkeypatch):
+    """Make ``oracle_witness_search`` raise, so that a test fails if
+    ``check`` runs it."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(entailment, "oracle_witness_search", fail)
+
+
 def test_check_verify_witness_replays_a_role_inclusion_witness(
         monkeypatch, tmp_path):
     """A role-inclusion refutation carries its one-edge witness, so
     ``--verify-witness`` replays it and never searches: the oracle is
     patched to raise.  The exit code stays the precheck's."""
-    def fail(*_args, **_kwargs):
-        raise AssertionError("the oracle ran")
-
-    monkeypatch.setattr(entailment, "oracle_witness_search", fail)
+    _no_oracle(monkeypatch)
     sig = "concepts: A\nroles: r s\n"
     res = invoke(
         "check", "--verify-witness",
@@ -231,6 +206,84 @@ def test_check_verify_witness_replays_a_role_inclusion_witness(
     assert "witness_verified: true" in res.output
     assert '"settled_by": "role_inclusion"' in res.output
 
+
+
+# ΣA-ABoxes speak of C0 and r, queries of C1 and r; T1 gives a C0 an
+# r-successor in C1, T2 one n r-steps away with n = 2 or 3
+_C0 = "concepts: C0\nroles: r\n"
+_C1 = "concepts: C1\nroles: r\n"
+
+
+def test_check_verify_witness_replays_a_pipeline_verdicts_decoded_witness(
+        monkeypatch, tmp_path):
+    """T2's C1 two r-steps from a C0 separates only with a query of
+    three variables, beyond the witness-first search, so the pipeline
+    refutes.  Its certificate's L0 layer spells out an ABox, and the
+    search over that ABox finds a three-variable witness, which the
+    decision carries and ``--verify-witness`` replays; ``check`` runs
+    no oracle."""
+    _no_oracle(monkeypatch)
+    res = invoke("check", "--json", "--verify-witness",
+                 *_problem_files(tmp_path, "C0 sub some r C1\n",
+                                 "C0 sub some r (some r C1)\n", _C0, _C1))
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"]["settled_by"] == "pipeline"
+    assert obj["stats"]["decoded"] == {"asked": 5, "capped": False}
+    assert obj["witness"] == {
+        "abox": ["C0(a0)", "C0(a2)", "r(a1,a0)", "r(a1,a2)"],
+        "query": "q(x2) <- C1(x0), r(x1,x0), r(x2,x1)", "answer": ["a0"]}
+    assert obj["witness_verified"] is True
+
+
+def test_check_verify_witness_reports_none_beyond_the_decoded_bound(
+        monkeypatch, tmp_path):
+    """One r-step more on each side needs a query of four variables:
+    the pipeline refutes, the search over its certificate's ABox asks 34
+    questions within three variables and finds nothing, so the verdict
+    stands without a witness and ``--verify-witness`` has none to
+    replay.  ``hornsep oracle`` at larger bounds finds one."""
+    _no_oracle(monkeypatch)
+    files = _problem_files(tmp_path, "C0 sub some r (some r C1)\n",
+                           "C0 sub some r (some r (some r C1))\n", _C0, _C1)
+    res = invoke("check", "--json", "--verify-witness", *files)
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"]["settled_by"] == "pipeline"
+    assert obj["stats"]["decoded"] == {"asked": 34, "capped": False}
+    assert obj["witness"] is None and obj["witness_verified"] is None
+    monkeypatch.undo()
+    res = invoke("oracle", "--json", "--max-abox", "2", "--max-cq", "4",
+                 *files)
+    assert res.exit_code == 1
+    assert json.loads(res.output)["witness"] == {
+        "abox": ["C0(a0)"],
+        "query": "q() <- C1(x0), r(x1,x0), r(x2,x1), r(x3,x2)",
+        "answer": []}
+
+
+def test_check_verify_witness_replays_a_bot_free_pipelines_witness(
+        monkeypatch, tmp_path):
+    """An inconsistency that needs an A with an r-path of two edges
+    sends ``cq-incons`` past the witness-first search and the forks to
+    the bot-free pipeline, which refutes (about 5 s on a 2-vCPU host).
+    The ABox its certificate spells out is consistent with T1 and
+    inconsistent with T2, so the decision carries it as an inconsistency
+    witness, and ``--verify-witness`` replays it."""
+    _no_oracle(monkeypatch)
+    sig = "concepts: A\nroles: r\n"
+    res = invoke("check", "--json", "--verify-witness", "--mode", "cq-incons",
+                 *_problem_files(tmp_path, "",
+                                 "A and some r (some r top) sub bot\n",
+                                 sig, sig))
+    assert res.exit_code == 1
+    obj = json.loads(res.output)
+    assert obj["stats"]["settled_by"] == "pipeline"
+    assert obj["stats"]["incons"] is False
+    assert obj["stats"]["decoded"] == {"asked": 1, "capped": False}
+    assert obj["witness"]["query"] is None and obj["witness"]["answer"] == []
+    assert "A(a0)" in obj["witness"]["abox"]
+    assert obj["witness_verified"] is True
 
 def test_check_incons_edge_bot_exits_one_with_the_edge(tmp_path):
     """T2's ``some r top sub bot`` makes every r-edge inconsistent, so
@@ -296,8 +349,7 @@ _MATERIALIZE = ["--tbox", str(DATA / "advisor_t2.tbox"),
 # (subcommand, its valid arguments, a required option, an option
 # abbreviated, the options with a floor and a value below it)
 _USAGE = [
-    ("check", ADVISOR, "--sigma-q", "--verify",
-     [("--oracle-max-ind", "0"), ("--oracle-max-vars", "0")]),
+    ("check", ADVISOR, "--sigma-q", "--verify", []),
     ("oracle", ADVISOR, "--sigma-q", "--max-ab",
      [("--max-abox", "0"), ("--max-cq", "0")]),
     ("materialize", _MATERIALIZE, "--abox", "--dep", [("--depth", "-1")]),
@@ -432,8 +484,6 @@ def test_materialize_profile_error_exit_ten(tmp_path):
     ["oracle", "--max-cq", "0", *ADVISOR],
     ["oracle", "--max-abox", "0", *ADVISOR],
     ["oracle", "--max-abox", "-1", *ADVISOR],
-    ["check", "--verify-witness", "--oracle-max-ind", "0", *ADVISOR],
-    ["check", "--verify-witness", "--oracle-max-vars", "0", *ADVISOR],
     ["materialize", "--tbox", "t.tbox", "--abox", "a.abox", "--depth", "-1"],
 ])
 def test_bounds_out_of_range_exit_ten(args):
@@ -447,8 +497,10 @@ ORACLE = "hornsep.entailment.oracle_witness_search"
 
 @pytest.mark.parametrize("target, exc, args, code", [
     (ORACLE, MemoryError(), ["oracle"], 13),
-    (ORACLE, ResourceLimitError("witness search cap"),
-     ["check", "--verify-witness"], 13),
+    # every witness check and replay, the decision's and the self-audit's
+    ("hornsep.entailment.verify_witness",
+     ResourceLimitError("time limit exceeded"), ["check", "--verify-witness"],
+     13),
     (ORACLE, HornsepError("broken"), ["oracle"], 12),
     # a time limit that fires while the verdict is printed
     ("hornsep.cli._emit", ResourceLimitError("time limit exceeded"),
@@ -456,13 +508,11 @@ ORACLE = "hornsep.entailment.oracle_witness_search"
 ])
 def test_exceptions_map_to_exit_codes_in_every_command(
         monkeypatch, target, exc, args, code):
-    """The witness-first search is capped at 0 questions, so ``check``
-    leaves the advisor fixture to the pipeline, whose verdict carries no
-    witness, and ``--verify-witness`` runs the oracle."""
+    """An exception a command raises exits with its code from
+    ``cli._EXIT_CODES``, an ``error:`` line and no traceback."""
     def fail(*_args, **_kwargs):
         raise exc
 
-    monkeypatch.setattr(entailment, "SEARCH_CAP", 0)
     monkeypatch.setattr(target, fail)
     res = invoke(*args, *ADVISOR)
     assert res.exit_code == code

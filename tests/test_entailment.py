@@ -8,6 +8,7 @@ from helpers import (
     abox_tree_shaped,
     chain_problem,
     criterion6_problem,
+    decoded_witness,
     finite_models,
     model_satisfies_raw,
     oracle_candidates_by_whole_window,
@@ -37,9 +38,10 @@ from hornsep.entailment import (
     inseparable,
     make_problem,
     oracle_witness_search,
+    tbox_entails,
     verify_witness,
 )
-from hornsep.automata import run_on_regular_tree
+from hornsep.automata import Label, RegularTreeRep, run_on_regular_tree
 from hornsep.reasoner import certain_answers, is_certain_answer
 from hornsep.syntax import (
     ABox,
@@ -811,16 +813,22 @@ def test_bot_axiom_decides_with_an_inconsistency_witness(concepts, mode):
     assert not verify_witness(p.t2, p.t1, d.witness)
 
 
-@pytest.mark.parametrize("fixture, mode", [
-    ("advisor", "cq"), ("disjointness", "cq"), ("disjointness", "cq-incons"),
-])
-def test_a_capped_search_keeps_the_pipeline_verdict(fixture, mode,
-                                                     monkeypatch):
+@pytest.mark.parametrize("fixture, mode, decoded, witness", [
+    ("advisor", "cq", {"asked": 2, "capped": True}, None),
+    ("disjointness", "cq", None, None),
+    ("disjointness", "cq-incons", {"asked": 1, "capped": False},
+     {"abox": ["A1(a0)", "A2(a0)"], "query": None, "answer": []}),
+], ids=["advisor-cq", "disjointness-cq", "disjointness-cq-incons"])
+def test_a_capped_search_keeps_the_pipeline_verdict(
+        fixture, mode, decoded, witness, monkeypatch):
     """With the cap at 2, a search that asks more stops there, says so
     in its stats, and leaves the verdict to the pipelines, which give
-    the same verdict as the uncapped decision, with no witness.  The
-    cap is lowered here because the fixtures' searches ask at most 7
-    questions, far below ``SEARCH_CAP``."""
+    the same verdict as the uncapped decision.  A refutation's witness
+    comes from the search over its certificate's ABox, under the same
+    cap: on the advisor fixture it stops after 2 questions without one,
+    and the bot-free pipeline's one-node ABox is an inconsistency
+    witness.  The cap is lowered here because the fixtures' searches
+    ask at most 7 questions, far below ``SEARCH_CAP``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         p = problem(*FIXTURES[fixture])
@@ -830,6 +838,76 @@ def test_a_capped_search_keeps_the_pipeline_verdict(fixture, mode,
     d = decide(p)
     assert d.stats["search"] == {"asked": 2, "capped": True}
     assert d.stats["settled_by"] == "pipeline"
-    assert d.witness is None
+    assert d.stats.get("decoded") == decoded
+    assert (d.witness and d.witness.to_json_obj()) == witness
+    assert witness is None or verify_witness(p.t1, p.t2, d.witness)
     assert d.entails == want
     assert d.entails or d.certificate is not None
+
+
+def test_certificate_abox_reads_l0_in_node_order():
+    """``certificate_abox`` names the ABox nodes a0, a1, ... breadth
+    first from the root, reads a role R in a node's r0 as R(parent, node)
+    and inv(R) as R(node, parent), and adds nothing for a back edge or a
+    node off the ABox."""
+    def label(c0=(), r0=()):
+        return Label(frozenset(c0), frozenset(r0))
+
+    rep = RegularTreeRep(
+        {"n0": label({"A"}), "n1": label((), {Role("r")}),
+         "n2": label({"B"}, {Role("s", True)}), "n3": label(),
+         "n4": label({"A"}, {Role("r")})},
+        {"n0": ["n1", "n4"], "n1": ["n2", "n0"], "n2": ["n3"],
+         "n3": ["n3"]},
+        "n0")
+    abox = entailment.certificate_abox(rep)
+    assert abox.concept_assertions == {("A", "a0"), ("A", "a2"), ("B", "a3")}
+    assert abox.role_assertions == {("r", "a0", "a1"), ("r", "a0", "a2"),
+                                    ("s", "a3", "a1")}
+
+
+def test_pipeline_certificates_decode_to_replayed_witnesses():
+    """Every pipeline refutation of the fixtures in both directions and
+    of chain n=1..12, in ``cq`` and with ``sim``, and with ``sim`` of the
+    seed-601 criterion-6 draws 0-39 that ``tbox_entails`` leaves open,
+    decodes to a witness that replays: the ABox its certificate's L0
+    layer spells out holds a separating query of at most three
+    variables.  Criterion 6 checks its draws in ``cq``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fixtures = [problem(*texts) for texts in FIXTURES.values()]
+    rng = random.Random(601)
+    draws = [criterion6_problem(rng)[2] for _ in range(40)]
+    cases = [(p, sim) for p in fixtures + [p.swapped() for p in fixtures]
+             + [chain_problem(n) for n in range(1, 13)]
+             for sim in (False, True)]
+    cases += [(p, True) for p in draws if not tbox_entails(p.t1, p.t2)]
+    refuted = 0
+    with within(30):
+        for p, sim in cases:
+            entails, cert, _stats = entailment._run_pipeline(
+                p.t1, p.t2, p.sigA, p.sigQ, sim)
+            if entails:
+                continue
+            refuted += 1
+            w = decoded_witness(p, cert, sim)
+            assert w is not None and verify_witness(p.t1, p.t2, w)
+    assert refuted == 3 + 24 + 27
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: A4's edge test "
+                   "refutes 1tcq where no rooted tree query separates")
+def test_a_1tcq_non_entailment_carries_a_witness():
+    """Under T1 every element is A and has s-edges both ways, so no
+    rooted tree query over {A, s} separates, and the 1tcq oracle at
+    (3, 3) finds nothing.  The pipeline still says "does not entail",
+    and the 46-individual ABox its certificate spells out gives no
+    witness within three variables (264 questions), so the verdict
+    carries none."""
+    p = problem(
+        "top sub some inv(s) top\ntop sub some s A\ntop sub some s top\n"
+        "some s top sub A",
+        "r subr s\nsome inv(s) top sub A",
+        "concepts: A\nroles: r", "concepts: A\nroles: s")
+    d = decide_1tcq_entailment(p)
+    assert d.entails or d.witness is not None
